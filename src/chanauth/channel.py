@@ -46,18 +46,19 @@ class ChannelParams:
     T: float = 0.0
 
     def __post_init__(self):
-        if self.W <= 0:
-            raise ValueError("W must be positive")
+        # Comparisons are written so that NaN fails them.
+        if not 0 < self.W < math.inf:
+            raise ValueError("W must be positive and finite")
         if int(self.M) != self.M or self.M < 1:
             raise ValueError("M must be a positive integer")
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("a must lie in [0, 1]")
-        if self.Bc < 0:
+        if not self.Bc >= 0:
             raise ValueError("Bc must be nonnegative")
-        if self.sigma_T < 0:
-            raise ValueError("sigma_T must be nonnegative")
-        if self.sigma_N2 < 0:
-            raise ValueError("sigma_N2 must be nonnegative")
+        if not 0 <= self.sigma_T < math.inf:
+            raise ValueError("sigma_T must be nonnegative and finite")
+        if not 0 <= self.sigma_N2 < math.inf:
+            raise ValueError("sigma_N2 must be nonnegative and finite")
 
     @property
     def delta_f(self) -> float:

@@ -23,13 +23,14 @@ from .harness import (
     BOLTZMANN_NOISE_DENSITY,
     LinkBudget,
     SweepAxis,
+    apply_sweep_value,
     noise_variance,
     room_sweep,
     sigma_T_from_bT,
     simulate_error_rates,
 )
 from . import raytrace
-from .numerics import RngStream
+from .numerics import RngStream, chi2_inv
 from .raytrace import GridSpec, RoomScene
 
 EXIT_OK = 0
@@ -226,8 +227,8 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     except ValueError as exc:
         diags.append(f"[budget]: {exc}")
     ch = values["channel"]
-    if ch["b_T"] < 0:
-        diags.append("channel.b_T: must be nonnegative")
+    if not 0 <= ch["b_T"] < math.inf:
+        diags.append("channel.b_T: must be nonnegative and finite")
     try:
         params = ChannelParams(
             f0=ch["f0"],
@@ -250,6 +251,12 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         )
     except ValueError as exc:
         diags.append(f"test.alpha: {exc}")
+    else:
+        try:
+            if cfg.threshold_override is None:
+                chi2_inv(1.0 - cfg.alpha, 2)
+        except ValueError as exc:
+            diags.append(f"test.alpha: threshold quantile at 1 - alpha = {1.0 - cfg.alpha!r}: {exc}")
     axis = values["sweep"]["param"]
     try:
         sweep_values = _parse_sweep_values(axis, values["sweep"]["values"])
@@ -268,6 +275,15 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         return None, diags
 
     # Cross-field checks that need the assembled objects.
+    for value in sweep_values:
+        try:
+            apply_sweep_value(params, budget, cfg, axis, value)
+            if axis is SweepAxis.B_T:
+                sigma_T_from_bT(value, 1.0)
+        except ValueError as exc:
+            diags.append(f"sweep.values: {_fmt(value)}: {exc}")
+    if grid.n_points < 2:
+        diags.append(f"grid.counts: {grid.counts[0]} x {grid.counts[1]} has fewer than 2 points, so no pair")
     dims = scene.dimensions
     for name, pos in (("bob.position", values["bob"]["position"]),):
         if not all(0 < p < d for p, d in zip(pos, dims)):
@@ -401,7 +417,6 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
             config.sweep_values,
             b_T=config.b_T,
             pair_budget=config.pair_budget,
-            trials=config.trials,
             rng=rng,
         )
         calibration = _calibrate(config, rng.substream(999))

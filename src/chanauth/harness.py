@@ -2,10 +2,13 @@
 end-to-end empirical error rates.
 
 For each candidate spoofer/legitimate position pair the ray tracer supplies
-the fixed responses, the link budget sets the noise floor, and the detector
-produces a miss rate (closed form where the regime admits one, Monte Carlo
-otherwise).  Room-level sweeps average the per-pair miss rates over a
-seeded subsample of position pairs.
+the fixed responses and the link budget sets the noise floor.  Every
+regime's detector is a triple (R, G, t) (regime_forms), under which the
+score is a generalized chi-square, so miss rates are exact: one batched
+evaluation per sweep value covers all pairs (miss_rates).  Room-level
+sweeps average the per-pair miss rates over a seeded subsample of position
+pairs.  Only the end-to-end calibration (simulate_error_rates) is Monte
+Carlo, and ``run.trials`` sets its size.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import channel as chan
 from . import detect, raytrace, stats
 from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
-from .numerics import HermitianMatrix, RngStream, cholesky
+from .numerics import HermitianMatrix, RngStream, cholesky, generalized_chi2_cdf
 from .raytrace import GridSpec, RoomScene
 
 BOLTZMANN_NOISE_DENSITY = 10.0 ** (-17.4)  # thermal noise density kT in mW/Hz
@@ -37,8 +40,8 @@ class LinkBudget:
 
     def __post_init__(self):
         for name in ("P_T", "kT", "N_F", "b"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -74,67 +77,34 @@ def noise_variance(budget: LinkBudget, M: int) -> float:
 
 def sigma_T_from_bT(b_T: float, room_gain: float) -> float:
     """Absolute variation scale from the relative index: sigma_T = b_T * gain."""
-    if b_T < 0 or room_gain < 0:
-        raise ValueError("b_T and room_gain must be nonnegative")
+    if not (0 <= b_T < math.inf and 0 <= room_gain < math.inf):
+        raise ValueError("b_T and room_gain must be nonnegative and finite")
     return b_T * room_gain
 
 
-def _covariance_for_regime(params: ChannelParams, regime: Regime) -> HermitianMatrix:
-    """The R matrix the detector whitens with, per regime."""
-    if regime in (Regime.GENERAL_KNOWN_PARAMS, Regime.FULL_SPATIAL_CORRELATION):
-        return stats.covariance_R(params)
+def regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[HermitianMatrix, HermitianMatrix, float]:
+    """The detector of each regime as (R, G, t).
+
+    R (factored) is the covariance the statistic whitens with, G the
+    covariance of the spoofed difference H_E[k] - H_A[k-1], and t the
+    acceptance threshold.  The score Z = 2|R_d^-H (delta + n)|^2 with
+    n ~ CN(0, G) then fixes the miss rate for a fixed-response gap delta.
+    """
+    m = params.M
+    eye = np.eye(m, dtype=complex)
+    regime = cfg.regime
     if regime is Regime.LOW_BC_CLOSED_FORM:
         r0 = 2.0 * (1.0 - params.a) * params.sigma_T**2 + 2.0 * params.sigma_N2
-        return cholesky(r0 * np.eye(params.M, dtype=complex))
-    if regime is Regime.HIGH_BC_NUMERICAL:
-        return stats.asymptotic_R_high_bc(params).factored()
-    if regime is Regime.TIME_INVARIANT_BENCHMARK:
-        return cholesky(2.0 * params.sigma_N2 * np.eye(params.M, dtype=complex))
-    raise ValueError(f"no whitening covariance for regime {regime}")
-
-
-def pair_miss_rate(
-    scene: RoomScene,
-    alice,
-    eve,
-    bob,
-    params: ChannelParams,
-    cfg: TestConfig,
-    trials: int = 10_000,
-    rng: RngStream | None = None,
-) -> float:
-    """Miss rate for one spoofer/legitimate position pair.
-
-    Fixed responses come from the image-source model; the regime selects a
-    closed-form evaluator where one exists and Monte Carlo otherwise.
-    """
-    hbar_a = raytrace.fixed_response(scene, alice, bob, params)
-    hbar_e = raytrace.fixed_response(scene, eve, bob, params)
-    return miss_rate_for_pair(hbar_a, hbar_e, params, cfg, trials, rng)
-
-
-def miss_rate_for_pair(
-    hbar_a: np.ndarray,
-    hbar_e: np.ndarray,
-    params: ChannelParams,
-    cfg: TestConfig,
-    trials: int = 10_000,
-    rng: RngStream | None = None,
-) -> float:
-    """Miss rate from precomputed fixed responses (see pair_miss_rate)."""
-    regime = cfg.regime
-    if regime is Regime.LOW_BC_CLOSED_FORM or (
-        regime is Regime.GENERAL_KNOWN_PARAMS and params.Bc == 0
-    ):
-        return detect.miss_rate_low_bc(cfg.alpha, params, hbar_a, hbar_e)
-    if regime is Regime.TIME_INVARIANT_BENCHMARK:
-        return detect.miss_rate_time_invariant(cfg.alpha, params.sigma_N2, hbar_a, hbar_e, params.M)
-    if regime is Regime.FULL_SPATIAL_CORRELATION:
-        return detect.miss_rate_full_spatial(cfg.alpha, params, hbar_a, hbar_e, stats.covariance_R(params))
-    if rng is None:
-        raise ValueError(f"regime {regime} is Monte Carlo and needs an RngStream")
-    if regime is Regime.HIGH_BC_NUMERICAL:
-        r = stats.asymptotic_R_high_bc(params)
+        r = cholesky(r0 * eye)
+        g = HermitianMatrix((2.0 * params.sigma_T**2 + 2.0 * params.sigma_N2) * eye)
+    elif regime is Regime.TIME_INVARIANT_BENCHMARK:
+        r = cholesky(2.0 * params.sigma_N2 * eye)
+        g = r
+    elif regime is Regime.FULL_SPATIAL_CORRELATION:
+        r = stats.covariance_R(params)
+        g = r
+    elif regime is Regime.HIGH_BC_NUMERICAL:
+        r = stats.asymptotic_R_high_bc(params).factored()
         g = stats.asymptotic_G_high_bc(params)
     elif regime is Regime.GENERAL_KNOWN_PARAMS:
         r = stats.covariance_R(params)
@@ -142,18 +112,40 @@ def miss_rate_for_pair(
     elif regime is Regime.UNKNOWN_PARAMS:
         if cfg.threshold_override is None:
             raise ValueError("unknown-parameters regime needs threshold_override")
-        g = stats.covariance_G(params).factored()
-        gen = rng.generator
-        delta = np.asarray(hbar_e) - np.asarray(hbar_a)
-        w = (gen.standard_normal((trials, params.M)) + 1j * gen.standard_normal((trials, params.M))) / math.sqrt(2.0)
-        z = np.sum(np.abs(delta + g.sample_offset(w)) ** 2, axis=-1) / params.sigma_N2
-        return float(np.mean(z < cfg.threshold_override))
+        r = cholesky(2.0 * params.sigma_N2 * eye)
+        g = stats.covariance_G(params)
     else:
         raise ValueError(f"unhandled regime {regime}")
-    beta, _ = detect.miss_rate_general_numerical(
-        cfg.alpha, params, hbar_a, hbar_e, r, g, trials, rng
-    )
-    return beta
+    return r, g, detect.threshold_for(cfg, m)
+
+
+def miss_rates(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelParams, cfg: TestConfig) -> np.ndarray:
+    """Exact miss rates P(Z <= t) for rows of fixed-response pairs, shape (pairs, M).
+
+    In the coordinates that whiten R and diagonalize C = R_d^-H G R_d^-1,
+    Z is a generalized chi-square whose weights are the eigenvalues of C
+    (shared by every pair) and whose offsets come from the gap
+    hbar_e - hbar_a, so one Cholesky, one eigh and one batched CDF cover
+    all pairs.  Equal weights (low_bc, time_invariant, full_spatial) fall
+    back to the closed-form noncentral chi-square.
+    """
+    r, g, t = regime_forms(params, cfg)
+    weights, basis = np.linalg.eigh(r.congruence(g.entries))
+    gaps = np.asarray(hbar_e, dtype=complex) - np.asarray(hbar_a, dtype=complex)
+    offsets = np.abs(r.half_whiten(gaps) @ basis.conj()) ** 2
+    return generalized_chi2_cdf(t, weights, offsets)
+
+
+def pair_miss_rate(scene: RoomScene, alice, eve, bob, params: ChannelParams, cfg: TestConfig) -> float:
+    """Miss rate for one spoofer/legitimate position pair (see miss_rates)."""
+    hbar_a = raytrace.fixed_response(scene, alice, bob, params)
+    hbar_e = raytrace.fixed_response(scene, eve, bob, params)
+    return miss_rate_for_pair(hbar_a, hbar_e, params, cfg)
+
+
+def miss_rate_for_pair(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelParams, cfg: TestConfig) -> float:
+    """Miss rate from precomputed fixed responses: miss_rates for one pair."""
+    return float(miss_rates(np.atleast_2d(hbar_a), np.atleast_2d(hbar_e), params, cfg)[0])
 
 
 def empirical_error_rates(
@@ -204,19 +196,14 @@ def simulate_error_rates(
         if cfg.regime is Regime.FULL_SPATIAL_CORRELATION
         else SpatialMode.INDEPENDENT
     )
-    unknown = cfg.regime is Regime.UNKNOWN_PARAMS
-    r = None if unknown else _covariance_for_regime(params, cfg.regime)
-    threshold = detect.threshold_for(cfg, params.M)
+    r, _, threshold = regime_forms(params, cfg)
     profile = chan.build_delay_profile(params)
     # Stepping the legitimate taps only matters when its k-probe is scored
     # or when the spoofer shares the variation.
     need_step = include_h0 or mode is SpatialMode.FULLY_CORRELATED
 
     def scores(diffs: np.ndarray) -> np.ndarray:
-        diffs = diffs.astype(complex, copy=False)
-        if unknown:
-            return np.sum(np.abs(diffs) ** 2, axis=-1) / params.sigma_N2
-        return detect.statistic_batch(diffs, r)
+        return detect.statistic_batch(diffs.astype(complex, copy=False), r)
 
     false_alarms = 0
     misses = 0
@@ -262,6 +249,8 @@ def _select_pairs(n_points: int, pair_budget: int, rng: RngStream) -> tuple[np.n
     """Seeded uniform subsample of position pairs, or all of them."""
     ii, jj = np.triu_indices(n_points, k=1)
     total = len(ii)
+    if total == 0:
+        raise ValueError("the grid needs at least 2 points to form a pair")
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
     if pair_budget >= total:
@@ -271,9 +260,13 @@ def _select_pairs(n_points: int, pair_budget: int, rng: RngStream) -> tuple[np.n
     return ii[pick], jj[pick]
 
 
-def _apply_sweep_value(
+def apply_sweep_value(
     params: ChannelParams, budget: LinkBudget, cfg: TestConfig, axis: SweepAxis, value
 ) -> tuple[ChannelParams, LinkBudget, TestConfig]:
+    """Base objects with one sweep value applied (b_T waits for the room gain).
+
+    Rebuilding through dataclasses.replace reruns each class's validation.
+    """
     if axis is SweepAxis.W:
         params = replace(params, W=float(value))
     elif axis is SweepAxis.M:
@@ -305,15 +298,16 @@ def room_sweep(
     sweep_values,
     b_T: float,
     pair_budget: int = 2000,
-    trials: int = 10_000,
     rng: RngStream | None = None,
 ) -> SweepResult:
-    """Room-averaged miss rate along one parameter axis.
+    """Room-averaged exact miss rate along one parameter axis.
 
     ``base_params.sigma_T`` and ``sigma_N2`` are derived per sweep value
     from b_T, the room gain, and the link budget (all three can depend on
-    the swept parameter).  The pair subsample is drawn once, so every
-    sweep value sees the same pairs.  Deterministic for a fixed rng seed.
+    the swept parameter).  The pair subsample is drawn once from ``rng``,
+    so every sweep value sees the same pairs; each value's miss rates come
+    from one batched miss_rates call.  ``std_err`` is the standard error of
+    the room average over the sampled pairs.
     """
     axis = SweepAxis(sweep_param) if not isinstance(sweep_param, SweepAxis) else sweep_param
     sweep_values = list(sweep_values)
@@ -326,8 +320,8 @@ def room_sweep(
     ii, jj = _select_pairs(len(positions), pair_budget, rng.substream(1))
 
     beta_bar, std_err = [], []
-    for idx, value in enumerate(sweep_values):
-        params, val_budget, val_cfg = _apply_sweep_value(base_params, budget, cfg, axis, value)
+    for value in sweep_values:
+        params, val_budget, val_cfg = apply_sweep_value(base_params, budget, cfg, axis, value)
         bt = float(value) if axis is SweepAxis.B_T else b_T
         room_gain = raytrace.room_average_gain(scene, grid, bob, params)
         params = replace(
@@ -336,13 +330,7 @@ def room_sweep(
             sigma_N2=noise_variance(val_budget, params.M),
         )
         responses = raytrace.response_matrix(scene, positions, bob, params)
-        pair_rng = rng.substream(100 + idx)
-        betas = np.array(
-            [
-                miss_rate_for_pair(responses[i], responses[j], params, val_cfg, trials, pair_rng)
-                for i, j in zip(ii, jj)
-            ]
-        )
+        betas = miss_rates(responses[ii], responses[jj], params, val_cfg)
         beta_bar.append(float(betas.mean()))
         std_err.append(float(betas.std(ddof=1) / math.sqrt(len(betas))) if len(betas) > 1 else 0.0)
 

@@ -10,22 +10,12 @@ the coherence bandwidth, the variation power, and the noise floor.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 from .channel import ChannelParams
 from .numerics import HermitianMatrix, cholesky
-
-
-class CovarianceKind(Enum):
-    GENERAL_R = "general_r"
-    GENERAL_G = "general_g"
-    LOW_BC_R = "low_bc_r"
-    LOW_BC_G = "low_bc_g"
-    HIGH_BC_R = "high_bc_r"
-    HIGH_BC_G = "high_bc_g"
 
 
 def _tone_decay(params: ChannelParams) -> float:

@@ -179,7 +179,6 @@ def test_criterion_5_variation_strength_trend():
         sweep_values=[0.01, 1.0],
         b_T=0.5,
         pair_budget=2000,
-        trials=10_000,
         rng=RngStream(500),
     )
     lo, hi = res.beta_bar[1], res.beta_bar[0]
@@ -210,7 +209,6 @@ def test_criterion_6_bandwidth_trend_and_bracketing():
             sweep_values=widths,
             b_T=0.5,
             pair_budget=200,
-            trials=2000,
             rng=RngStream(600),
         )
 
@@ -245,7 +243,6 @@ def test_criterion_7_spatial_correlation_trend():
         sweep_values=["independent", "fully_correlated"],
         b_T=0.5,
         pair_budget=300,
-        trials=4000,
         rng=RngStream(700),
     )
     indep, full = res.beta_bar

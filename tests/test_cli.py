@@ -186,6 +186,35 @@ class TestRun:
         assert (out1 / "sweep.csv").read_bytes() != (out2 / "sweep.csv").read_bytes()
 
 
+class TestValidateMatchesRun:
+    """A config that validate accepts must run; one that cannot run must be
+    rejected up front with exit 2, naming the key."""
+
+    def test_grid_needs_two_points(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, **{"grid.counts": "1 1"})
+        assert any("grid.counts" in d for d in validate(path))
+        out = tmp_path / "out"
+        assert run(path, out) == EXIT_CONFIG
+        assert "grid.counts" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"sweep.param": "W", "sweep.values": "-5e6 1e7"}, "sweep.values"),
+            ({"sweep.param": "W", "sweep.values": "1e7 nan"}, "sweep.values"),
+            ({"sweep.param": "B_c", "sweep.values": "-1 2e6"}, "sweep.values"),
+            ({"sweep.param": "P_T", "sweep.values": "0 100"}, "sweep.values"),
+            ({"test.alpha": "1e-300"}, "test.alpha"),
+        ],
+    )
+    def test_unrunnable_values_fail_validation(self, tmp_path, capsys, overrides, key):
+        path = write_cfg(tmp_path, **overrides)
+        assert any(key in d for d in validate(path))
+        assert run(path, tmp_path / "out") == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+
 class TestMain:
     def test_validate_subcommand(self, tmp_path):
         assert main(["validate", str(write_cfg(tmp_path))]) == EXIT_OK

@@ -5,21 +5,32 @@ import math
 import numpy as np
 import pytest
 
+from chanauth import stats
 from chanauth.channel import ChannelParams, SpatialMode
-from chanauth.detect import Regime, TestConfig, miss_rate_low_bc
+from chanauth.detect import (
+    Regime,
+    TestConfig,
+    miss_rate_full_spatial,
+    miss_rate_general_numerical,
+    miss_rate_low_bc,
+    miss_rate_time_invariant,
+)
 from chanauth.harness import (
     LinkBudget,
     SweepAxis,
     empirical_error_rates,
     miss_rate_for_pair,
+    miss_rates,
     noise_variance,
     pair_miss_rate,
     room_sweep,
     sigma_T_from_bT,
     simulate_error_rates,
 )
-from chanauth.numerics import RngStream
-from chanauth.raytrace import GridSpec, RoomScene, fixed_response, room_average_gain
+from chanauth.numerics import RngStream, chi2_inv, cholesky
+from chanauth.raytrace import GridSpec, RoomScene, fixed_response, grid_positions, response_matrix, room_average_gain
+
+from _oracles import gchi2_cdf_by_simpson
 
 TestConfig.__test__ = False
 
@@ -86,19 +97,80 @@ class TestPairMissRate:
         b2 = pair_miss_rate(SCENE, alice, eve, BOB, p, TestConfig(alpha=0.01, regime=Regime.LOW_BC_CLOSED_FORM))
         assert b1 == b2
 
-    def test_monte_carlo_requires_rng(self):
-        p = make_params()
-        h = np.zeros(p.M, dtype=complex)
-        with pytest.raises(ValueError):
-            miss_rate_for_pair(h, h + 1.0, p, TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS))
+    def test_general_regime_is_exact(self):
+        # No random stream: the general regime is the Simpson oracle's
+        # generalized chi-square, built here with plain numpy linear algebra.
+        p = make_params(M=6, sigma_T=0.8, sigma_N2=0.3)
+        ha = np.zeros(p.M, dtype=complex)
+        he = ha + np.linspace(0.5, 1.5, p.M) * np.exp(1j * np.arange(p.M))
+        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS)
+        beta = miss_rate_for_pair(ha, he, p, cfg)
+        assert beta == miss_rate_for_pair(ha, he, p, cfg)
+        lower = np.linalg.cholesky(stats.covariance_R(p).entries)
+        whiten = np.linalg.inv(lower)
+        weights, basis = np.linalg.eigh(whiten @ stats.covariance_G(p).entries @ whiten.conj().T)
+        offsets = 2.0 * np.abs(basis.conj().T @ whiten @ (he - ha)) ** 2
+        assert beta == pytest.approx(gchi2_cdf_by_simpson(chi2_inv(0.99, 2 * p.M), weights, offsets), abs=1e-9)
 
     def test_unknown_requires_override(self):
         p = make_params()
         h = np.zeros(p.M, dtype=complex)
         with pytest.raises(ValueError):
-            miss_rate_for_pair(
-                h, h + 1.0, p, TestConfig(alpha=0.01, regime=Regime.UNKNOWN_PARAMS), rng=RngStream(0)
-            )
+            miss_rate_for_pair(h, h + 1.0, p, TestConfig(alpha=0.01, regime=Regime.UNKNOWN_PARAMS))
+
+
+class TestMissRates:
+    """Batched exact miss rates on real room pairs against the per-pair
+    closed forms and the Monte Carlo evaluator."""
+
+    GRID = GridSpec(origin=(1.5, 1.5), spacing=0.2, counts=(16, 16), height=1.0)
+
+    @pytest.fixture(scope="class")
+    def room(self):
+        base = make_params(sigma_T=0.0, sigma_N2=0.0)
+        gain = room_average_gain(SCENE, self.GRID, BOB, base)
+        p = make_params(sigma_T=0.5 * gain, sigma_N2=noise_variance(LinkBudget(P_T=100.0), base.M))
+        responses = response_matrix(SCENE, grid_positions(self.GRID), BOB, p)
+        pick = np.random.default_rng(8).choice(len(responses) - 1, size=40, replace=False)
+        return p, responses[pick], responses[pick + 1]  # grid neighbours
+
+    @pytest.mark.parametrize(
+        "regime, closed_form",
+        [
+            (Regime.LOW_BC_CLOSED_FORM, lambda p, ha, he: miss_rate_low_bc(0.01, p, ha, he)),
+            (Regime.TIME_INVARIANT_BENCHMARK, lambda p, ha, he: miss_rate_time_invariant(0.01, p.sigma_N2, ha, he, p.M)),
+            (
+                Regime.FULL_SPATIAL_CORRELATION,
+                lambda p, ha, he: miss_rate_full_spatial(0.01, p, ha, he, stats.covariance_R(p)),
+            ),
+        ],
+    )
+    def test_equal_weight_regimes_match_closed_forms(self, room, regime, closed_form):
+        p, ha, he = room
+        batch = miss_rates(ha, he, p, TestConfig(alpha=0.01, regime=regime))
+        closed = np.array([closed_form(p, a, e) for a, e in zip(ha, he)])
+        assert np.max(np.abs(batch - closed)) <= 1e-12
+
+    @pytest.mark.parametrize("regime", [Regime.GENERAL_KNOWN_PARAMS, Regime.HIGH_BC_NUMERICAL, Regime.UNKNOWN_PARAMS])
+    def test_matches_monte_carlo(self, room, regime):
+        p, ha, he = room
+        close = np.argsort(np.linalg.norm(he - ha, axis=1))[[0, 2, 4, 6]]  # miss rates of 0.02 to 0.42
+        ha, he = ha[close], he[close]
+        if regime is Regime.HIGH_BC_NUMERICAL:
+            r, g = stats.asymptotic_R_high_bc(p), stats.asymptotic_G_high_bc(p)
+        else:
+            r, g = stats.covariance_R(p), stats.covariance_G(p)
+        cfg = TestConfig(alpha=0.01, regime=regime)
+        if regime is Regime.UNKNOWN_PARAMS:
+            # |d|^2 / sigma_N^2 <= t is the whitened score for R = 2 sigma_N^2 I,
+            # rescaled so the chi-square threshold at alpha = 0.01 lands on t.
+            t = float(np.trace(g.entries).real) / p.sigma_N2
+            cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=t)
+            r = cholesky(2.0 * p.sigma_N2 * t / chi2_inv(0.99, 2 * p.M) * np.eye(p.M, dtype=complex))
+        exact = miss_rates(ha, he, p, cfg)
+        for i, (a, e) in enumerate(zip(ha, he)):
+            mc, se = miss_rate_general_numerical(0.01, p, a, e, r, g, 200_000, RngStream(80, i))
+            assert abs(exact[i] - mc) <= 4.0 * se, (i, exact[i], mc, se)
 
 
 class TestSimulateErrorRates:
@@ -159,7 +231,6 @@ class TestRoomSweep:
             sweep_values=[0.01, 0.1, 1.0],
             b_T=0.5,
             pair_budget=10,
-            trials=1000,
             rng=RngStream(seed),
         )
         kwargs.update(overrides)
@@ -195,7 +266,6 @@ class TestRoomSweep:
             sweep_param=SweepAxis.SPATIAL_MODE,
             sweep_values=[SpatialMode.INDEPENDENT.value, SpatialMode.FULLY_CORRELATED.value],
             pair_budget=5,
-            trials=500,
         )
         assert len(res.beta_bar) == 2
         assert all(0.0 <= b <= 1.0 for b in res.beta_bar)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanauth.numerics import (
     HermitianMatrix,
@@ -12,11 +14,18 @@ from chanauth.numerics import (
     chi2_cdf,
     chi2_inv,
     cholesky,
+    generalized_chi2_cdf,
     noncentral_chi2_cdf,
     sample_complex_gaussian,
 )
 
-from _oracles import adaptive_simpson, chi2_cdf_by_integration, chi2_pdf
+from _oracles import (
+    adaptive_simpson,
+    central_gchi2_cdf,
+    chi2_cdf_by_integration,
+    chi2_pdf,
+    gchi2_cdf_by_simpson,
+)
 
 
 class TestChi2Cdf:
@@ -207,3 +216,94 @@ def test_simpson_oracle_self_check():
     val = adaptive_simpson(lambda t: 3.0 * t**2, 0.0, 2.0)
     assert val == pytest.approx(8.0, abs=1e-12)
     assert chi2_pdf(-1.0, 4) == 0.0
+
+
+def _gchi2_case(weights, offset_scale, quantile, seed=0):
+    """Weights, offsets and a threshold at ``quantile`` times the mean of Q."""
+    weights = np.asarray(weights, dtype=float)
+    offsets = np.random.default_rng(seed).exponential(1.0, weights.size) * weights * offset_scale
+    return weights, offsets, quantile * float(np.sum(2.0 * weights + offsets))
+
+
+@st.composite
+def gchi2_cases(draw):
+    m = draw(st.integers(1, 6))
+    weights = 10.0 ** np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=m, max_size=m)))
+    log_offsets = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
+    central = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    offsets = np.where(central, 0.0, weights * 10.0**log_offsets)
+    x = float(np.sum(2.0 * weights + offsets)) * 10.0 ** draw(st.floats(-2.0, 1.0))
+    return weights, offsets, x
+
+
+class TestGeneralizedChi2Cdf:
+    def test_equal_weights_are_noncentral_chi2(self):
+        offsets = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [40.0, 0.0, 3.0]])
+        got = generalized_chi2_cdf(7.0, [2.0, 2.0, 2.0], offsets)
+        want = noncentral_chi2_cdf(3.5, 6, offsets.sum(axis=1) / 2.0)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("weights", [[1.0, 3.0, 7.0], [1.0, 1e4], [1.0, 30.0, 1e4], list(np.logspace(0, 4, 5))])
+    def test_central_closed_form(self, weights):
+        # Partial fractions are exact for distinct weights and zero offsets,
+        # including spreads of 1e4 with only two terms.
+        for quantile in (0.05, 0.3, 1.0, 3.0):
+            x = quantile * 2.0 * sum(weights)
+            got = generalized_chi2_cdf(x, weights, np.zeros(len(weights)))
+            assert got == pytest.approx(central_gchi2_cdf(x, weights), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "weights, offset_scale",
+        [
+            ([1.0, 2.0, 5.0, 9.0], 0.3),
+            (list(np.linspace(1.0, 7.9, 10)), 3.0),
+            ([1.0, 46.0, 1.0, 1.0, 1.0], 1.0),
+            (list(np.logspace(0, 2, 4)), 0.0),
+            (list(np.logspace(0, 4, 6)), 0.0),
+            (list(np.logspace(0, 4, 6)), 3.0),
+            ([1e4, 1e4, 1.0, 1.0, 1.0], 3.0),
+        ],
+    )
+    def test_matches_simpson_oracle(self, weights, offset_scale):
+        for quantile in (0.3, 1.0, 2.0):
+            w, m, x = _gchi2_case(weights, offset_scale, quantile, seed=len(weights))
+            assert generalized_chi2_cdf(x, w, m) == pytest.approx(gchi2_cdf_by_simpson(x, w, m), abs=1e-9)
+
+    def test_rows_match_single_evaluation(self):
+        # Rows share one contour; each row's value must not depend on the others.
+        weights = np.array([1.0, 4.0, 30.0, 200.0])
+        offsets = np.random.default_rng(5).exponential(1.0, (25, 4)) * weights * np.logspace(-2, 1.5, 25)[:, None]
+        x = 300.0
+        batch = generalized_chi2_cdf(x, weights, offsets)
+        single = np.array([generalized_chi2_cdf(x, weights, row) for row in offsets])
+        assert batch.shape == (25,)
+        assert np.max(np.abs(batch - single)) <= 1e-11
+
+    def test_far_lower_tail_is_zero(self):
+        assert generalized_chi2_cdf(10.0, [1.0, 2.0, 3.0], [1e6, 0.0, 0.0]) == 0.0
+        assert generalized_chi2_cdf(0.0, [1.0, 2.0], [0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize(
+        "x, weights, offsets",
+        [
+            (1.0, [1.0, -2.0], [0.0, 0.0]),
+            (1.0, [1.0, 2.0], [0.0, float("nan")]),
+            (1.0, [1.0, 2.0], [0.0, 0.0, 0.0]),
+            (-1.0, [1.0, 2.0], [0.0, 0.0]),
+            (float("nan"), [1.0, 2.0], [0.0, 0.0]),
+        ],
+    )
+    def test_input_validation(self, x, weights, offsets):
+        with pytest.raises(ValueError):
+            generalized_chi2_cdf(x, weights, offsets)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=gchi2_cases(), stretch=st.floats(0.0, 1.0))
+    def test_bounded_and_nondecreasing(self, case, stretch):
+        # Exact values are nondecreasing in x; the evaluator may wobble by
+        # its accuracy (1e-9), not more.
+        weights, offsets, x = case
+        lo = generalized_chi2_cdf(x, weights, offsets)
+        hi = generalized_chi2_cdf(x * (1.0 + stretch), weights, offsets)
+        assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
+        assert hi >= lo - 1e-9
