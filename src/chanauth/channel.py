@@ -5,6 +5,11 @@ part, a zero-mean variable part produced by an AR(1) tapped delay line with
 a one-sided exponential delay profile, and fresh receiver noise.  The
 spoofer's variable part is either independent of the legitimate one or
 bit-identical to it (the two spatial-correlation extremes).
+
+Taps sit at l/W and tones W/M apart, so tap l reaches tone m through
+e^{-j2pi f_m l/W}, which depends on l only through l mod M up to a unit
+phase per tap.  The infinite exponential line therefore folds, exactly and
+jointly over time, onto M independent AR(1) taps (build_delay_profile).
 """
 
 from __future__ import annotations
@@ -12,28 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .numerics import RngStream, sample_complex_gaussian
-
-#: Fraction of variable-part power allowed to fall beyond the tap truncation.
-TAP_TRUNCATION = 1e-6
-
-#: Effective coherence-bandwidth-to-bandwidth ratio used to emulate the
-#: tone-independent limit (Bc = 0), which a finite delay line cannot
-#: represent exactly.
-BC_ZERO_EMULATION_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
 class ChannelParams:
     """Physical and statistical parameters of the channel and measurement.
 
-    Bc may be 0 (tone-independent variation, emulated by the generator) or
-    ``math.inf`` (a single tap, fully tone-correlated).  The probe interval
-    T is bookkeeping only; temporal correlation enters solely through a.
+    Bc may be 0 (tone-independent variation) or ``math.inf`` (a single
+    tap, fully tone-correlated); the generator is exact at both.  The probe
+    interval T is bookkeeping only; temporal correlation enters solely
+    through a.
     """
 
     f0: float
@@ -66,19 +63,14 @@ class ChannelParams:
         return self.W / self.M
 
     @property
-    def delta_tau(self) -> float:
-        """Tap delay spacing 1/W (the receiver's delay resolution)."""
-        return 1.0 / self.W
+    def tones(self) -> np.ndarray:
+        """Tone frequencies f_m = f0 - W/2 + m W/M for m = 1..M."""
+        return self.f0 - self.W / 2.0 + np.arange(1, self.M + 1) * self.delta_f
 
-    def effective_bc(self) -> float:
-        """Coherence bandwidth actually used by the tap generator."""
-        if self.Bc == 0:
-            return BC_ZERO_EMULATION_RATIO * self.W
-        return self.Bc
-
-    def gamma(self) -> float:
-        """Inverse average delay spread, 2*pi*Bc (generator-effective)."""
-        return 2.0 * math.pi * self.effective_bc()
+    @property
+    def tap_decay(self) -> float:
+        """Power ratio E = e^{-2 pi Bc/W} of adjacent taps: 1 at Bc = 0, 0 at Bc = inf."""
+        return math.exp(-2.0 * math.pi * self.Bc / self.W)
 
 
 class SpatialMode(Enum):
@@ -90,9 +82,10 @@ class SpatialMode(Enum):
 
 @dataclass(frozen=True)
 class TapState:
-    """Amplitudes and power profile of the truncated delay line at time k.
+    """Amplitudes and power profile of the folded delay line at time k.
 
-    ``amps`` has shape (..., L); leading axes are independent realizations.
+    ``amps`` has shape (..., L), L <= M for a folded line; leading axes
+    are independent realizations.
     """
 
     amps: np.ndarray
@@ -109,34 +102,31 @@ class FreqResponse:
 
 
 def build_delay_profile(params: ChannelParams) -> TapState:
-    """Tap variance profile from the one-sided exponential delay spectrum.
+    """The exponential delay line folded onto M circular taps.
 
-    profile[l] = sigma_T^2 (1 - e^{-gamma/W}) e^{-gamma l/W}, truncated so
-    that the discarded power is at most TAP_TRUNCATION * sigma_T^2.
-    Bc = inf collapses to a single tap of full power.
+    The line's tap l has power sigma_T^2 (1 - E) E^l, E = e^{-2 pi Bc/W};
+    folding l onto l mod M sums each residue class, which leaves
+    profile[r] = sigma_T^2 E^r / sum_{s<M} E^s for r = 0..M-1.  Its DFT is
+    the exact tone covariance sigma_T^2 (1 - E)/(1 - E e^{-j2pi m/M}).
+    Bc = 0 (E = 1) spreads the power evenly, so tones are independent;
+    Bc = inf (E = 0) puts it all on tap 0.  Trailing taps of zero power
+    (all but tap 0 at Bc = inf or sigma_T = 0) are dropped, since they
+    carry nothing.
     """
-    if params.sigma_T == 0:
-        profile = np.zeros(1)
-    elif math.isinf(params.Bc):
-        profile = np.array([params.sigma_T**2])
-    else:
-        decay = params.gamma() * params.delta_tau  # 2*pi*Bc/W
-        n_taps = max(1, math.ceil(-math.log(TAP_TRUNCATION) / decay))
-        taps = np.arange(n_taps)
-        profile = params.sigma_T**2 * (1.0 - math.exp(-decay)) * np.exp(-decay * taps)
+    weights = params.tap_decay ** np.arange(params.M)
+    profile = params.sigma_T**2 * weights / weights.sum()
+    profile = profile[: max(1, np.count_nonzero(profile))]
     return TapState(amps=np.zeros_like(profile, dtype=complex), profile=profile, k=0)
 
 
-def init_taps(
-    state: TapState, rng: RngStream, batch: int | None = None, dtype=np.float64
-) -> TapState:
+def init_taps(state: TapState, rng: RngStream, batch: int | None = None) -> TapState:
     """Draw tap amplitudes from the AR(1) stationary law CN(0, profile[l]).
 
     Starting from stationarity means no burn-in is needed.  ``batch``
     produces shape (batch, L) for vectorized independent realizations.
     """
     size = state.profile.shape if batch is None else (batch, len(state.profile))
-    amps = sample_complex_gaussian(rng, state.profile, size=size, dtype=dtype)
+    amps = sample_complex_gaussian(rng, state.profile, size=size)
     return TapState(amps=np.asarray(amps), profile=state.profile, k=0)
 
 
@@ -144,26 +134,17 @@ def step_taps(state: TapState, a: float, rng: RngStream) -> TapState:
     """Advance every tap one probe interval: A <- a A + sqrt((1-a^2) P) u.
 
     Innovations u are i.i.d. CN(0, 1), so the marginal variance stays at
-    the profile value.  Innovation precision follows the state's dtype.
+    the profile value.
     """
-    dtype = np.float32 if state.amps.dtype == np.complex64 else np.float64
-    u = sample_complex_gaussian(rng, 1.0, size=state.amps.shape, dtype=dtype)
-    amps = a * state.amps + (np.sqrt((1.0 - a**2) * state.profile).astype(dtype) * u)
+    u = sample_complex_gaussian(rng, 1.0, size=state.amps.shape)
+    amps = a * state.amps + np.sqrt((1.0 - a**2) * state.profile) * u
     return replace(state, amps=amps, k=state.k + 1)
-
-
-@lru_cache(maxsize=32)
-def _phase_matrix(f0: float, w: float, m: int, n_taps: int) -> np.ndarray:
-    """(M, L) matrix of e^{-j 2 pi f_m l / W} for tones f_m = f0 - W/2 + m*W/M."""
-    tones = f0 - w / 2.0 + (np.arange(1, m + 1) * (w / m))
-    delays = np.arange(n_taps) / w
-    return np.exp(-2j * np.pi * np.outer(tones, delays))
 
 
 def taps_to_frequency(state: TapState, params: ChannelParams) -> np.ndarray:
     """Variable part over the M tones: eps_m = sum_l A_l e^{-j2pi f_m l/W}."""
-    e = _phase_matrix(params.f0, params.W, params.M, len(state.profile))
-    return state.amps @ e.T
+    delays = np.arange(len(state.profile)) / params.W
+    return state.amps @ np.exp(-2j * np.pi * np.outer(delays, params.tones))
 
 
 def sample_response(
@@ -194,6 +175,5 @@ def eve_variation(
     if mode is SpatialMode.FULLY_CORRELATED:
         return alice_state
     batch = None if alice_state.amps.ndim == 1 else alice_state.amps.shape[0]
-    dtype = np.float32 if alice_state.amps.dtype == np.complex64 else np.float64
-    fresh = init_taps(alice_state, rng, batch=batch, dtype=dtype)
+    fresh = init_taps(alice_state, rng, batch=batch)
     return replace(fresh, k=alice_state.k)

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .channel import ChannelParams
@@ -365,15 +365,16 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
 
 
 def _calibrate(config: ExperimentConfig, rng: RngStream):
-    """Empirical false-alarm rate for the configured regime at mid-grid."""
-    from dataclasses import replace as _replace
+    """Empirical false-alarm rate for the configured regime at mid-grid.
 
-    grid = config.grid
-    positions = raytrace.grid_positions(grid)
+    load_config guarantees at least 2 grid points, so eve (the first point)
+    and alice (the middle one) differ.
+    """
+    positions = raytrace.grid_positions(config.grid)
     alice = positions[len(positions) // 2]
-    eve = positions[0] if len(positions) > 1 else positions[0] + [grid.spacing, 0, 0]
-    room_gain = raytrace.room_average_gain(config.scene, grid, config.bob, config.channel)
-    params = _replace(
+    eve = positions[0]
+    room_gain = raytrace.room_average_gain(config.scene, config.grid, config.bob, config.channel)
+    params = replace(
         config.channel,
         sigma_T=sigma_T_from_bT(config.b_T, room_gain),
         sigma_N2=noise_variance(config.budget, config.channel.M),
@@ -398,9 +399,7 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
             print(f"config error: {d}", file=sys.stderr)
         return EXIT_CONFIG
     if seed is not None:
-        from dataclasses import replace as _replace
-
-        config = _replace(config, seed=seed)
+        config = replace(config, seed=seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / "sweep.csv", out_dir / "calibration.csv", out_dir / "summary.txt"]

@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import channel
 from .channel import ChannelParams, FreqResponse
 from .numerics import HermitianMatrix, RngStream, chi2_cdf, chi2_inv, noncentral_chi2_cdf
 
@@ -227,8 +228,6 @@ def roc_unknown_params(
     staircase is exactly monotone: alpha nonincreasing and beta
     nondecreasing in the threshold.
     """
-    from . import channel  # local import to avoid a cycle at module load
-
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
         raise ValueError("thresholds must be nonempty")

@@ -28,6 +28,9 @@ from .raytrace import GridSpec, RoomScene
 
 BOLTZMANN_NOISE_DENSITY = 10.0 ** (-17.4)  # thermal noise density kT in mW/Hz
 
+# Trials simulated together by simulate_error_rates; bounds its memory.
+_TRIAL_BATCH = 4000
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -171,19 +174,17 @@ def simulate_error_rates(
     cfg: TestConfig,
     trials: int,
     rng: RngStream,
-    batch: int = 4000,
     include_h0: bool = True,
     include_h1: bool = True,
-    dtype=np.float32,
 ) -> ErrorRates:
     """End-to-end empirical error rates from precomputed fixed responses.
 
     Every trial probes the channel at k-1 (the stored reference), steps the
     taps once, and scores both the legitimate probe and the spoofed probe
-    at k with the configured statistic.  Trials run in batches to bound
-    memory with long delay lines; tap draws default to single precision,
-    whose quantization sits far below the binomial resolution.  A skipped
-    hypothesis (include_h0/include_h1) reports nan for its rate.
+    at k with the configured statistic.  Trials run in batches of
+    _TRIAL_BATCH, so memory stays bounded however many trials are asked
+    for.  A skipped hypothesis (include_h0/include_h1) reports nan for its
+    rate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -202,26 +203,23 @@ def simulate_error_rates(
     # or when the spoofer shares the variation.
     need_step = include_h0 or mode is SpatialMode.FULLY_CORRELATED
 
-    def scores(diffs: np.ndarray) -> np.ndarray:
-        return detect.statistic_batch(diffs.astype(complex, copy=False), r)
-
     false_alarms = 0
     misses = 0
     done = 0
     while done < trials:
-        n = min(batch, trials - done)
-        state = chan.init_taps(profile, rng, batch=n, dtype=dtype)
+        n = min(_TRIAL_BATCH, trials - done)
+        state = chan.init_taps(profile, rng, batch=n)
         ref = chan.sample_response(hbar_a, state, params, rng)
         if need_step:
             state = chan.step_taps(state, params.a, rng)
         if include_h0:
             probe_alice = chan.sample_response(hbar_a, state, params, rng)
-            z0 = scores(probe_alice.samples - ref.samples)
+            z0 = detect.statistic_batch(probe_alice.samples - ref.samples, r)
             false_alarms += int(np.count_nonzero(z0 > threshold))
         if include_h1:
             eve_state = chan.eve_variation(state, mode, rng, params)
             probe_eve = chan.sample_response(hbar_e, eve_state, params, rng)
-            z1 = scores(probe_eve.samples - ref.samples)
+            z1 = detect.statistic_batch(probe_eve.samples - ref.samples, r)
             misses += int(np.count_nonzero(z1 <= threshold))
         done += n
 
@@ -245,19 +243,30 @@ class SweepAxis(Enum):
     SPATIAL_MODE = "spatial_mode"
 
 
+def _unrank_pairs(ranks: np.ndarray, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i < j, at the given positions of np.triu_indices(n_points, k=1).
+
+    Row i of that row-major listing starts at rank i (2n - i - 1) / 2, so a
+    search over the n row starts replaces the n(n-1)/2 index arrays.
+    """
+    rows = np.arange(n_points, dtype=np.int64)
+    starts = rows * (2 * n_points - rows - 1) // 2
+    ii = np.searchsorted(starts, ranks, side="right") - 1
+    return ii, ranks - starts[ii] + ii + 1
+
+
 def _select_pairs(n_points: int, pair_budget: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform subsample of position pairs, or all of them."""
-    ii, jj = np.triu_indices(n_points, k=1)
-    total = len(ii)
+    total = n_points * (n_points - 1) // 2
     if total == 0:
         raise ValueError("the grid needs at least 2 points to form a pair")
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
     if pair_budget >= total:
-        return ii, jj
+        return _unrank_pairs(np.arange(total), n_points)
     pick = rng.generator.choice(total, size=pair_budget, replace=False)
     pick.sort()
-    return ii[pick], jj[pick]
+    return _unrank_pairs(pick, n_points)
 
 
 def apply_sweep_value(
@@ -323,13 +332,14 @@ def room_sweep(
     for value in sweep_values:
         params, val_budget, val_cfg = apply_sweep_value(base_params, budget, cfg, axis, value)
         bt = float(value) if axis is SweepAxis.B_T else b_T
-        room_gain = raytrace.room_average_gain(scene, grid, bob, params)
+        # The fixed responses do not depend on sigma_T or sigma_N2, so the
+        # grid traced for the pairs also gives the room gain.
+        responses = raytrace.response_matrix(scene, positions, bob, params)
         params = replace(
             params,
-            sigma_T=sigma_T_from_bT(bt, room_gain),
+            sigma_T=sigma_T_from_bT(bt, raytrace.rms_gain(responses)),
             sigma_N2=noise_variance(val_budget, params.M),
         )
-        responses = raytrace.response_matrix(scene, positions, bob, params)
         betas = miss_rates(responses[ii], responses[jj], params, val_cfg)
         beta_bar.append(float(betas.mean()))
         std_err.append(float(betas.std(ddof=1) / math.sqrt(len(betas))) if len(betas) > 1 else 0.0)

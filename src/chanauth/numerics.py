@@ -353,13 +353,10 @@ class RngStream:
         return self._gen
 
 
-def sample_complex_gaussian(rng: RngStream, variance, size=None, dtype=np.float64) -> np.ndarray | complex:
+def sample_complex_gaussian(rng: RngStream, variance, size=None) -> np.ndarray | complex:
     """Draw zero-mean circular complex Gaussians with E|x|^2 = variance.
 
-    ``variance`` may be an array; it broadcasts against ``size``.  ``dtype``
-    selects the precision of the underlying normal draws; float32 roughly
-    halves generation cost for bulk Monte Carlo and its quantization error
-    (~1e-7 relative) is far below any statistical resolution used here.
+    ``variance`` may be an array; it broadcasts against ``size``.
     """
     variance = np.asarray(variance, dtype=float)
     if np.any(variance < 0):
@@ -370,6 +367,6 @@ def sample_complex_gaussian(rng: RngStream, variance, size=None, dtype=np.float6
         size = (size,)
     shape = np.broadcast_shapes(variance.shape, tuple(size))
     g = rng.generator
-    x = g.standard_normal(shape, dtype=dtype) + 1j * g.standard_normal(shape, dtype=dtype)
-    x *= np.sqrt(variance / 2.0).astype(dtype)
+    x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    x *= np.sqrt(variance / 2.0)
     return x if shape else complex(x)

@@ -9,7 +9,6 @@ over sub-wavelength displacements, which is all the detection math needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +115,6 @@ def _check_inside(scene: RoomScene, p, name: str):
         raise ValueError(f"{name} position {p.tolist()} is not strictly inside the room")
 
 
-def _tones(params: ChannelParams) -> np.ndarray:
-    return params.f0 - params.W / 2.0 + np.arange(1, params.M + 1) * params.delta_f
-
-
 def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndarray:
     """Fixed responses from many transmitter positions to one receiver.
 
@@ -136,7 +131,7 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
     if np.any(dists == 0):
         raise ValueError("transmitter and receiver positions coincide")
     weights = scene.amplitude_scale * scene.wall_reflectivity ** bounces / dists  # (n_tx, K)
-    phase = np.exp(-2j * np.pi * dists[:, :, None] * (_tones(params) / scene.c))  # (n_tx, K, M)
+    phase = np.exp(-2j * np.pi * dists[:, :, None] * (params.tones / scene.c))  # (n_tx, K, M)
     return np.einsum("tk,tkm->tm", weights.astype(complex), phase)
 
 
@@ -151,5 +146,9 @@ def room_average_gain(scene: RoomScene, grid: GridSpec, bob, params: ChannelPara
     The room-level scale that converts the relative variation index b_T
     into an absolute sigma_T.
     """
-    h = response_matrix(scene, grid_positions(grid), bob, params)
-    return float(np.sqrt(np.mean(np.abs(h) ** 2)))
+    return rms_gain(response_matrix(scene, grid_positions(grid), bob, params))
+
+
+def rms_gain(responses: np.ndarray) -> float:
+    """RMS magnitude of a block of fixed responses."""
+    return float(np.sqrt(np.mean(np.abs(responses) ** 2)))

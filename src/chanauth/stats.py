@@ -18,20 +18,13 @@ from .channel import ChannelParams
 from .numerics import HermitianMatrix, cholesky
 
 
-def _tone_decay(params: ChannelParams) -> float:
-    """e^{-2*pi*Bc/W}: 1 at Bc = 0 (independent tones), 0 at Bc = inf."""
-    if math.isinf(params.Bc):
-        return 0.0
-    return math.exp(-2.0 * math.pi * params.Bc / params.W)
-
-
 def _variation_lag(m: int, params: ChannelParams) -> complex:
     """Per-probe tone cross-correlation of the variable part at lag m = row - col.
 
     2 sigma_T^2 (1 - E) / (1 - E e^{-j 2 pi m / M}) with E = e^{-2 pi Bc/W};
     this is the a-free core shared by the off-diagonals of R and G.
     """
-    e = _tone_decay(params)
+    e = params.tap_decay
     if e == 1.0:  # Bc = 0: tones are exactly independent
         return 0.0
     return 2.0 * params.sigma_T**2 * (1.0 - e) / (1.0 - e * np.exp(-2j * math.pi * m / params.M))

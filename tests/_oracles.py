@@ -74,18 +74,35 @@ def empirical_difference_covariances(
     done = 0
     while done < snapshots:
         n = min(chunk, snapshots - done)
-        state = chan.init_taps(profile, rng, batch=n, dtype=np.float32)
+        state = chan.init_taps(profile, rng, batch=n)
         ref = chan.sample_response(zero, state, params, rng)
         state = chan.step_taps(state, params.a, rng)
         probe_a = chan.sample_response(zero, state, params, rng)
         eve = chan.eve_variation(state, SpatialMode.INDEPENDENT, rng, params)
         probe_e = chan.sample_response(zero, eve, params, rng)
-        d_a = (probe_a.samples - ref.samples).astype(complex)
-        d_e = (probe_e.samples - ref.samples).astype(complex)
+        d_a = probe_a.samples - ref.samples
+        d_e = probe_e.samples - ref.samples
         acc_r += d_a.T @ d_a.conj()
         acc_g += d_e.T @ d_e.conj()
         done += n
     return acc_r / snapshots, acc_g / snapshots
+
+
+def long_line_tone_covariance(params: ChannelParams, truncation: float = 1e-6):
+    """One-probe tone covariance of a truncated exponential delay line.
+
+    The unfolded line: taps at l/W with power sigma_T^2 (1 - E) E^l,
+    E = e^{-2 pi Bc/W}, cut at the first length L whose discarded power
+    sigma_T^2 E^L is at most ``truncation * sigma_T^2``; tap l reaches tone
+    f_m = f0 - W/2 + m W/M through e^{-j 2 pi f_m l/W}.  Needs 0 < Bc < inf.
+    Returns (covariance (M, M), discarded power).
+    """
+    decay = 2.0 * math.pi * params.Bc / params.W
+    n_taps = max(1, math.ceil(-math.log(truncation) / decay))
+    power = params.sigma_T**2 * (1.0 - math.exp(-decay)) * np.exp(-decay * np.arange(n_taps))
+    tones = params.f0 - params.W / 2.0 + np.arange(1, params.M + 1) * (params.W / params.M)
+    phase = np.exp(-2j * np.pi * np.outer(tones, np.arange(n_taps) / params.W))
+    return (phase * power) @ phase.conj().T, params.sigma_T**2 - float(power.sum())
 
 
 def relative_frobenius(estimate: np.ndarray, truth: np.ndarray) -> float:

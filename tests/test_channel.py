@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanauth.channel import (
-    BC_ZERO_EMULATION_RATIO,
-    TAP_TRUNCATION,
     ChannelParams,
     SpatialMode,
+    TapState,
     build_delay_profile,
     eve_variation,
     init_taps,
@@ -18,6 +19,9 @@ from chanauth.channel import (
     taps_to_frequency,
 )
 from chanauth.numerics import RngStream
+from chanauth.stats import covariance_G
+
+from _oracles import long_line_tone_covariance
 
 
 def make_params(**overrides) -> ChannelParams:
@@ -26,16 +30,34 @@ def make_params(**overrides) -> ChannelParams:
     return ChannelParams(**base)
 
 
+def folded_tone_covariance(params: ChannelParams) -> np.ndarray:
+    """E[eps eps^H] of one probe of the generator: the tones reached from
+    unit tap amplitudes, weighted by the folded profile."""
+    profile = build_delay_profile(params).profile
+    assert len(profile) <= params.M  # folded, so the identity below stays small
+    reach = taps_to_frequency(TapState(amps=np.eye(len(profile)), profile=profile), params)
+    return (reach.T * profile) @ reach.conj()
+
+
+def analytic_tone_covariance(params: ChannelParams) -> np.ndarray:
+    """sigma_T^2 (1 - E) / (1 - E e^{-j2pi(m-n)/M}), E = e^{-2pi Bc/W}; Bc = 0 is sigma_T^2 I."""
+    e = math.exp(-2 * math.pi * params.Bc / params.W)
+    if e == 1.0:
+        return params.sigma_T**2 * np.eye(params.M, dtype=complex)
+    lag = np.subtract.outer(np.arange(params.M), np.arange(params.M))
+    return params.sigma_T**2 * (1 - e) / (1 - e * np.exp(-2j * np.pi * lag / params.M))
+
+
 class TestChannelParams:
     def test_derived_quantities(self):
         p = make_params(W=1e7, M=10)
         assert p.delta_f == 1e6
-        assert p.delta_tau == 1e-7
-        assert p.gamma() == pytest.approx(2 * math.pi * 2e6)
+        assert np.array_equal(p.tones, 5e9 - 5e6 + 1e6 * np.arange(1, 11))
+        assert p.tap_decay == pytest.approx(math.exp(-0.4 * math.pi), rel=1e-15)
 
-    def test_bc_zero_emulation(self):
-        p = make_params(Bc=0.0)
-        assert p.effective_bc() == BC_ZERO_EMULATION_RATIO * p.W
+    def test_tap_decay_limits(self):
+        assert make_params(Bc=0.0).tap_decay == 1.0
+        assert make_params(Bc=math.inf).tap_decay == 0.0
 
     @pytest.mark.parametrize(
         "field,value",
@@ -44,6 +66,9 @@ class TestChannelParams:
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             make_params(**{field: value})
+
+
+FOLD_M = (1, 2, 5, 10, 30)
 
 
 class TestDelayProfile:
@@ -56,25 +81,49 @@ class TestDelayProfile:
         state = build_delay_profile(make_params(Bc=math.inf, sigma_T=0.5))
         assert np.array_equal(state.profile, [0.25])
 
+    def test_zero_bc_even_split(self):
+        state = build_delay_profile(make_params(Bc=0.0, sigma_T=0.5, M=5))
+        assert np.array_equal(state.profile, np.full(5, 0.05))
+
     def test_exponential_profile_values(self):
-        # W = 10 MHz, Bc = 2 MHz: per-tap decay e^{-0.4 pi}.
-        state = build_delay_profile(make_params(W=1e7, Bc=2e6, sigma_T=1.0))
-        decay = math.exp(-0.4 * math.pi)
-        expected = (1.0 - decay) * decay ** np.arange(len(state.profile))
-        assert np.allclose(state.profile, expected, rtol=1e-12)
-        assert state.profile.sum() == pytest.approx(1.0, abs=1e-6)
+        # W = 10 MHz, Bc = 2 MHz: adjacent taps keep the line's ratio
+        # E = e^{-0.4 pi}, and the residue classes hold all the power.
+        p = make_params(W=1e7, Bc=2e6, sigma_T=1.5)
+        state = build_delay_profile(p)
+        e = math.exp(-0.4 * math.pi)
+        expected = p.sigma_T**2 * (1 - e) * e ** np.arange(p.M) / (1 - e**p.M)
+        assert np.allclose(state.profile, expected, rtol=1e-13, atol=0)
+        assert state.profile.sum() == pytest.approx(p.sigma_T**2, rel=1e-14)
 
-    def test_truncation_bound(self):
-        for bc in (5e5, 2e6, 1e7):
-            p = make_params(Bc=bc, sigma_T=2.0)
-            state = build_delay_profile(p)
-            discarded = p.sigma_T**2 - state.profile.sum()
-            assert 0.0 <= discarded <= TAP_TRUNCATION * p.sigma_T**2
+    @pytest.mark.parametrize("Bc", [0.0, 1e3, 1e4, 2e6, 5e7, math.inf])
+    @pytest.mark.parametrize("M", FOLD_M)
+    def test_matches_analytic_covariance(self, M, Bc):
+        p = make_params(M=M, Bc=Bc, sigma_T=1.3)
+        err = np.abs(folded_tone_covariance(p) - analytic_tone_covariance(p)).max()
+        assert err <= 1e-10 * p.sigma_T**2, err
 
-    def test_bc_zero_uses_long_line(self):
-        state = build_delay_profile(make_params(Bc=0.0))
-        # Emulated at Bc/W = 1e-3 the line must resolve a slow decay.
-        assert len(state.profile) > 1000
+    @pytest.mark.parametrize("Bc", [1e3, 1e4, 2e6, 5e7])
+    @pytest.mark.parametrize("M", FOLD_M)
+    def test_matches_long_line(self, M, Bc):
+        # The unfolded line misses only the power it truncates.
+        p = make_params(M=M, Bc=Bc, sigma_T=1.3)
+        line, discarded = long_line_tone_covariance(p)
+        err = np.abs(folded_tone_covariance(p) - line).max()
+        assert err <= discarded + 1e-10 * p.sigma_T**2, (err, discarded)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(1, 40),
+        Bc=st.one_of(st.just(0.0), st.floats(1e2, 1e9), st.just(math.inf)),
+        sigma_T=st.floats(0.1, 3.0),
+    )
+    def test_dft_is_variation_part_of_G(self, M, Bc, sigma_T):
+        # Column 0 of G holds lags 0..M-1: 2 sigma_T^2 (1 - E)/(1 - E e^{-j2pi m/M})
+        # off the diagonal, 2 sigma_T^2 + 2 sigma_N^2 on it.
+        p = make_params(M=M, Bc=Bc, sigma_T=sigma_T, sigma_N2=0.5)
+        variation = covariance_G(p).entries[:, 0] - 2 * p.sigma_N2 * (np.arange(M) == 0)
+        dft = np.fft.fft(build_delay_profile(p).profile, n=M)  # zero taps dropped at the end
+        assert np.abs(2 * dft - variation).max() <= 1e-10
 
 
 class TestTapDynamics:
@@ -223,8 +272,8 @@ def test_tone_covariance_closed_form():
     with E = e^{-2pi Bc/W}."""
     p = make_params(M=6, Bc=2e6, sigma_T=1.3)
     rng = RngStream(25)
-    state = init_taps(build_delay_profile(p), rng, batch=1_000_000, dtype=np.float32)
-    eps = taps_to_frequency(state, p).astype(complex)
+    state = init_taps(build_delay_profile(p), rng, batch=1_000_000)
+    eps = taps_to_frequency(state, p)
     emp = eps.T @ eps.conj() / eps.shape[0]
     e = math.exp(-2 * math.pi * p.Bc / p.W)
     lags = np.arange(p.M)

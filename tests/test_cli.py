@@ -1,6 +1,9 @@
 """Config parsing, validation diagnostics, batch runs, output determinism."""
 
 import configparser
+import csv
+import math
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +216,23 @@ class TestValidateMatchesRun:
         assert any(key in d for d in validate(path))
         assert run(path, tmp_path / "out") == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig7"])
+def test_shipped_config_runs(tmp_path, name):
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+    out = tmp_path / "out"
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(math.isfinite(float(r["std_err"])) for r in rows)
+    assert all(0.0 <= float(r["beta_bar"]) <= 1.0 for r in rows)
+    with open(out / "calibration.csv") as fh:
+        (calib,) = csv.DictReader(fh)
+    alpha_hat, se = float(calib["alpha_hat"]), float(calib["std_err"])
+    assert math.isfinite(alpha_hat) and math.isfinite(se)
+    assert abs(alpha_hat - float(calib["alpha_target"])) <= 4.0 * se
 
 
 class TestMain:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanauth.channel import ChannelParams
 from chanauth.detect import (
@@ -69,6 +71,16 @@ class TestStatistics:
         zs = statistic_batch(diffs, r)
         for i in range(6):
             assert zs[i] == pytest.approx(statistic_general(diffs[i], np.zeros(4), r), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 8), log_scale=st.floats(-8, 8), seed=st.integers(0, 2**32 - 1))
+    def test_batch_nonnegative(self, m, log_scale, seed):
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
+        r = cholesky(a @ a.conj().T + 1e-3 * np.eye(m))
+        diffs = 10.0**log_scale * (gen.standard_normal((50, m)) + 1j * gen.standard_normal((50, m)))
+        z = statistic_batch(diffs, r)
+        assert np.all(np.isfinite(z)) and np.all(z >= 0.0)
 
     def test_unknown_norm(self):
         d = np.array([1.0, 1j, -1.0])

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chanauth import stats
+from chanauth import raytrace, stats
 from chanauth.channel import ChannelParams, SpatialMode
 from chanauth.detect import (
     Regime,
@@ -18,6 +20,8 @@ from chanauth.detect import (
 from chanauth.harness import (
     LinkBudget,
     SweepAxis,
+    _select_pairs,
+    _unrank_pairs,
     empirical_error_rates,
     miss_rate_for_pair,
     miss_rates,
@@ -151,6 +155,29 @@ class TestMissRates:
         closed = np.array([closed_form(p, a, e) for a, e in zip(ha, he)])
         assert np.max(np.abs(batch - closed)) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        regime=st.sampled_from(
+            [
+                Regime.LOW_BC_CLOSED_FORM,
+                Regime.TIME_INVARIANT_BENCHMARK,
+                Regime.FULL_SPATIAL_CORRELATION,
+                Regime.HIGH_BC_NUMERICAL,
+                Regime.GENERAL_KNOWN_PARAMS,
+            ]
+        ),
+        alphas=st.lists(st.floats(1e-6, 0.5), min_size=2, max_size=2),
+    )
+    def test_nonincreasing_in_alpha(self, room, regime, alphas):
+        # A larger size lowers the threshold, so on the same pairs the
+        # exact miss rates can only fall; the evaluator may wobble by its
+        # accuracy (1e-9), not more.
+        p, ha, he = room
+        lo, hi = sorted(alphas)
+        beta_lo = miss_rates(ha, he, p, TestConfig(alpha=lo, regime=regime))
+        beta_hi = miss_rates(ha, he, p, TestConfig(alpha=hi, regime=regime))
+        assert np.all(beta_hi <= beta_lo + 1e-9)
+
     @pytest.mark.parametrize("regime", [Regime.GENERAL_KNOWN_PARAMS, Regime.HIGH_BC_NUMERICAL, Regime.UNKNOWN_PARAMS])
     def test_matches_monte_carlo(self, room, regime):
         p, ha, he = room
@@ -216,6 +243,28 @@ class TestSimulateErrorRates:
             simulate_error_rates(h, h, p, cfg, trials=10, rng=RngStream(0), include_h0=False, include_h1=False)
 
 
+class TestSelectPairs:
+    @pytest.mark.parametrize("n", [2, 3, 17, 60])
+    def test_unrank_matches_triu_indices(self, n):
+        ii, jj = np.triu_indices(n, k=1)
+        got_i, got_j = _unrank_pairs(np.arange(len(ii)), n)
+        assert np.array_equal(got_i, ii) and np.array_equal(got_j, jj)
+
+    @pytest.mark.parametrize("n, budget", [(2, 1), (3, 2), (17, 40), (60, 500), (60, 5000)])
+    def test_matches_materialised_indexing(self, n, budget):
+        def reference(rng):  # indexes the materialised triangle
+            ii, jj = np.triu_indices(n, k=1)
+            if budget >= len(ii):
+                return ii, jj
+            pick = rng.generator.choice(len(ii), size=budget, replace=False)
+            pick.sort()
+            return ii[pick], jj[pick]
+
+        got_i, got_j = _select_pairs(n, budget, RngStream(4, 1))
+        ref_i, ref_j = reference(RngStream(4, 1))
+        assert np.array_equal(got_i, ref_i) and np.array_equal(got_j, ref_j)
+
+
 class TestRoomSweep:
     GRID = GridSpec(origin=(2.0, 2.0), spacing=0.4, counts=(3, 3), height=1.0)
 
@@ -254,6 +303,14 @@ class TestRoomSweep:
     def test_variation_trend(self):
         res = self.sweep(pair_budget=36)
         assert res.beta_bar[-1] < res.beta_bar[0]
+
+    def test_traces_grid_once_per_value(self, monkeypatch):
+        calls = []
+        real = raytrace.response_matrix
+        monkeypatch.setattr(raytrace, "response_matrix", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(raytrace, "room_average_gain", None)  # the traced grid gives the gain
+        self.sweep()
+        assert len(calls) == 3
 
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
