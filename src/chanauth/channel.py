@@ -44,6 +44,8 @@ class ChannelParams:
 
     def __post_init__(self):
         # Comparisons are written so that NaN fails them.
+        if not 0 < self.f0 < math.inf:
+            raise ValueError("f0 must be positive and finite")
         if not 0 < self.W < math.inf:
             raise ValueError("W must be positive and finite")
         if int(self.M) != self.M or self.M < 1:

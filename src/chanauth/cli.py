@@ -72,7 +72,7 @@ _SCHEMA = {
         "W": ("required", "float"),
         "M": ("required", "int"),
         "a": ("required", "float"),
-        "B_c": ("required", "float_or_inf"),
+        "B_c": ("required", "float"),
         "b_T": ("required", "float"),
         "T": ("optional", "float"),
     },
@@ -106,11 +106,24 @@ class ExperimentConfig:
     seed: int
 
 
+# Nonzero finite inputs must have magnitudes in this range: a product or a
+# square of a few of them (b_T times the room gain, tones / c, |h|^2) would
+# otherwise overflow float64 in the middle of a run.
+_MAGNITUDE_RANGE = (1e-100, 1e100)
+
+
+def _parse_float(raw: str) -> float:
+    """A float ("inf" included); NaN and inf are left to the dataclass validators."""
+    value = float(raw)
+    low, high = _MAGNITUDE_RANGE
+    if value != 0 and math.isfinite(value) and not low <= abs(value) <= high:
+        raise ValueError(f"{raw.strip()} is outside the supported magnitudes [{low:g}, {high:g}]")
+    return value
+
+
 def _parse_value(kind: str, raw: str):
     if kind == "float":
-        return float(raw)
-    if kind == "float_or_inf":
-        return math.inf if raw.strip().lower() in ("inf", "infinity") else float(raw)
+        return _parse_float(raw)
     if kind == "int":
         return int(raw)
     if kind == "complex":
@@ -120,7 +133,7 @@ def _parse_value(kind: str, raw: str):
         n = 3 if kind.endswith("3") else 2
         if len(parts) != n:
             raise ValueError(f"expected {n} whitespace-separated values")
-        conv = int if kind.startswith("ints") else float
+        conv = int if kind.startswith("ints") else _parse_float
         return tuple(conv(p) for p in parts)
     if kind == "regime":
         if raw not in _REGIME_NAMES:
@@ -148,9 +161,7 @@ def _parse_sweep_values(axis: SweepAxis, raw: str) -> tuple:
         return tuple(parts)
     if axis is SweepAxis.M:
         return tuple(int(p) for p in parts)
-    if axis is SweepAxis.B_C:
-        return tuple(math.inf if p.lower() in ("inf", "infinity") else float(p) for p in parts)
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
@@ -250,7 +261,9 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
             threshold_override=tst.get("threshold_override"),
         )
     except ValueError as exc:
-        diags.append(f"test.alpha: {exc}")
+        # alpha is checked only without an override, so one key is at fault.
+        key = "alpha" if tst.get("threshold_override") is None else "threshold_override"
+        diags.append(f"test.{key}: {exc}")
     else:
         try:
             if cfg.threshold_override is None:
@@ -261,7 +274,7 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     try:
         sweep_values = _parse_sweep_values(axis, values["sweep"]["values"])
     except ValueError as exc:
-        diags.append(f"sweep.values: {exc}")
+        diags.append(f"sweep.values: {exc} (sweep.param = {axis.value})")
         sweep_values = ()
     run = values.get("run", {})
     trials = run.get("trials", 10_000)
@@ -271,6 +284,8 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         diags.append("run.trials: must be >= 1")
     if pair_budget < 1:
         diags.append("run.pair_budget: must be >= 1")
+    if seed < 0:
+        diags.append("run.seed: must be >= 0")
     if diags:
         return None, diags
 
@@ -287,11 +302,11 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     dims = scene.dimensions
     for name, pos in (("bob.position", values["bob"]["position"]),):
         if not all(0 < p < d for p, d in zip(pos, dims)):
-            diags.append(f"{name}: must be strictly inside the room {dims}")
+            diags.append(f"{name}: must be strictly inside the room (scene.dimensions = {dims})")
     gx = grid.origin[0] + grid.spacing * (grid.counts[0] - 1)
     gy = grid.origin[1] + grid.spacing * (grid.counts[1] - 1)
     if not (0 < grid.origin[0] and 0 < grid.origin[1] and gx < dims[0] and gy < dims[1] and 0 < grid.height < dims[2]):
-        diags.append("[grid]: grid points must lie strictly inside the room")
+        diags.append(f"[grid]: grid points must lie strictly inside the room (scene.dimensions = {dims})")
     if diags:
         return None, diags
 
@@ -364,24 +379,23 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
             fh.write(f"  {result.swept_param}={_fmt(value)}: beta_bar={_fmt(beta)} (se={_fmt(se)})\n")
 
 
-def _calibrate(config: ExperimentConfig, rng: RngStream):
+def _calibrate(config: ExperimentConfig, trace: raytrace.RoomTrace, rng: RngStream):
     """Empirical false-alarm rate for the configured regime at mid-grid.
 
-    load_config guarantees at least 2 grid points, so eve (the first point)
-    and alice (the middle one) differ.
+    The room gain and alice's fixed response (the middle grid point) come
+    from the grid ``trace`` already holds for the base tones, so nothing is
+    traced again after a sweep that kept them.  Only alpha_hat is reported,
+    so the spoofer (eve, the first grid point) is not simulated.
     """
-    positions = raytrace.grid_positions(config.grid)
-    alice = positions[len(positions) // 2]
-    eve = positions[0]
-    room_gain = raytrace.room_average_gain(config.scene, config.grid, config.bob, config.channel)
+    responses = trace.responses(config.channel)
     params = replace(
         config.channel,
-        sigma_T=sigma_T_from_bT(config.b_T, room_gain),
+        sigma_T=sigma_T_from_bT(config.b_T, raytrace.rms_gain(responses)),
         sigma_N2=noise_variance(config.budget, config.channel.M),
     )
-    hbar_a = raytrace.fixed_response(config.scene, alice, config.bob, params)
-    hbar_e = raytrace.fixed_response(config.scene, eve, config.bob, params)
-    rates = simulate_error_rates(hbar_a, hbar_e, params, config.test, config.trials, rng)
+    hbar_a = responses[len(responses) // 2]
+    hbar_e = responses[0]
+    rates = simulate_error_rates(hbar_a, hbar_e, params, config.test, config.trials, rng, include_h1=False)
     return config.test.regime, rates
 
 
@@ -399,12 +413,16 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
             print(f"config error: {d}", file=sys.stderr)
         return EXIT_CONFIG
     if seed is not None:
+        if seed < 0:
+            print("config error: --seed: must be >= 0", file=sys.stderr)
+            return EXIT_CONFIG
         config = replace(config, seed=seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / "sweep.csv", out_dir / "calibration.csv", out_dir / "summary.txt"]
     try:
         rng = RngStream(config.seed)
+        trace = raytrace.RoomTrace(config.scene, config.grid, config.bob)
         result = room_sweep(
             config.scene,
             config.grid,
@@ -417,8 +435,9 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
             b_T=config.b_T,
             pair_budget=config.pair_budget,
             rng=rng,
+            trace=trace,
         )
-        calibration = _calibrate(config, rng.substream(999))
+        calibration = _calibrate(config, trace, rng.substream(999))
         _write_outputs(out_dir, config, config_path, result, calibration)
     except Exception as exc:  # pragma: no cover - exercised via CLI tests
         for p in outputs:

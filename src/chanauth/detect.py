@@ -44,7 +44,7 @@ class TestConfig:
     def __post_init__(self):
         if self.threshold_override is None and not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1) unless threshold_override is set")
-        if self.threshold_override is not None and self.threshold_override < 0:
+        if self.threshold_override is not None and not self.threshold_override >= 0:
             raise ValueError("threshold_override must be nonnegative")
 
 

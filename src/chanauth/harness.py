@@ -308,15 +308,20 @@ def room_sweep(
     b_T: float,
     pair_budget: int = 2000,
     rng: RngStream | None = None,
+    trace: raytrace.RoomTrace | None = None,
 ) -> SweepResult:
     """Room-averaged exact miss rate along one parameter axis.
 
     ``base_params.sigma_T`` and ``sigma_N2`` are derived per sweep value
     from b_T, the room gain, and the link budget (all three can depend on
-    the swept parameter).  The pair subsample is drawn once from ``rng``,
-    so every sweep value sees the same pairs; each value's miss rates come
-    from one batched miss_rates call.  ``std_err`` is the standard error of
-    the room average over the sampled pairs.
+    the swept parameter).  The fixed responses and the room gain come from
+    ``trace`` (a fresh RoomTrace of scene, grid and bob by default), which
+    traces the grid once per tone set: once in all for b_T, P_T, B_c and
+    spatial_mode sweeps, once per distinct value for W and M sweeps.  The
+    pair subsample is drawn once from ``rng``, so every sweep value sees
+    the same pairs; each value's miss rates come from one batched
+    miss_rates call.  ``std_err`` is the standard error of the room average
+    over the sampled pairs.
     """
     axis = SweepAxis(sweep_param) if not isinstance(sweep_param, SweepAxis) else sweep_param
     sweep_values = list(sweep_values)
@@ -324,9 +329,12 @@ def room_sweep(
         raise ValueError("sweep_values must be nonempty")
     if rng is None:
         rng = RngStream(0)
+    if trace is None:
+        trace = raytrace.RoomTrace(scene, grid, bob)
+    elif (trace.scene, trace.grid, trace.rx) != (scene, grid, tuple(float(v) for v in bob)):
+        raise ValueError("trace was built for a different scene, grid or receiver")
 
-    positions = raytrace.grid_positions(grid)
-    ii, jj = _select_pairs(len(positions), pair_budget, rng.substream(1))
+    ii, jj = _select_pairs(len(trace.positions), pair_budget, rng.substream(1))
 
     beta_bar, std_err = [], []
     for value in sweep_values:
@@ -334,7 +342,7 @@ def room_sweep(
         bt = float(value) if axis is SweepAxis.B_T else b_T
         # The fixed responses do not depend on sigma_T or sigma_N2, so the
         # grid traced for the pairs also gives the room gain.
-        responses = raytrace.response_matrix(scene, positions, bob, params)
+        responses = trace.responses(params)
         params = replace(
             params,
             sigma_T=sigma_T_from_bT(bt, raytrace.rms_gain(responses)),

@@ -9,11 +9,15 @@ over sub-wavelength displacements, which is all the detection math needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams
+
+# Transmitters traced together by response_matrix; bounds its phase tensor.
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -34,12 +38,17 @@ class RoomScene:
     amplitude_scale: float = 1e-5
 
     def __post_init__(self):
-        if any(d <= 0 for d in self.dimensions):
-            raise ValueError("room dimensions must be positive")
+        # Comparisons are written so that NaN fails them.
+        if not all(0 < d < math.inf for d in self.dimensions):
+            raise ValueError("room dimensions must be positive and finite")
         if self.max_order < 0:
             raise ValueError("max_order must be nonnegative")
-        if abs(self.wall_reflectivity) > 1.0:
+        if not abs(self.wall_reflectivity) <= 1.0:
             raise ValueError("|wall_reflectivity| must not exceed 1")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
+        if not 0 < self.amplitude_scale < math.inf:
+            raise ValueError("amplitude_scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -109,35 +118,71 @@ def image_sources(scene: RoomScene, point) -> tuple[np.ndarray, np.ndarray]:
     return positions, total[keep]
 
 
-def _check_inside(scene: RoomScene, p, name: str):
-    p = np.asarray(p, dtype=float)
-    if not np.all((p > 0) & (p < np.asarray(scene.dimensions))):
-        raise ValueError(f"{name} position {p.tolist()} is not strictly inside the room")
+def _check_inside(scene: RoomScene, points, name: str):
+    """Raise naming the first of ``points`` (one or many) not strictly inside the room."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    outside = ~np.all((points > 0) & (points < np.asarray(scene.dimensions)), axis=1)
+    if outside.any():
+        raise ValueError(f"{name} position {points[np.argmax(outside)].tolist()} is not strictly inside the room")
 
 
 def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndarray:
     """Fixed responses from many transmitter positions to one receiver.
 
     Returns shape (n_tx, M).  The receiver's image set is built once and
-    shared across transmitters.
+    shared across transmitters, which are traced _ROW_BLOCK at a time, so
+    the (transmitter x image x tone) phase tensor never holds more than one
+    block.  Each row is computed alone, so it does not depend on the block
+    size or on the other transmitters.
     """
     txs = np.atleast_2d(np.asarray(txs, dtype=float))
     rx = np.asarray(rx, dtype=float)
     _check_inside(scene, rx, "receiver")
-    for t in txs:
-        _check_inside(scene, t, "transmitter")
+    _check_inside(scene, txs, "transmitter")
     images, bounces = image_sources(scene, rx)
-    dists = np.linalg.norm(txs[:, None, :] - images[None, :, :], axis=-1)  # (n_tx, K)
-    if np.any(dists == 0):
-        raise ValueError("transmitter and receiver positions coincide")
-    weights = scene.amplitude_scale * scene.wall_reflectivity ** bounces / dists  # (n_tx, K)
-    phase = np.exp(-2j * np.pi * dists[:, :, None] * (params.tones / scene.c))  # (n_tx, K, M)
-    return np.einsum("tk,tkm->tm", weights.astype(complex), phase)
+    gains = scene.amplitude_scale * scene.wall_reflectivity ** bounces  # (K,)
+    out = np.empty((len(txs), params.M), dtype=complex)
+    for start in range(0, len(txs), _ROW_BLOCK):
+        block = txs[start : start + _ROW_BLOCK]
+        dists = np.linalg.norm(block[:, None, :] - images[None, :, :], axis=-1)  # (block, K)
+        if np.any(dists == 0):
+            raise ValueError("transmitter and receiver positions coincide")
+        weights = gains / dists
+        phase = -2j * np.pi * dists[:, :, None] * (params.tones / scene.c)  # (block, K, M)
+        np.exp(phase, out=phase)
+        out[start : start + len(block)] = np.einsum("tk,tkm->tm", weights.astype(complex), phase)
+    return out
 
 
 def fixed_response(scene: RoomScene, tx, rx, params: ChannelParams) -> np.ndarray:
     """Length-M fixed response between a single transmitter and receiver."""
     return response_matrix(scene, np.asarray(tx, dtype=float)[None, :], rx, params)[0]
+
+
+class RoomTrace:
+    """Fixed responses of every grid point to one receiver, for one run.
+
+    A response depends on the channel only through its tones, and
+    ChannelParams.tones only on (f0, W, M), so the grid is traced once per
+    distinct tone set and the stored (n_points, M) array is returned after
+    that.  The arrays are read-only because every caller shares them.
+    """
+
+    def __init__(self, scene: RoomScene, grid: GridSpec, rx):
+        self.scene = scene
+        self.grid = grid
+        self.rx = tuple(float(v) for v in rx)
+        self.positions = grid_positions(grid)
+        self._responses: dict[tuple[float, float, int], np.ndarray] = {}
+
+    def responses(self, params: ChannelParams) -> np.ndarray:
+        """The grid's (n_points, M) fixed responses at the tones of ``params``."""
+        key = (params.f0, params.W, params.M)
+        if key not in self._responses:
+            traced = response_matrix(self.scene, self.positions, self.rx, params)
+            traced.flags.writeable = False
+            self._responses[key] = traced
+        return self._responses[key]
 
 
 def room_average_gain(scene: RoomScene, grid: GridSpec, bob, params: ChannelParams) -> float:

@@ -3,11 +3,15 @@
 import configparser
 import csv
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chanauth.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_config, main, run, validate
+from chanauth import raytrace
+from chanauth.cli import _SCHEMA, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_config, main, run, validate
 from chanauth.detect import Regime
 from chanauth.harness import SweepAxis
 
@@ -100,6 +104,14 @@ class TestLoadConfig:
             ({"sweep.values": "  "}, "sweep.values"),
             ({"run.trials": "0"}, "run.trials"),
             ({"budget.P_T": "-1"}, "[budget]"),
+            ({"scene.c": "0"}, "[scene]"),
+            ({"scene.wall_reflectivity": "nan"}, "[scene]"),
+            ({"scene.dimensions": "5 5 5"}, "scene.dimensions"),
+            ({"channel.f0": "inf"}, "[channel]"),
+            ({"channel.b_T": "1e300"}, "channel.b_T"),
+            ({"test.threshold_override": "nan"}, "test.threshold_override"),
+            ({"sweep.param": "M"}, "sweep.param"),
+            ({"run.seed": "-1"}, "run.seed"),
         ],
     )
     def test_diagnostics_name_the_key(self, tmp_path, overrides, fragment):
@@ -181,6 +193,15 @@ class TestRun:
         for name in ("sweep.csv", "calibration.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_traces_grid_once(self, tmp_path, monkeypatch):
+        # A P_T sweep keeps the tones, so the sweep and the calibration share one trace.
+        calls = []
+        real = raytrace.response_matrix
+        monkeypatch.setattr(raytrace, "response_matrix", lambda *a: calls.append(1) or real(*a))
+        path = write_cfg(tmp_path, **{"sweep.param": "P_T", "sweep.values": "1 10 100"})
+        assert run(path, tmp_path / "out") == EXIT_OK
+        assert len(calls) == 1
+
     def test_seed_override_changes_output(self, tmp_path):
         path = write_cfg(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -218,18 +239,69 @@ class TestValidateMatchesRun:
         assert key in capsys.readouterr().err
 
 
+def read_outputs(out: Path) -> tuple[list[dict], dict]:
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(out / "calibration.csv") as fh:
+        (calib,) = csv.DictReader(fh)
+    return rows, calib
+
+
+_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
+_TOKENS = [
+    None,  # delete the key
+    "", "abc", "0", "1", "-1", "2", "0.5", "inf", "-inf", "nan", "1e-300", "1e300",
+    "1+1j", "nan+0j", "1 2", "1 2 3", "0 0 0", "nan 2 3", "1e300 1 1", "5 5 5",
+    "independent fully_correlated", "general", "low_bc", "high_bc", "unknown", "full_spatial",
+    "time_invariant", "b_T", "W", "M", "P_T", "B_c", "spatial_mode",
+]
+_RAW_VALUES = st.one_of(
+    st.sampled_from(_TOKENS),
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.lists(st.floats(-20.0, 20.0).map(repr), min_size=1, max_size=4).map(" ".join),
+)
+
+
+class TestMutatedConfig:
+    """Any one-key mutation of a small valid config: validate and run reject it
+    with exit 2 naming the key, or run exits 0 with finite, in-range CSVs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(target=st.sampled_from(_KEYS), raw=_RAW_VALUES)
+    def test_one_key_mutation(self, target, raw):
+        section, key = target
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = write_cfg(tmp, **{"run.trials": "300", f"{section}.{key}": raw})
+            config, diags = load_config(path)
+            rc = run(path, tmp / "out")
+            if diags:
+                assert rc == EXIT_CONFIG
+                assert any(f"{section}.{key}" in d or f"[{section}]" in d for d in diags), diags
+                return
+            if config.test.regime is Regime.UNKNOWN_PARAMS and config.test.threshold_override is None:
+                # Left a runtime error on purpose (test_runtime_error_removes_partial_outputs).
+                assert rc == EXIT_RUNTIME
+                return
+            assert rc == EXIT_OK
+            rows, calib = read_outputs(tmp / "out")
+        assert len(rows) == len(config.sweep_values)
+        for row in rows:
+            assert 0.0 <= float(row["beta_bar"]) <= 1.0, row
+            assert math.isfinite(float(row["std_err"])), row
+        assert math.isfinite(float(calib["alpha_hat"])) and math.isfinite(float(calib["std_err"])), calib
+
+
 @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig7"])
 def test_shipped_config_runs(tmp_path, name):
     path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
     out = tmp_path / "out"
     assert main(["validate", str(path)]) == EXIT_OK
     assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
-    with open(out / "sweep.csv") as fh:
-        rows = list(csv.DictReader(fh))
+    rows, calib = read_outputs(out)
     assert rows and all(math.isfinite(float(r["std_err"])) for r in rows)
     assert all(0.0 <= float(r["beta_bar"]) <= 1.0 for r in rows)
-    with open(out / "calibration.csv") as fh:
-        (calib,) = csv.DictReader(fh)
     alpha_hat, se = float(calib["alpha_hat"]), float(calib["std_err"])
     assert math.isfinite(alpha_hat) and math.isfinite(se)
     assert abs(alpha_hat - float(calib["alpha_target"])) <= 4.0 * se
@@ -245,6 +317,11 @@ class TestMain:
         out = tmp_path / "out"
         rc = main(["run", str(write_cfg(tmp_path)), "--out", str(out), "--seed", "7"])
         assert rc == EXIT_OK and (out / "sweep.csv").exists()
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path)), "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
 
     def test_run_requires_out(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -304,13 +304,26 @@ class TestRoomSweep:
         res = self.sweep(pair_budget=36)
         assert res.beta_bar[-1] < res.beta_bar[0]
 
-    def test_traces_grid_once_per_value(self, monkeypatch):
+    def test_traces_each_tone_set_once(self, monkeypatch):
         calls = []
         real = raytrace.response_matrix
         monkeypatch.setattr(raytrace, "response_matrix", lambda *a: calls.append(1) or real(*a))
         monkeypatch.setattr(raytrace, "room_average_gain", None)  # the traced grid gives the gain
-        self.sweep()
-        assert len(calls) == 3
+        for axis, values, traces in [
+            (SweepAxis.B_T, [0.01, 0.1, 1.0], 1),
+            (SweepAxis.P_T, [1.0, 10.0, 100.0], 1),
+            (SweepAxis.M, [4, 8, 4, 10], 3),  # one per distinct M
+        ]:
+            calls.clear()
+            self.sweep(sweep_param=axis, sweep_values=values)
+            assert len(calls) == traces, axis
+
+    def test_shared_trace_matches_fresh_one(self):
+        trace = raytrace.RoomTrace(SCENE, self.GRID, BOB)
+        assert self.sweep(trace=trace) == self.sweep()
+        assert not trace.responses(make_params()).flags.writeable
+        with pytest.raises(ValueError, match="different"):
+            self.sweep(trace=raytrace.RoomTrace(SCENE, self.GRID, (8.0, 5.0, 2.0)))
 
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):

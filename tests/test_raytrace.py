@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from chanauth.channel import ChannelParams
 from chanauth.numerics import RngStream
 from chanauth.raytrace import (
+    _ROW_BLOCK,
     GridSpec,
     RoomScene,
     fixed_response,
@@ -137,14 +139,43 @@ class TestFixedResponse:
         with pytest.raises(ValueError):
             fixed_response(scene, (1.0, 2.0, 1.0), (5.0, 9.0, 1.0), make_params())
 
+    def test_names_first_outside_transmitter(self):
+        txs = np.full((2 * _ROW_BLOCK, 3), 1.0)
+        txs[_ROW_BLOCK + 5] = (1.0, 8.5, 1.0)
+        txs[_ROW_BLOCK + 9] = (-1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match=r"transmitter position \[1\.0, 8\.5, 1\.0\]"):
+            response_matrix(RoomScene(), txs, (5.0, 5.0, 1.0), make_params())
+
     def test_response_matrix_consistency(self):
+        # Row blocks change no bits: every row equals its single-row trace.
         scene = RoomScene()
         p = make_params()
+        n_tx = 2 * _ROW_BLOCK + 3
+        gen = RngStream(61).generator
         txs = np.array([[2.0, 2.0, 1.0], [3.0, 4.0, 1.0]])
+        txs = np.vstack([txs, gen.uniform((0.5, 0.5, 0.5), (9.5, 7.5, 2.5), size=(n_tx - 2, 3))])
         rx = (8.0, 6.0, 2.0)
         batch = response_matrix(scene, txs, rx, p)
+        assert batch.shape == (n_tx, p.M)
         for i, tx in enumerate(txs):
             assert np.array_equal(batch[i], fixed_response(scene, tx, rx, p))
+
+    def test_phase_tensor_is_bounded_by_one_block(self):
+        scene = RoomScene()
+        p = make_params(M=20)
+        rx = (8.0, 6.0, 2.0)
+        n_images = len(image_sources(scene, rx)[0])
+        block_bytes = _ROW_BLOCK * n_images * p.M * 16
+        grid = GridSpec(origin=(1.0, 1.0), spacing=0.15, counts=(50, 40), height=1.0)
+        txs = grid_positions(grid)
+        tracemalloc.start()
+        try:
+            response_matrix(scene, txs, rx, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The whole tensor would be len(txs) / _ROW_BLOCK ~ 16 blocks.
+        assert peak < 4 * block_bytes, (peak, block_bytes)
 
 
 class TestRoomAverageGain:
