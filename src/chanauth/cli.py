@@ -265,6 +265,8 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         key = "alpha" if tst.get("threshold_override") is None else "threshold_override"
         diags.append(f"test.{key}: {exc}")
     else:
+        if cfg.regime is Regime.UNKNOWN_PARAMS and cfg.threshold_override is None:
+            diags.append("test.threshold_override: required when test.regime = unknown (its statistic has no nominal size)")
         try:
             if cfg.threshold_override is None:
                 chi2_inv(1.0 - cfg.alpha, 2)

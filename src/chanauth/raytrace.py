@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelParams
 
-# Transmitters traced together by response_matrix; bounds its phase tensor.
+# Transmitters traced together by response_matrix; bounds its work arrays.
 _ROW_BLOCK = 128
 
 
@@ -130,10 +130,16 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
     """Fixed responses from many transmitter positions to one receiver.
 
     Returns shape (n_tx, M).  The receiver's image set is built once and
-    shared across transmitters, which are traced _ROW_BLOCK at a time, so
-    the (transmitter x image x tone) phase tensor never holds more than one
-    block.  Each row is computed alone, so it does not depend on the block
-    size or on the other transmitters.
+    shared across transmitters.  The tones are evenly spaced, so along a
+    path of length d the M tone phasors form a geometric sequence: with
+    k = -2 pi d / c, tone m is (gain/d) e^{j k f_1} (e^{j k delta_f})^m.
+    Each path therefore costs two complex exps, and tone m is the image sum
+    of the running phasor, which is advanced by one step multiply per tone;
+    no (transmitter x image x tone) array is built.  Transmitters are
+    traced _ROW_BLOCK at a time, which bounds the (transmitter x image)
+    work arrays (an unblocked room grid would need ~15 MB for each).  Each
+    row is computed alone, so it does not depend on the block size or on
+    the other transmitters.
     """
     txs = np.atleast_2d(np.asarray(txs, dtype=float))
     rx = np.asarray(rx, dtype=float)
@@ -147,10 +153,14 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
         dists = np.linalg.norm(block[:, None, :] - images[None, :, :], axis=-1)  # (block, K)
         if np.any(dists == 0):
             raise ValueError("transmitter and receiver positions coincide")
-        weights = gains / dists
-        phase = -2j * np.pi * dists[:, :, None] * (params.tones / scene.c)  # (block, K, M)
-        np.exp(phase, out=phase)
-        out[start : start + len(block)] = np.einsum("tk,tkm->tm", weights.astype(complex), phase)
+        k = (-2.0 * np.pi / scene.c) * dists  # phase per Hz of each path
+        phasor = gains / dists * np.exp(1j * params.tones[0] * k)
+        step = np.exp(1j * params.delta_f * k)
+        rows = out[start : start + len(block)]
+        for m in range(params.M):
+            rows[:, m] = phasor.sum(axis=1)
+            if m + 1 < params.M:
+                phasor *= step
     return out
 
 

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written without touching the library's own
 numerics beyond the channel generator under test: Simpson integration for
-chi-square probabilities, brute-force enumerations, and Monte Carlo
-covariance estimation of the probe-difference vectors.
+chi-square probabilities, brute-force enumerations, an extended-precision
+image-source sum, and Monte Carlo covariance estimation of the
+probe-difference vectors.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -175,3 +177,43 @@ def central_gchi2_cdf(x: float, weights) -> float:
         coef = math.prod(lk / (lk - lj) for j, lj in enumerate(lam) if j != k)
         tail += coef * math.exp(-x / (2.0 * lk))
     return 1.0 - tail
+
+
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def image_source_sum_longdouble(scene, txs, rx, params: ChannelParams) -> np.ndarray:
+    """Image-source responses (n_tx, M) summed in np.longdouble.
+
+    Mirror images of ``rx`` are enumerated per axis (2nL + c with 2|n|
+    bounces, 2nL - c with |2n - 1|), kept if their total bounce count fits
+    scene.max_order, and every path contributes
+    amplitude_scale * Gamma^bounces / d * e^{-j 2 pi f_m d / c}, with a
+    long-double pi, long-double tones f_m = f0 - W/2 + m W/M and each tone's
+    phase taken directly.  Returned as complex128.
+    """
+    ld = np.longdouble
+    per_axis = []
+    for length, coord in zip(scene.dimensions, rx):
+        length, coord = ld(length), ld(coord)
+        cands = []
+        for n in range(-scene.max_order - 1, scene.max_order + 2):
+            cands.append((2 * n * length + coord, abs(2 * n)))
+            cands.append((2 * n * length - coord, abs(2 * n - 1)))
+        per_axis.append([c for c in cands if c[1] <= scene.max_order])
+    images, bounces = [], []
+    for (x, bx), (y, by), (z, bz) in itertools.product(*per_axis):
+        if bx + by + bz <= scene.max_order:
+            images.append((x, y, z))
+            bounces.append(bx + by + bz)
+    images = np.array(images, dtype=ld)  # (K, 3)
+    gain = ld(scene.amplitude_scale) * np.clongdouble(scene.wall_reflectivity) ** np.array(bounces)
+    tones = ld(params.f0) - ld(params.W) / 2 + np.arange(1, params.M + 1, dtype=ld) * (ld(params.W) / params.M)
+    txs = np.atleast_2d(np.asarray(txs, dtype=ld))
+    out = np.empty((len(txs), params.M), dtype=complex)
+    for i, tx in enumerate(txs):
+        d = np.sqrt(np.sum((tx - images) ** 2, axis=1))  # (K,)
+        phase = (-2 * LONG_PI / ld(scene.c)) * np.outer(d, tones)  # (K, M)
+        phasor = np.cos(phase) + 1j * np.sin(phase)
+        out[i] = ((gain / d) @ phasor).astype(complex)
+    return out

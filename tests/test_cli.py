@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanauth import raytrace
+from chanauth import cli, raytrace
 from chanauth.cli import _SCHEMA, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_config, main, run, validate
 from chanauth.detect import Regime
 from chanauth.harness import SweepAxis
@@ -176,9 +176,14 @@ class TestRun:
         assert "test.alpha" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_runtime_error_removes_partial_outputs(self, tmp_path, capsys):
-        # unknown-params regime with no threshold passes validation but cannot run
-        path = write_cfg(tmp_path, **{"test.regime": "unknown"})
+    def test_runtime_error_removes_partial_outputs(self, tmp_path, capsys, monkeypatch):
+        # A failure after sweep.csv is written must leave no partial outputs.
+        def fail_after_sweep_csv(out_dir, *args):
+            (out_dir / "sweep.csv").write_text("partial\n")
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(cli, "_write_outputs", fail_after_sweep_csv)
+        path = write_cfg(tmp_path)
         assert validate(path) == []
         out = tmp_path / "out"
         assert run(path, out) == EXIT_RUNTIME
@@ -230,6 +235,7 @@ class TestValidateMatchesRun:
             ({"sweep.param": "B_c", "sweep.values": "-1 2e6"}, "sweep.values"),
             ({"sweep.param": "P_T", "sweep.values": "0 100"}, "sweep.values"),
             ({"test.alpha": "1e-300"}, "test.alpha"),
+            ({"test.regime": "unknown"}, "test.threshold_override"),
         ],
     )
     def test_unrunnable_values_fail_validation(self, tmp_path, capsys, overrides, key):
@@ -279,10 +285,6 @@ class TestMutatedConfig:
             if diags:
                 assert rc == EXIT_CONFIG
                 assert any(f"{section}.{key}" in d or f"[{section}]" in d for d in diags), diags
-                return
-            if config.test.regime is Regime.UNKNOWN_PARAMS and config.test.threshold_override is None:
-                # Left a runtime error on purpose (test_runtime_error_removes_partial_outputs).
-                assert rc == EXIT_RUNTIME
                 return
             assert rc == EXIT_OK
             rows, calib = read_outputs(tmp / "out")
