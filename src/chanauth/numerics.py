@@ -4,18 +4,21 @@ Everything downstream (channel generation, covariance builders, detectors)
 funnels its numerical needs through here: chi-square CDFs/quantiles, the
 noncentral and generalized chi-square CDFs, Hermitian Cholesky
 factorization with whitening solves, and reproducible complex-Gaussian
-sampling.
+sampling.  Only numpy and the standard library are used: the incomplete
+gamma function is a series or a continued fraction around Loader's
+saddle-point Poisson pmf, and the whitening solves are forward
+substitutions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # RngStream needs it in every run; numpy would otherwise load it on first use
 from numpy.polynomial.legendre import leggauss
-from scipy import special
-from scipy.linalg import solve_triangular
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -66,7 +69,7 @@ class HermitianMatrix:
             raise ValueError("matrix is not factored; call factored() first")
         d = np.asarray(d, dtype=complex)
         # chol is upper triangular R_d, so R_d^H is lower triangular.
-        z = solve_triangular(self.chol.conj().T, d.reshape(-1, self.dim).T, lower=True)
+        z = _solve_lower(self.chol.conj().T, d.reshape(-1, self.dim).T)
         return np.sqrt(2.0) * z.T.reshape(d.shape)
 
     def congruence(self, g: np.ndarray) -> np.ndarray:
@@ -77,8 +80,8 @@ class HermitianMatrix:
         if self.chol is None:
             raise ValueError("matrix is not factored; call factored() first")
         lower = self.chol.conj().T
-        left = solve_triangular(lower, np.asarray(g, dtype=complex), lower=True)
-        return solve_triangular(lower, left.conj().T, lower=True).conj().T
+        left = _solve_lower(lower, np.asarray(g, dtype=complex))
+        return _solve_lower(lower, left.conj().T).conj().T
 
     def sample_offset(self, w: np.ndarray) -> np.ndarray:
         """Map unit-variance draws w ~ CN(0, I), shape (..., M), to CN(0, R)."""
@@ -86,6 +89,17 @@ class HermitianMatrix:
             raise ValueError("matrix is not factored; call factored() first")
         w = np.asarray(w, dtype=complex)
         return (w.reshape(-1, self.dim) @ self.chol.conj()).reshape(w.shape)
+
+
+def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve lower @ z = b for lower-triangular ``lower`` and b of shape (M, n).
+
+    Forward substitution: M row steps, each over all n right-hand sides.
+    """
+    z = np.empty(b.shape, dtype=complex)
+    for i in range(len(lower)):
+        z[i] = (b[i] - lower[i, :i] @ z[:i]) / lower[i, i]
+    return z
 
 
 def cholesky(a: HermitianMatrix | np.ndarray) -> HermitianMatrix:
@@ -110,6 +124,10 @@ def cholesky(a: HermitianMatrix | np.ndarray) -> HermitianMatrix:
     return HermitianMatrix(entries=entries, chol=lower.conj().T)
 
 
+_EPS = 2.0**-52  # double-precision machine epsilon
+_MAX_TERMS = 2**20  # bounds the work and memory of one noncentral CDF evaluation
+
+
 def chi2_cdf(x, k: int):
     """CDF of the central chi-square distribution with k degrees of freedom.
 
@@ -118,9 +136,9 @@ def chi2_cdf(x, k: int):
     """
     _check_dof(k)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise ValueError("x must be nonnegative")
-    out = special.gammainc(k / 2.0, x / 2.0)
+    out = _gammainc(k / 2.0, x / 2.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -132,33 +150,282 @@ def chi2_inv(p, k: int):
     """
     _check_dof(k)
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p >= 1)):
+    if not np.all((p >= 0) & (p < 1)):
         raise ValueError("p must lie in [0, 1)")
-    out = 2.0 * special.gammaincinv(k / 2.0, p)
+    out = np.array([2.0 * _gamma_quantile(k / 2.0, q) for q in p.ravel().tolist()]).reshape(p.shape)
     return float(out) if out.ndim == 0 else out
 
 
 def noncentral_chi2_cdf(x, k: int, mu):
     """CDF of the noncentral chi-square with k dof and noncentrality mu.
 
-    mu = 0 collapses exactly to the central CDF.  Evaluated through the
-    Poisson-mixture representation (via scipy's ncx2), which handles large
-    mu without loss of mass.
+    mu = 0 collapses exactly to the central CDF.  Otherwise it is the
+    Poisson mixture sum_j Pois(j; mu/2) P(k/2 + j, x/2); every term is
+    positive, so small values keep their relative accuracy, and the P terms
+    are computed once per distinct x and shared by every mu.
     """
     _check_dof(k)
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if np.any(x < 0):
+    x, mu = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(mu, dtype=float))
+    if not np.all(x >= 0):
         raise ValueError("x must be nonnegative")
-    if np.any(mu < 0):
+    if not np.all(mu >= 0):
         raise ValueError("mu must be nonnegative")
-    out = np.where(
-        mu == 0,
-        special.gammainc(k / 2.0, x / 2.0),
-        special.chndtr(x, k, np.where(mu == 0, 1.0, mu)),
-    )
-    out = np.clip(out, 0.0, 1.0)
+    out = np.empty(x.shape)
+    lam = mu / 2.0
+    central = lam == 0  # also where mu is so small that mu/2 underflows
+    out[central] = chi2_cdf(x[central], k)
+    for xv in sorted(set(x[~central].tolist())):  # np.unique would import numpy.ma (~15 ms) on first use
+        rows = ~central & (x == xv)
+        out[rows] = _poisson_mixture(xv / 2.0, k / 2.0, lam[rows])
     return float(out) if out.ndim == 0 else out
+
+
+def _poisson_mixture(y: float, h: float, lam: np.ndarray) -> np.ndarray:
+    """sum_j Pois(j; lam) P(h + j, y) for each lam > 0.
+
+    P(h + j, y) is the tail sum_{i >= j} pmf(h + i; y), so one reverse
+    cumulative sum gives every P term.  Each sum stops where what it drops
+    is below about e^-50 of its largest term: P is 0 past j_max = y - h +
+    10 sqrt(y) + 20 and 1 below j_min = y - h - 10 sqrt(y) - 20, and a row's
+    Poisson weights vanish outside lam -+ (10 sqrt(lam) + 20).  A row's
+    Poisson mass below j_min then enters as the one term Q(j_min, lam).
+    """
+    if not 0 < y < math.inf:  # the CDF is 0 at x = 0 and 1 at x = inf
+        return np.full(len(lam), 1.0 if y else 0.0)
+    out = np.zeros(len(lam))
+    spread = 10.0 * math.sqrt(y) + 20.0
+    j_min, j_max = math.floor(y - h - spread), math.floor(y - h + spread)
+    # Rows whose weights all sit past j_max (lam - 10 sqrt(lam) - 20 > j_max) stay 0.
+    live = np.sqrt(lam) <= 5.0 + math.sqrt(45.0 + j_max) if j_max >= 0 else np.zeros(len(lam), dtype=bool)
+    if not live.any():
+        return out
+    rows = lam[live]
+    first = max(0, math.floor(float(np.min(rows - 10.0 * np.sqrt(rows) - 20.0))))
+    last = min(j_max, math.ceil(float(np.max(rows + 10.0 * np.sqrt(rows) + 20.0))))
+    lo = max(first, j_min)
+    if lo > last:  # every row's weights sit below j_min, where P is 1
+        out[live] = 1.0
+        return out
+    if j_max - lo >= _MAX_TERMS:
+        raise ValueError(f"noncentral chi-square CDF at x/2 = {y:.3g}, mu/2 = {rows.max():.3g} needs over {_MAX_TERMS} terms")
+    j = np.arange(lo, j_max + 1, dtype=float)
+    p_terms = np.cumsum(np.exp(_log_pmf(h + j[::-1], y)))[::-1][: last - lo + 1]
+    j = j[: last - lo + 1]
+    order = np.argsort(rows)
+    f = np.empty(len(rows))
+    step = max(1, 2**18 // len(j))  # bounds the (terms x rows) weight arrays
+    for i in range(0, len(rows), step):
+        chunk = order[i : i + step]
+        f[chunk] = p_terms @ _poisson_weights(j, rows[chunk])
+    if lo > first:
+        f += p_terms[0] * (1.0 - _gammainc(float(lo), rows))
+    out[live] = np.clip(f, 0.0, 1.0)
+    return out
+
+
+# Loader's (2000) Stirling remainder, from lgamma at the half-integers n <= 15
+# (index 2n); above them its five-term asymptotic series is exact to rounding.
+_STIRLERR_HALVES = np.array(
+    [0.0] + [math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi) for n in np.arange(1, 31) / 2]
+)
+
+
+def _poisson_weights(j: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Pois(j; lam) for integers j >= 0 and ascending lam > 0, shape (len(j), len(lam)).
+
+    Most entries take the direct j log(lam) - lam - log(j!), whose rounding
+    grows with its terms; where |j - lam| >= 0.1 (j + lam) the weights are
+    small enough that it costs about 1e-15 absolute at most.  Inside that
+    band, where the weights peak, entries take Loader's form (see _log_pmf);
+    with lam sorted the band is one run of columns per j.
+    """
+    m = np.maximum(j, 1.0)  # 0! = 1!, and j = 0 never falls in the band
+    base = 0.5 * np.log(2.0 * math.pi * m) + _stirlerr(m)  # log(j!) - (j log j - j)
+    log_w = np.multiply.outer(j, np.log(lam))
+    log_w -= lam
+    log_w -= (m * np.log(m) - m + base)[:, None]
+    first = np.searchsorted(lam, j * (9 / 11), side="right")
+    count = np.searchsorted(lam, j * (11 / 9)) - first
+    band_j = np.repeat(np.arange(len(j)), count)
+    band_lam = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    log_w[band_j, band_lam] = -base[band_j] - _bd0(j[band_j], lam[band_lam])
+    return np.exp(log_w, out=log_w)
+
+
+def _stirlerr(n):
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n > 0 a multiple of 1/2."""
+    n2 = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * n2)) / n2) / n2) / n2) / n
+    return np.where(n <= 15.0, _STIRLERR_HALVES[np.minimum(2.0 * n, 30.0).astype(int)], series)
+
+
+def _log_pmf(n, lam):
+    """log(lam^n e^-lam / n!) for n >= 0 a multiple of 1/2 and lam > 0, elementwise.
+
+    Loader's saddle-point form -stirlerr(n) - log(2 pi n)/2 - bd0(n, lam)
+    keeps the pmf's full relative accuracy where n and lam are large and
+    close, where n log(lam) - lam - lgamma(n + 1) cancels away digits.
+    Terms in n alone are computed at n's shape, before broadcasting.
+    """
+    n, lam = np.asarray(n, dtype=float), np.asarray(lam, dtype=float)
+    m = np.maximum(n, 0.5)  # n = 0 is set apart at the end
+    log_pmf = -(_stirlerr(m) + 0.5 * np.log(2.0 * math.pi * m)) - _bd0(m, lam)
+    return np.where(n == 0, -lam, log_pmf)
+
+
+def _bd0(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """m log(m/lam) + lam - m >= 0, broadcast over m and lam.
+
+    Where |t| < 0.1, t = (m - lam)/(m + lam), the direct form loses digits
+    to cancellation; there it is (m - lam) t + 2m sum_{j>=1} t^(2j+1)/(2j+1),
+    which nine terms fix to rounding.
+    """
+    with np.errstate(over="ignore"):  # m/lam overflows only where the pmf is 0 anyway
+        bd0 = np.asarray(m * np.log(m / lam) + lam - m)
+    m, lam = np.broadcast_arrays(m, lam)
+    t = (m - lam) / (m + lam)
+    near = np.abs(t) < 0.1
+    if near.any():
+        t, m, gap = t[near], m[near], (m - lam)[near]
+        term, total = 2.0 * m * t, gap * t
+        for odd in range(3, 21, 2):
+            term = term * t * t
+            total = total + term / odd
+        bd0[near] = total
+    return bd0
+
+
+def _gammainc(a, y):
+    """Regularized lower incomplete gamma P(a, y), elementwise, for a > 0 a
+    multiple of 1/2 and y >= 0.
+
+    With pmf = y^a e^-y / Gamma(a + 1) from _log_pmf: where y < a + 1 the
+    series P = pmf * sum_n y^n / ((a+1)...(a+n)); elsewhere the continued
+    fraction Q = a * pmf * cf and P = 1 - Q.
+    """
+    a, y = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(y, dtype=float))
+    out = np.where(y == math.inf, 1.0, 0.0)
+    lower = (y > 0) & (y < a + 1.0)
+    upper = (y >= a + 1.0) & (y < math.inf)
+    if lower.any():
+        al, yl = a[lower], y[lower]
+        out[lower] = np.exp(_log_pmf(al, yl)) * _gamma_series(al, yl)
+    if upper.any():
+        au, yu = a[upper], y[upper]
+        out[upper] = 1.0 - au * np.exp(_log_pmf(au, yu)) * _gamma_fraction(au, yu)
+    return out
+
+
+def _gamma_series(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_n y^n / ((a+1)...(a+n)), n >= 0, elementwise.
+
+    Each element stops once its term falls below eps of its sum, so its
+    value does not depend on the rest of the batch.
+    """
+    out = np.empty(len(y))
+    idx = np.arange(len(y))
+    term = total = np.ones(len(y))
+    for n in itertools.count(1):
+        term = term * y / (a + n)
+        total = total + term
+        done = term <= _EPS * total
+        out[idx[done]] = total[done]
+        if done.all():
+            return out
+        keep = ~done
+        idx, a, y, term, total = idx[keep], a[keep], y[keep], term[keep], total[keep]
+
+
+def _gamma_fraction(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """1/(y+1-a- 1(1-a)/(y+3-a- 2(2-a)/(y+5-a- ...))) elementwise, for y >= a + 1.
+
+    Modified Lentz evaluation; each element stops once its step factor is
+    within eps of 1.
+    """
+    out = np.empty(len(y))
+    idx = np.arange(len(y))
+    b = y + 1.0 - a
+    c = np.full(len(y), 1e300)
+    d = 1.0 / b
+    h = d
+    for i in itertools.count(1):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * (c * d)
+        done = np.abs(c * d - 1.0) <= _EPS
+        out[idx[done]] = h[done]
+        if done.all():
+            return out
+        keep = ~done
+        idx, a, b, c, d, h = idx[keep], a[keep], b[keep], c[keep], d[keep], h[keep]
+
+
+def _gamma_quantile(a: float, p: float) -> float:
+    """The y with P(a, y) = p, for 0 <= p < 1.
+
+    Newton steps on the log of the smaller tail: log Q(a, y) = log(1 - p)
+    in y when p >= 1/2, else log P(a, y) = log p in log y, where each is
+    close to linear.  A step that leaves the bracket found so far bisects
+    it instead.  The steps take the pmf in its direct form, whose rounding
+    grows with a and y, and one last step with _log_pmf removes it.
+    """
+    if p == 0.0:
+        return 0.0
+    upper = p >= 0.5
+    target = math.log1p(-p) if upper else math.log(p)
+    log_gamma = math.lgamma(a + 1.0)
+
+    def newton(y: float, log_pmf: float) -> tuple[bool, float]:
+        """Whether y lies below the quantile, and the Newton step from y."""
+        log_tail, ratio = _log_gamma_tail(a, y, upper, log_pmf)
+        g = log_tail - target
+        step = y + g * ratio if upper else y * math.exp(min(-g * ratio / y, 700.0))
+        return (g > 0) == upper, step
+
+    lo, hi, y = 0.0, math.inf, a
+    for _ in range(100):
+        below, new = newton(y, a * math.log(y) - y - log_gamma)
+        if abs(new - y) <= 1e-10 * y:
+            break
+        lo, hi = (y, hi) if below else (lo, y)
+        y = new if lo < new < hi else 0.5 * (lo + hi) if hi < math.inf else 2.0 * y
+    return newton(new, float(_log_pmf(a, new)))[1]
+
+
+def _log_gamma_tail(a: float, y: float, upper: bool, log_pmf: float) -> tuple[float, float]:
+    """log Q(a, y) if ``upper`` else log P(a, y), and that tail over the Gamma(a)
+    density at y > 0, given log pmf = log(y^a e^-y / Gamma(a + 1)).
+
+    The scalar twin of _gammainc, on plain floats: each chi2_inv point
+    evaluates it a few times, where numpy's per-call cost would dominate.
+    """
+    if y < a + 1.0:
+        term = total = 1.0
+        n = a
+        while term > _EPS * total:
+            n += 1.0
+            term *= y / n
+            total += term
+        log_tail, is_upper = log_pmf + math.log(total), False
+    else:
+        b = y + 1.0 - a
+        c, d = 1e300, 1.0 / b
+        h, step, i = d, 0.0, 0
+        while abs(step - 1.0) > _EPS:
+            i += 1
+            an = -i * (i - a)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            step = c * d
+            h *= step
+        log_tail, is_upper = math.log(a * h) + log_pmf, True
+    if is_upper != upper:
+        log_tail = math.log(-math.expm1(log_tail))
+    log_density = math.log(a / y) + log_pmf
+    return log_tail, math.exp(min(log_tail - log_density, 700.0))
 
 
 # Gil-Pelaez quadrature for the generalized chi-square CDF.  The nodes depend

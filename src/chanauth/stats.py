@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .channel import ChannelParams
 from .numerics import HermitianMatrix, cholesky
@@ -44,10 +43,18 @@ def r_lag(m: int, params: ChannelParams) -> complex:
     return (1.0 - params.a) * _variation_lag(m, params)
 
 
+def _toeplitz(lags: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrix whose (i, j) entry is lags[i - j] for i >= j
+    and conj(lags[j - i]) above the diagonal."""
+    m = len(lags)
+    ladder = np.concatenate([lags[:0:-1].conj(), lags])  # lags -(m-1) .. m-1
+    return ladder[np.subtract.outer(np.arange(m), np.arange(m)) + m - 1]
+
+
 def covariance_R(params: ChannelParams) -> HermitianMatrix:
     """Toeplitz Hermitian covariance of H_A[k] - H_A[k-1], Cholesky-factored."""
     lags = np.array([r_lag(m, params) for m in range(params.M)])
-    return cholesky(toeplitz(lags, lags.conj()))
+    return cholesky(_toeplitz(lags))
 
 
 def covariance_G(params: ChannelParams) -> HermitianMatrix:
@@ -59,8 +66,7 @@ def covariance_G(params: ChannelParams) -> HermitianMatrix:
     """
     lags = np.array([_variation_lag(m, params) for m in range(params.M)], dtype=complex)
     lags[0] = 2.0 * params.sigma_T**2 + 2.0 * params.sigma_N2
-    g = toeplitz(lags, lags.conj())
-    return HermitianMatrix(entries=g)
+    return HermitianMatrix(entries=_toeplitz(lags))
 
 
 def asymptotic_R_high_bc(params: ChannelParams) -> HermitianMatrix:

@@ -3,6 +3,9 @@
 import configparser
 import csv
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -307,6 +310,30 @@ def test_shipped_config_runs(tmp_path, name):
     alpha_hat, se = float(calib["alpha_hat"]), float(calib["std_err"])
     assert math.isfinite(alpha_hat) and math.isfinite(se)
     assert abs(alpha_hat - float(calib["alpha_target"])) <= 4.0 * se
+
+
+def test_run_imports_no_scipy(tmp_path):
+    # scipy is a test-only oracle: a run in a fresh interpreter must not load it, whatever the regime.
+    configs = [
+        write_cfg(tmp_path, name=f"{regime}.cfg", **{"test.regime": regime})
+        for regime in ("low_bc", "high_bc", "general", "full_spatial", "time_invariant")
+    ]
+    code = (
+        "import sys\n"
+        "import chanauth\n"
+        "from chanauth import cli\n"
+        "for config in sys.argv[2:]:\n"
+        "    assert cli.main(['run', config, '--out', sys.argv[1]]) == 0, config\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out"), *map(str, configs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestMain:
