@@ -1,10 +1,15 @@
-"""Golden outputs: each shipped config, and a dense room grid, reproduce checked-in CSVs.
+"""Golden outputs: each shipped config, a dense room grid, and three fig4-derived
+configs that pin the high_bc and unknown regimes and the B_c axis reproduce
+checked-in CSVs.
 
 ``tests/golden/<name>/`` holds the sweep.csv and calibration.csv that
 ``chanauth run`` wrote for each config at its own seed.  A change that moves
 a miss rate by more than RTOL, or flips one calibration decision, fails
 here.  Regenerate on purpose with ``python tests/golden/regenerate.py``,
-which prints every value that moved.
+which prints every value that moved.  This is also the one tier-1 run of
+each shipped config, so it checks what any run of them must show as well:
+the config validates, the outputs are finite with beta_bar in [0, 1], and
+alpha_hat lies within 4 SE of alpha.
 """
 
 import csv
@@ -13,12 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from chanauth.cli import EXIT_OK, run
+from chanauth.cli import EXIT_OK, main, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SHIPPED = ("fig3", "fig4", "fig5", "fig7")
 CONFIGS = {
-    **{name: GOLDEN.parent.parent / "configs" / f"{name}.cfg" for name in ("fig3", "fig4", "fig5", "fig7")},
-    "room_grid": GOLDEN / "room_grid.cfg",
+    **{name: GOLDEN.parent.parent / "configs" / f"{name}.cfg" for name in SHIPPED},
+    **{name: GOLDEN / f"{name}.cfg" for name in ("room_grid", "high_bc_W", "unknown_Bc", "general_Bc")},
 }
 FLOAT_COLUMNS = ("beta_bar", "std_err")
 RTOL = 1e-12  # relative; last-ulp moves from a reordered sum stay far below it
@@ -35,10 +41,19 @@ def run_config(name: str, out: Path) -> None:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_matches_golden(tmp_path, name):
+    assert main(["validate", str(CONFIGS[name])]) == EXIT_OK
     run_config(name, tmp_path)
+    got_rows, (calib,) = read_rows(tmp_path / "sweep.csv"), read_rows(tmp_path / "calibration.csv")
+    assert got_rows and all(math.isfinite(float(r["std_err"])) for r in got_rows)
+    assert all(0.0 <= float(r["beta_bar"]) <= 1.0 for r in got_rows)
+    alpha_hat, se = float(calib["alpha_hat"]), float(calib["std_err"])
+    assert math.isfinite(alpha_hat) and math.isfinite(se)
+    if name in SHIPPED:  # not the unknown golden: its threshold override, not alpha, fixes its size
+        assert abs(alpha_hat - float(calib["alpha_target"])) <= 4.0 * se
+
     want = GOLDEN / name
     assert (tmp_path / "calibration.csv").read_bytes() == (want / "calibration.csv").read_bytes()
-    got_rows, want_rows = read_rows(tmp_path / "sweep.csv"), read_rows(want / "sweep.csv")
+    want_rows = read_rows(want / "sweep.csv")
     assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
     for got, expected in zip(got_rows, want_rows):
         for column, value in expected.items():
