@@ -28,9 +28,8 @@ class ChannelParams:
     """Physical and statistical parameters of the channel and measurement.
 
     Bc may be 0 (tone-independent variation) or ``math.inf`` (a single
-    tap, fully tone-correlated); the generator is exact at both.  The probe
-    interval T is bookkeeping only; temporal correlation enters solely
-    through a.
+    tap, fully tone-correlated); the generator is exact at both.  Temporal
+    correlation over one probe interval enters solely through a.
     """
 
     f0: float
@@ -40,7 +39,6 @@ class ChannelParams:
     Bc: float
     sigma_T: float
     sigma_N2: float
-    T: float = 0.0
 
     def __post_init__(self):
         # Comparisons are written so that NaN fails them.

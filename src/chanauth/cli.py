@@ -74,7 +74,6 @@ _SCHEMA = {
         "a": ("required", "float"),
         "B_c": ("required", "float"),
         "b_T": ("required", "float"),
-        "T": ("optional", "float"),
     },
     "test": {
         "alpha": ("required", "float"),
@@ -249,7 +248,6 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
             Bc=ch["B_c"],
             sigma_T=0.0,
             sigma_N2=0.0,
-            T=ch.get("T", 0.0),
         )
     except ValueError as exc:
         diags.append(f"[channel]: {exc}")
@@ -292,13 +290,21 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         return None, diags
 
     # Cross-field checks that need the assembled objects.
+    low, high = _MAGNITUDE_RANGE
     for value in sweep_values:
         try:
-            apply_sweep_value(params, budget, cfg, axis, value)
+            val_params, val_budget, _ = apply_sweep_value(params, budget, cfg, axis, value)
             if axis is SweepAxis.B_T:
                 sigma_T_from_bT(value, 1.0)
         except ValueError as exc:
             diags.append(f"sweep.values: {_fmt(value)}: {exc}")
+            continue
+        sigma_N2 = noise_variance(val_budget, val_params.M)
+        if not low <= sigma_N2 <= high:
+            diags.append(
+                f"[budget]: noise variance M * kT * N_F * b / P_T = {sigma_N2:g} at M = {val_params.M}, "
+                f"P_T = {_fmt(val_budget.P_T)} is outside the supported magnitudes [{low:g}, {high:g}]"
+            )
     if grid.n_points < 2:
         diags.append(f"grid.counts: {grid.counts[0]} x {grid.counts[1]} has fewer than 2 points, so no pair")
     dims = scene.dimensions

@@ -3,9 +3,10 @@ end-to-end empirical error rates.
 
 For each candidate spoofer/legitimate position pair the ray tracer supplies
 the fixed responses and the link budget sets the noise floor.  Every
-regime's detector is a triple (R, G, t) (regime_forms), under which the
-score is a generalized chi-square, so miss rates are exact: one batched
-evaluation per sweep value covers all pairs (miss_rates).  Room-level
+regime's detector is a triple (r_hat, g_hat, t) of covariance spectra and
+a threshold (regime_forms), under which the score is a generalized
+chi-square, so miss rates are exact: one inverse FFT and one batched
+evaluation per sweep value cover all pairs (miss_rates).  Room-level
 sweeps average the per-pair miss rates over a seeded subsample of position
 pairs.  Only the end-to-end calibration (simulate_error_rates) is Monte
 Carlo, and ``run.trials`` sets its size.
@@ -23,7 +24,7 @@ from . import channel as chan
 from . import detect, raytrace, stats
 from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
-from .numerics import HermitianMatrix, RngStream, cholesky, generalized_chi2_cdf
+from .numerics import NotPositiveDefiniteError, RngStream, generalized_chi2_cdf
 from .raytrace import GridSpec, RoomScene
 
 BOLTZMANN_NOISE_DENSITY = 10.0 ** (-17.4)  # thermal noise density kT in mW/Hz
@@ -85,58 +86,55 @@ def sigma_T_from_bT(b_T: float, room_gain: float) -> float:
     return b_T * room_gain
 
 
-def regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[HermitianMatrix, HermitianMatrix, float]:
-    """The detector of each regime as (R, G, t).
+def regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """The detector of each regime as (r_hat, g_hat, t).
 
-    R (factored) is the covariance the statistic whitens with, G the
-    covariance of the spoofed difference H_E[k] - H_A[k-1], and t the
-    acceptance threshold.  The score Z = 2|R_d^-H (delta + n)|^2 with
-    n ~ CN(0, G) then fixes the miss rate for a fixed-response gap delta.
+    r_hat is the spectrum of the covariance the statistic whitens with,
+    g_hat that of the spoofed difference H_E[k] - H_A[k-1], and t the
+    acceptance threshold (see stats: both covariances are circulant).  The
+    score Z = 2M sum |ifft(delta + n)|^2 / r_hat with n ~ CN(0, G) then
+    fixes the miss rate for a fixed-response gap delta.  low_bc and high_bc
+    are the general forms at B_c = 0 and B_c = inf.
+
+    Raises NotPositiveDefiniteError if r_hat has a bin that is not
+    positive, which takes a zero noise floor (sigma_N2 = 0).
     """
-    m = params.M
-    eye = np.eye(m, dtype=complex)
     regime = cfg.regime
     if regime is Regime.LOW_BC_CLOSED_FORM:
-        r0 = 2.0 * (1.0 - params.a) * params.sigma_T**2 + 2.0 * params.sigma_N2
-        r = cholesky(r0 * eye)
-        g = HermitianMatrix((2.0 * params.sigma_T**2 + 2.0 * params.sigma_N2) * eye)
-    elif regime is Regime.TIME_INVARIANT_BENCHMARK:
-        r = cholesky(2.0 * params.sigma_N2 * eye)
-        g = r
-    elif regime is Regime.FULL_SPATIAL_CORRELATION:
-        r = stats.covariance_R(params)
-        g = r
+        params = replace(params, Bc=0.0)
     elif regime is Regime.HIGH_BC_NUMERICAL:
-        r = stats.asymptotic_R_high_bc(params).factored()
-        g = stats.asymptotic_G_high_bc(params)
-    elif regime is Regime.GENERAL_KNOWN_PARAMS:
-        r = stats.covariance_R(params)
-        g = stats.covariance_G(params)
+        params = replace(params, Bc=math.inf)
+    noise = np.full(params.M, 2.0 * params.sigma_N2)
+    if regime in (Regime.GENERAL_KNOWN_PARAMS, Regime.LOW_BC_CLOSED_FORM, Regime.HIGH_BC_NUMERICAL):
+        r, g = stats.covariance_R(params), stats.covariance_G(params)
+    elif regime is Regime.FULL_SPATIAL_CORRELATION:
+        r = g = stats.covariance_R(params)
+    elif regime is Regime.TIME_INVARIANT_BENCHMARK:
+        r = g = noise
     elif regime is Regime.UNKNOWN_PARAMS:
         if cfg.threshold_override is None:
             raise ValueError("unknown-parameters regime needs threshold_override")
-        r = cholesky(2.0 * params.sigma_N2 * eye)
-        g = stats.covariance_G(params)
+        r, g = noise, stats.covariance_G(params)
     else:
         raise ValueError(f"unhandled regime {regime}")
-    return r, g, detect.threshold_for(cfg, m)
+    if not np.all(r > 0):
+        raise NotPositiveDefiniteError(f"covariance spectrum has a bin {r.min():.3e} <= 0")
+    return r, g, detect.threshold_for(cfg, params.M)
 
 
 def miss_rates(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelParams, cfg: TestConfig) -> np.ndarray:
     """Exact miss rates P(Z <= t) for rows of fixed-response pairs, shape (pairs, M).
 
-    In the coordinates that whiten R and diagonalize C = R_d^-H G R_d^-1,
-    Z is a generalized chi-square whose weights are the eigenvalues of C
-    (shared by every pair) and whose offsets come from the gap
-    hbar_e - hbar_a, so one Cholesky, one eigh and one batched CDF cover
-    all pairs.  Equal weights (low_bc, time_invariant, full_spatial) fall
-    back to the closed-form noncentral chi-square.
+    In DFT coordinates R and G are both diagonal, so Z is a generalized
+    chi-square with weights g_hat / r_hat (shared by every pair) and
+    offsets 2M |ifft(hbar_e - hbar_a)|^2 / r_hat: one inverse FFT of the
+    gaps and one batched CDF cover all pairs.  Equal weights (low_bc,
+    time_invariant, full_spatial) fall back to the closed-form noncentral
+    chi-square.
     """
     r, g, t = regime_forms(params, cfg)
-    weights, basis = np.linalg.eigh(r.congruence(g.entries))
-    gaps = np.asarray(hbar_e, dtype=complex) - np.asarray(hbar_a, dtype=complex)
-    offsets = np.abs(r.half_whiten(gaps) @ basis.conj()) ** 2
-    return generalized_chi2_cdf(t, weights, offsets)
+    gaps = np.fft.ifft(np.asarray(hbar_e, dtype=complex) - np.asarray(hbar_a, dtype=complex), axis=-1)
+    return generalized_chi2_cdf(t, g / r, 2.0 * params.M * np.abs(gaps) ** 2 / r)
 
 
 def pair_miss_rate(scene: RoomScene, alice, eve, bob, params: ChannelParams, cfg: TestConfig) -> float:

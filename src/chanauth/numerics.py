@@ -1,13 +1,14 @@
 """Special functions, complex linear algebra, and seeded random sampling.
 
-Everything downstream (channel generation, covariance builders, detectors)
-funnels its numerical needs through here: chi-square CDFs/quantiles, the
+Everything downstream (channel generation, detectors, miss rates) funnels
+its numerical needs through here: chi-square CDFs/quantiles, the
 noncentral and generalized chi-square CDFs, Hermitian Cholesky
-factorization with whitening solves, and reproducible complex-Gaussian
-sampling.  Only numpy and the standard library are used: the incomplete
-gamma function is a series or a continued fraction around Loader's
-saddle-point Poisson pmf, and the whitening solves are forward
-substitutions.
+factorization with whitening solves for dense covariances (the Monte Carlo
+cross-check; the run path is spectral and factors nothing), and
+reproducible complex-Gaussian sampling.  Only numpy and the standard
+library are used: the incomplete gamma function is a series or a continued
+fraction around Loader's saddle-point Poisson pmf, and the whitening solves
+are forward substitutions.
 """
 
 from __future__ import annotations
@@ -71,17 +72,6 @@ class HermitianMatrix:
         # chol is upper triangular R_d, so R_d^H is lower triangular.
         z = _solve_lower(self.chol.conj().T, d.reshape(-1, self.dim).T)
         return np.sqrt(2.0) * z.T.reshape(d.shape)
-
-    def congruence(self, g: np.ndarray) -> np.ndarray:
-        """Compute (R_d^H)^-1 @ g @ R_d^-1, i.e. g in whitened coordinates.
-
-        If d ~ CN(0, g), then half_whiten(d) ~ CN(0, 2 * congruence(g)).
-        """
-        if self.chol is None:
-            raise ValueError("matrix is not factored; call factored() first")
-        lower = self.chol.conj().T
-        left = _solve_lower(lower, np.asarray(g, dtype=complex))
-        return _solve_lower(lower, left.conj().T).conj().T
 
     def sample_offset(self, w: np.ndarray) -> np.ndarray:
         """Map unit-variance draws w ~ CN(0, I), shape (..., M), to CN(0, R)."""
@@ -442,10 +432,12 @@ def generalized_chi2_cdf(x: float, weights, offsets):
 
     Each term is a positive weight lam_k times a noncentral chi-square with
     two degrees of freedom, i.e. |b_k + sqrt(lam_k) (u + jv)|^2 with u, v
-    ~ N(0, 1) and offsets_k = |b_k|^2.  This is the law of 2|L^-1 d|^2 for
-    any complex Gaussian d (see HermitianMatrix.congruence).  ``weights``
-    has shape (M,); ``offsets`` has shape (..., M), one row per quadratic
-    form sharing the weights; the result has shape offsets.shape[:-1].
+    ~ N(0, 1) and offsets_k = |b_k|^2.  This is the law of 2 d^H R^-1 d for
+    any complex Gaussian d, with weights the eigenvalues of R^-1 cov(d);
+    harness.miss_rates gets them as ratios of circulant spectra.
+    ``weights`` has shape (M,); ``offsets`` has shape (..., M), one row per
+    quadratic form sharing the weights; the result has shape
+    offsets.shape[:-1].
 
     Equal weights reduce exactly to noncentral_chi2_cdf, which is used
     directly.  Otherwise the CDF is the Gil-Pelaez inversion integral

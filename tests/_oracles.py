@@ -3,8 +3,12 @@
 Everything here is deliberately written without touching the library's own
 numerics beyond the channel generator under test: Simpson integration for
 chi-square probabilities, brute-force enumerations, an extended-precision
-image-source sum, and Monte Carlo covariance estimation of the
-probe-difference vectors.
+image-source sum, Monte Carlo covariance estimation of the
+probe-difference vectors, and the dense Toeplitz covariances with the
+Cholesky/eigh miss-rate path that the library's spectral core replaced.
+The dense path feeds its weights and offsets to the library's
+generalized_chi2_cdf (checked on its own against the Simpson oracle here),
+so it checks the spectral representation, not the CDF.
 """
 
 import itertools
@@ -14,7 +18,8 @@ import numpy as np
 
 from chanauth import channel as chan
 from chanauth.channel import ChannelParams, SpatialMode
-from chanauth.numerics import RngStream
+from chanauth.detect import Regime, TestConfig, threshold_for
+from chanauth.numerics import HermitianMatrix, RngStream, cholesky, generalized_chi2_cdf
 
 
 def chi2_pdf(x: float, k: int) -> float:
@@ -105,6 +110,116 @@ def long_line_tone_covariance(params: ChannelParams, truncation: float = 1e-6):
     tones = params.f0 - params.W / 2.0 + np.arange(1, params.M + 1) * (params.W / params.M)
     phase = np.exp(-2j * np.pi * np.outer(tones, np.arange(n_taps) / params.W))
     return (phase * power) @ phase.conj().T, params.sigma_T**2 - float(power.sum())
+
+
+def _variation_lag(m: int, params: ChannelParams) -> complex:
+    """Per-probe tone cross-correlation of the variable part at lag m = row - col.
+
+    2 sigma_T^2 (1 - E) / (1 - E e^{-j 2 pi m / M}) with E = e^{-2 pi Bc/W};
+    this is the a-free core shared by the off-diagonals of R and G.
+    """
+    e = params.tap_decay
+    if e == 1.0:  # Bc = 0: tones are exactly independent
+        return 0.0
+    return 2.0 * params.sigma_T**2 * (1.0 - e) / (1.0 - e * np.exp(-2j * math.pi * m / params.M))
+
+
+def r_lag(m: int, params: ChannelParams) -> complex:
+    """Lag-m entry of the self-difference covariance R.
+
+    r(0) = 2(1-a) sigma_T^2 + 2 sigma_N^2 (the noise enters only on the
+    diagonal); for m != 0 the noise drops out and the entry is
+    (1-a) times the variation core.  Satisfies r(m) = conj(r(-m)).
+    """
+    if abs(m) > params.M - 1:
+        raise ValueError(f"lag {m} out of range for M={params.M}")
+    if m == 0:
+        return complex(2.0 * (1.0 - params.a) * params.sigma_T**2 + 2.0 * params.sigma_N2)
+    return (1.0 - params.a) * _variation_lag(m, params)
+
+
+def toeplitz(lags: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrix whose (i, j) entry is lags[i - j] for i >= j
+    and conj(lags[j - i]) above the diagonal."""
+    m = len(lags)
+    ladder = np.concatenate([lags[:0:-1].conj(), lags])  # lags -(m-1) .. m-1
+    return ladder[np.subtract.outer(np.arange(m), np.arange(m)) + m - 1]
+
+
+def dense_covariance_R(params: ChannelParams) -> HermitianMatrix:
+    """Toeplitz Hermitian covariance of H_A[k] - H_A[k-1], Cholesky-factored."""
+    lags = np.array([r_lag(m, params) for m in range(params.M)])
+    return cholesky(toeplitz(lags))
+
+
+def dense_covariance_G(params: ChannelParams) -> HermitianMatrix:
+    """Covariance of H_E[k] - H_A[k-1] under independent variation.
+
+    Diagonal is exactly 2 sigma_T^2 + 2 sigma_N^2; off-diagonals equal
+    r(m-n)/(1-a), evaluated through the a-free closed form so that a = 1
+    is perfectly well defined.
+    """
+    lags = np.array([_variation_lag(m, params) for m in range(params.M)], dtype=complex)
+    lags[0] = 2.0 * params.sigma_T**2 + 2.0 * params.sigma_N2
+    return HermitianMatrix(entries=toeplitz(lags))
+
+
+def asymptotic_R_high_bc(params: ChannelParams) -> HermitianMatrix:
+    """High-Bc/W limit of R: 2 sigma_N^2 I + 2 (1-a) sigma_T^2 * ones."""
+    m = params.M
+    r = 2.0 * params.sigma_N2 * np.eye(m) + 2.0 * (1.0 - params.a) * params.sigma_T**2 * np.ones((m, m))
+    return HermitianMatrix(entries=r.astype(complex))
+
+
+def asymptotic_G_high_bc(params: ChannelParams) -> HermitianMatrix:
+    """High-Bc/W limit of G: 2 sigma_N^2 I + 2 sigma_T^2 * ones."""
+    m = params.M
+    g = 2.0 * params.sigma_N2 * np.eye(m) + 2.0 * params.sigma_T**2 * np.ones((m, m))
+    return HermitianMatrix(entries=g.astype(complex))
+
+
+def dense_regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """Each regime's (R, G, t) as dense M x M matrices, built per regime as
+    the library did before its covariances became spectra."""
+    eye = np.eye(params.M, dtype=complex)
+    noise = 2.0 * params.sigma_N2 * eye
+    regime = cfg.regime
+    if regime is Regime.LOW_BC_CLOSED_FORM:
+        r = (2.0 * (1.0 - params.a) * params.sigma_T**2 + 2.0 * params.sigma_N2) * eye
+        g = (2.0 * params.sigma_T**2 + 2.0 * params.sigma_N2) * eye
+    elif regime is Regime.TIME_INVARIANT_BENCHMARK:
+        r = g = noise
+    elif regime is Regime.FULL_SPATIAL_CORRELATION:
+        r = g = dense_covariance_R(params).entries
+    elif regime is Regime.HIGH_BC_NUMERICAL:
+        r, g = asymptotic_R_high_bc(params).entries, asymptotic_G_high_bc(params).entries
+    elif regime is Regime.GENERAL_KNOWN_PARAMS:
+        r, g = dense_covariance_R(params).entries, dense_covariance_G(params).entries
+    else:  # Regime.UNKNOWN_PARAMS
+        r, g = noise, dense_covariance_G(params).entries
+    return r, g, threshold_for(cfg, params.M)
+
+
+def dense_miss_rates(hbar_a, hbar_e, params: ChannelParams, cfg: TestConfig) -> np.ndarray:
+    """Miss rates P(Z <= t) for rows of fixed-response pairs by whitening densely.
+
+    With R = L L^H, the score 2 |L^-1 d|^2 for d ~ CN(gap, G) has the
+    eigenvalues of C = L^-1 G L^-H as weights and 2 |V^H L^-1 gap|^2 as
+    offsets, V the eigenvectors of C (one Cholesky, one eigh).
+    """
+    r, g, t = dense_regime_forms(params, cfg)
+    lower = np.linalg.cholesky(r)
+    left = np.linalg.solve(lower, g)  # L^-1 G
+    weights, basis = np.linalg.eigh(np.linalg.solve(lower, left.conj().T))  # L^-1 (L^-1 G)^H
+    gaps = np.asarray(hbar_e, dtype=complex) - np.asarray(hbar_a, dtype=complex)
+    offsets = 2.0 * np.abs(basis.conj().T @ np.linalg.solve(lower, gaps.T)).T ** 2
+    return generalized_chi2_cdf(t, weights, offsets)
+
+
+def circulant_basis(m: int) -> np.ndarray:
+    """The unitary DFT U with U d = sqrt(M) ifft(d), so U R U^H = diag(r_hat)."""
+    k = np.arange(m)
+    return np.exp(2j * np.pi * np.outer(k, k) / m) / math.sqrt(m)
 
 
 def relative_frobenius(estimate: np.ndarray, truth: np.ndarray) -> float:

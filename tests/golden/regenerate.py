@@ -1,9 +1,8 @@
 """Rewrite the golden CSVs that tests/test_golden.py compares against.
 
-    python tests/golden/regenerate.py [NAME ...]
+    python tests/golden/regenerate.py
 
-Run from a checkout.  Each named config in test_golden.CONFIGS (all of them
-by default) is run through
+Run from a checkout.  Each config in test_golden.CONFIGS is run through
 ``chanauth run`` at its own seed, its sweep.csv and calibration.csv replace
 the files under tests/golden/<name>/, and every value that changed is
 printed as ``name/file row column: old -> new (relative move)``.
@@ -32,13 +31,9 @@ def relative_move(old: str, new: str) -> str:
     return f"{abs(b - a) / abs(a):.1e}" if a else "from zero"
 
 
-def main(names: list[str]) -> int:
-    unknown = sorted(set(names) - set(CONFIGS))
-    if unknown:
-        print(f"no golden config named {', '.join(unknown)}; choose from {', '.join(sorted(CONFIGS))}")
-        return 2
+def main() -> int:
     moved = 0
-    for name in sorted(names or CONFIGS):
+    for name in sorted(CONFIGS):
         target = GOLDEN / name
         with tempfile.TemporaryDirectory() as tmp:
             run_config(name, Path(tmp))
@@ -60,4 +55,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from chanauth import stats
 from chanauth.channel import ChannelParams
 from chanauth.cli import EXIT_OK, run as cli_run
 from chanauth.detect import (
@@ -38,7 +37,7 @@ from chanauth.numerics import (
 )
 from chanauth.raytrace import GridSpec, RoomScene, fixed_response, room_average_gain
 
-from _oracles import empirical_difference_covariances, relative_frobenius
+from _oracles import dense_covariance_G, dense_covariance_R, empirical_difference_covariances, relative_frobenius
 
 TestConfig.__test__ = False
 
@@ -100,8 +99,8 @@ def test_criterion_2_difference_covariance_oracle():
             sigma_N2=float(rng.uniform(0.05, 0.5)),
         )
         emp_R, emp_G = empirical_difference_covariances(params, 1_000_000, RngStream(900 + trial))
-        err_R = relative_frobenius(emp_R, stats.covariance_R(params).entries)
-        err_G = relative_frobenius(emp_G, stats.covariance_G(params).entries)
+        err_R = relative_frobenius(emp_R, dense_covariance_R(params).entries)
+        err_G = relative_frobenius(emp_G, dense_covariance_G(params).entries)
         assert err_R < 0.05, (trial, err_R)
         assert err_G < 0.05, (trial, err_G)
         print(f"criterion 2 set {trial}: M={M} frobenius R={err_R:.3f} G={err_G:.3f} (< 0.05)")
@@ -151,7 +150,7 @@ def test_criterion_4_reduction_identities():
 
     low = miss_rate_low_bc(ALPHA, params, ha, he)
     bench = miss_rate_time_invariant(ALPHA, params.sigma_N2, ha, he, params.M)
-    full = miss_rate_full_spatial(ALPHA, params, ha, he, stats.covariance_R(params))
+    full = miss_rate_full_spatial(ALPHA, params, ha, he, dense_covariance_R(params))
     assert abs(low - bench) < 1e-12
     assert abs(full - bench) < 1e-12
 
@@ -159,7 +158,7 @@ def test_criterion_4_reduction_identities():
         assert abs(noncentral_chi2_cdf(x, k, 0.0) - chi2_cdf(x, k)) < 1e-12
 
     frozen = ChannelParams(f0=5e9, W=1e7, M=6, a=1.0, Bc=1e4, sigma_T=2.0, sigma_N2=0.5)
-    R = stats.covariance_R(frozen).entries
+    R = dense_covariance_R(frozen).entries
     assert np.max(np.abs(R - 2.0 * frozen.sigma_N2 * np.eye(6))) < 1e-12
     print("criterion 4 PASS: all reduction identities hold to 1e-12")
 

@@ -19,9 +19,8 @@ from chanauth.channel import (
     taps_to_frequency,
 )
 from chanauth.numerics import RngStream
-from chanauth.stats import covariance_G
 
-from _oracles import long_line_tone_covariance
+from _oracles import dense_covariance_G, long_line_tone_covariance
 
 
 def make_params(**overrides) -> ChannelParams:
@@ -121,7 +120,7 @@ class TestDelayProfile:
         # Column 0 of G holds lags 0..M-1: 2 sigma_T^2 (1 - E)/(1 - E e^{-j2pi m/M})
         # off the diagonal, 2 sigma_T^2 + 2 sigma_N^2 on it.
         p = make_params(M=M, Bc=Bc, sigma_T=sigma_T, sigma_N2=0.5)
-        variation = covariance_G(p).entries[:, 0] - 2 * p.sigma_N2 * (np.arange(M) == 0)
+        variation = dense_covariance_G(p).entries[:, 0] - 2 * p.sigma_N2 * (np.arange(M) == 0)
         dft = np.fft.fft(build_delay_profile(p).profile, n=M)  # zero taps dropped at the end
         assert np.abs(2 * dft - variation).max() <= 1e-10
 

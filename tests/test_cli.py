@@ -115,6 +115,7 @@ class TestLoadConfig:
             ({"test.threshold_override": "nan"}, "test.threshold_override"),
             ({"sweep.param": "M"}, "sweep.param"),
             ({"run.seed": "-1"}, "run.seed"),
+            ({"channel.T": "1e-3"}, "channel.T: unknown key"),
         ],
     )
     def test_diagnostics_name_the_key(self, tmp_path, overrides, fragment):
@@ -239,6 +240,8 @@ class TestValidateMatchesRun:
             ({"sweep.param": "P_T", "sweep.values": "0 100"}, "sweep.values"),
             ({"test.alpha": "1e-300"}, "test.alpha"),
             ({"test.regime": "unknown"}, "test.threshold_override"),
+            # M kT N_F b / P_T underflows to 0, though every factor is in range.
+            ({"budget.kT": "1e-100", "budget.N_F": "1e-100", "budget.b": "1e-100", "budget.P_T": "1e100"}, "[budget]"),
         ],
     )
     def test_unrunnable_values_fail_validation(self, tmp_path, capsys, overrides, key):
@@ -246,6 +249,28 @@ class TestValidateMatchesRun:
         assert any(key in d for d in validate(path))
         assert run(path, tmp_path / "out") == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("Bc", ["0", "2e6", "inf"])
+    @pytest.mark.parametrize("P_T", ["1e16", "1e20", "1e100"])
+    @pytest.mark.parametrize("regime", sorted(cli._REGIME_NAMES))
+    def test_high_snr(self, tmp_path, capsys, regime, P_T, Bc):
+        # Noise far below the variation: a config is rejected naming [budget]
+        # (its noise variance leaves the supported magnitudes) or it runs.
+        overrides = {"run.trials": "300", "test.regime": regime, "budget.P_T": P_T, "channel.B_c": Bc}
+        if regime == "unknown":
+            overrides["test.threshold_override"] = "40"
+        path = write_cfg(tmp_path, **overrides)
+        diags = validate(path)
+        rc = run(path, tmp_path / "out")
+        if diags:
+            assert rc == EXIT_CONFIG and all("[budget]" in d for d in diags), diags
+            return
+        assert rc == EXIT_OK, capsys.readouterr().err
+        rows, calib = read_outputs(tmp_path / "out")
+        assert len(rows) == 2
+        for row in rows:
+            assert 0.0 <= float(row["beta_bar"]) <= 1.0 and math.isfinite(float(row["std_err"])), row
+        assert math.isfinite(float(calib["alpha_hat"])) and math.isfinite(float(calib["std_err"])), calib
 
 
 def read_outputs(out: Path) -> tuple[list[dict], dict]:

@@ -26,7 +26,8 @@ from chanauth.detect import (
     threshold_for,
 )
 from chanauth.numerics import RngStream, chi2_cdf, chi2_inv, cholesky
-from chanauth.stats import covariance_R
+
+from _oracles import circulant_basis, dense_covariance_G, dense_covariance_R
 
 # Library classes, not test containers.
 TestConfig.__test__ = False
@@ -64,11 +65,14 @@ class TestStatistics:
             statistic_general(np.zeros(3), np.zeros(3), r)
 
     def test_batch_matches_scalar(self):
+        # statistic_batch takes R's spectrum; statistic_general whitens the
+        # dense circulant matrix with that spectrum.
         gen = RngStream(40).generator
-        b = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-        r = cholesky(b.conj().T @ b + np.eye(4))
+        spectrum = np.abs(gen.standard_normal(4)) + 1.0
+        u = circulant_basis(4)
+        r = cholesky(u.conj().T @ np.diag(spectrum) @ u)
         diffs = gen.standard_normal((6, 4)) + 1j * gen.standard_normal((6, 4))
-        zs = statistic_batch(diffs, r)
+        zs = statistic_batch(diffs, spectrum)
         for i in range(6):
             assert zs[i] == pytest.approx(statistic_general(diffs[i], np.zeros(4), r), rel=1e-12)
 
@@ -76,10 +80,9 @@ class TestStatistics:
     @given(m=st.integers(1, 8), log_scale=st.floats(-8, 8), seed=st.integers(0, 2**32 - 1))
     def test_batch_nonnegative(self, m, log_scale, seed):
         gen = np.random.default_rng(seed)
-        a = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
-        r = cholesky(a @ a.conj().T + 1e-3 * np.eye(m))
+        spectrum = np.abs(gen.standard_normal(m) + 1j * gen.standard_normal(m)) ** 2 + 1e-3
         diffs = 10.0**log_scale * (gen.standard_normal((50, m)) + 1j * gen.standard_normal((50, m)))
-        z = statistic_batch(diffs, r)
+        z = statistic_batch(diffs, spectrum)
         assert np.all(np.isfinite(z)) and np.all(z >= 0.0)
 
     def test_unknown_norm(self):
@@ -175,7 +178,7 @@ class TestClosedForms:
 
     def test_full_spatial_null(self):
         p = make_params()
-        r = covariance_R(p)
+        r = dense_covariance_R(p)
         h = np.ones(p.M, dtype=complex)
         assert miss_rate_full_spatial(0.01, p, h, h, r) == pytest.approx(0.99, abs=1e-12)
 
@@ -184,7 +187,7 @@ class TestClosedForms:
         betas = []
         for st in (0.1, 1.0, 10.0, 100.0):
             p = make_params(sigma_T=st)
-            betas.append(miss_rate_full_spatial(0.01, p, h, h + 0.5, covariance_R(p)))
+            betas.append(miss_rate_full_spatial(0.01, p, h, h + 0.5, dense_covariance_R(p)))
         assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
         assert betas[-1] < 0.99
 
@@ -204,7 +207,7 @@ class TestClosedForms:
         he = ha + 0.3 * (gen.standard_normal(p.M) + 1j * gen.standard_normal(p.M))
         b1 = miss_rate_low_bc(0.01, p, ha, he)
         b2 = miss_rate_time_invariant(0.01, p.sigma_N2, ha, he, p.M)
-        b3 = miss_rate_full_spatial(0.01, p, ha, he, covariance_R(p))
+        b3 = miss_rate_full_spatial(0.01, p, ha, he, dense_covariance_R(p))
         assert abs(b1 - b2) <= 1e-12
         assert abs(b2 - b3) <= 1e-12
 
@@ -252,25 +255,23 @@ class TestClosedForms:
 class TestMonteCarlo:
     def test_general_numerical_perfect_separation(self):
         p = make_params()
-        r = covariance_R(p)
-        g = covariance_R(p)  # any SPD works for this check
+        r = dense_covariance_R(p)
+        g = dense_covariance_R(p)  # any SPD works for this check
         h = np.zeros(p.M, dtype=complex)
         beta, se = miss_rate_general_numerical(0.01, p, h, h + 1e6, r, g, 2000, RngStream(44))
         assert beta == 0.0
 
     def test_general_numerical_null_coincidence(self):
         p = make_params()
-        r = covariance_R(p)
+        r = dense_covariance_R(p)
         h = np.ones(p.M, dtype=complex)
         beta, se = miss_rate_general_numerical(0.01, p, h, h, r, r, 50_000, RngStream(45))
         assert abs(beta - 0.99) <= 3 * se
 
     def test_general_matches_low_bc_closed_form(self):
         p = make_params(Bc=1e-6 * 1e7, sigma_T=0.8, sigma_N2=0.5)
-        r = covariance_R(p)
-        from chanauth.stats import covariance_G
-
-        g = covariance_G(p)
+        r = dense_covariance_R(p)
+        g = dense_covariance_G(p)
         h = np.zeros(p.M, dtype=complex)
         he = h + 0.9
         beta, _ = miss_rate_general_numerical(0.01, p, h, he, r, g, 100_000, RngStream(46))

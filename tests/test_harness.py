@@ -1,13 +1,14 @@
 """Link budget, per-pair miss rates, end-to-end simulation, room sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanauth import raytrace, stats
+from chanauth import raytrace
 from chanauth.channel import ChannelParams, SpatialMode
 from chanauth.detect import (
     Regime,
@@ -27,14 +28,22 @@ from chanauth.harness import (
     miss_rates,
     noise_variance,
     pair_miss_rate,
+    regime_forms,
     room_sweep,
     sigma_T_from_bT,
     simulate_error_rates,
 )
-from chanauth.numerics import RngStream, chi2_inv, cholesky
+from chanauth.numerics import NotPositiveDefiniteError, RngStream, chi2_inv, cholesky
 from chanauth.raytrace import GridSpec, RoomScene, fixed_response, grid_positions, response_matrix, room_average_gain
 
-from _oracles import gchi2_cdf_by_simpson
+from _oracles import (
+    asymptotic_G_high_bc,
+    asymptotic_R_high_bc,
+    dense_covariance_G,
+    dense_covariance_R,
+    dense_miss_rates,
+    gchi2_cdf_by_simpson,
+)
 
 TestConfig.__test__ = False
 
@@ -110,9 +119,9 @@ class TestPairMissRate:
         cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS)
         beta = miss_rate_for_pair(ha, he, p, cfg)
         assert beta == miss_rate_for_pair(ha, he, p, cfg)
-        lower = np.linalg.cholesky(stats.covariance_R(p).entries)
+        lower = np.linalg.cholesky(dense_covariance_R(p).entries)
         whiten = np.linalg.inv(lower)
-        weights, basis = np.linalg.eigh(whiten @ stats.covariance_G(p).entries @ whiten.conj().T)
+        weights, basis = np.linalg.eigh(whiten @ dense_covariance_G(p).entries @ whiten.conj().T)
         offsets = 2.0 * np.abs(basis.conj().T @ whiten @ (he - ha)) ** 2
         assert beta == pytest.approx(gchi2_cdf_by_simpson(chi2_inv(0.99, 2 * p.M), weights, offsets), abs=1e-9)
 
@@ -145,7 +154,7 @@ class TestMissRates:
             (Regime.TIME_INVARIANT_BENCHMARK, lambda p, ha, he: miss_rate_time_invariant(0.01, p.sigma_N2, ha, he, p.M)),
             (
                 Regime.FULL_SPATIAL_CORRELATION,
-                lambda p, ha, he: miss_rate_full_spatial(0.01, p, ha, he, stats.covariance_R(p)),
+                lambda p, ha, he: miss_rate_full_spatial(0.01, p, ha, he, dense_covariance_R(p)),
             ),
         ],
     )
@@ -184,9 +193,9 @@ class TestMissRates:
         close = np.argsort(np.linalg.norm(he - ha, axis=1))[[0, 2, 4, 6]]  # miss rates of 0.02 to 0.42
         ha, he = ha[close], he[close]
         if regime is Regime.HIGH_BC_NUMERICAL:
-            r, g = stats.asymptotic_R_high_bc(p), stats.asymptotic_G_high_bc(p)
+            r, g = asymptotic_R_high_bc(p), asymptotic_G_high_bc(p)
         else:
-            r, g = stats.covariance_R(p), stats.covariance_G(p)
+            r, g = dense_covariance_R(p), dense_covariance_G(p)
         cfg = TestConfig(alpha=0.01, regime=regime)
         if regime is Regime.UNKNOWN_PARAMS:
             # |d|^2 / sigma_N^2 <= t is the whitened score for R = 2 sigma_N^2 I,
@@ -198,6 +207,50 @@ class TestMissRates:
         for i, (a, e) in enumerate(zip(ha, he)):
             mc, se = miss_rate_general_numerical(0.01, p, a, e, r, g, 200_000, RngStream(80, i))
             assert abs(exact[i] - mc) <= 4.0 * se, (i, exact[i], mc, se)
+
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("Bc", [0.0, 1e3, 2e6, 5e7, math.inf])
+    def test_matches_dense_path(self, room, regime, Bc):
+        # The spectral forms against Cholesky + eigh of the dense Toeplitz
+        # covariances, at every a in {0, 0.5, 0.9, 1} and sigma_T in {0, 1x}.
+        p, ha, he = room
+        cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=40.0 if regime is Regime.UNKNOWN_PARAMS else None)
+        for a in (0.0, 0.5, 0.9, 1.0):
+            for sigma_T in (0.0, p.sigma_T):
+                q = replace(p, Bc=Bc, a=a, sigma_T=sigma_T)
+                err = np.abs(miss_rates(ha, he, q, cfg) - dense_miss_rates(ha, he, q, cfg)).max()
+                assert err <= 1e-12, (a, sigma_T, err)
+
+    @pytest.mark.parametrize("M", [1, 2, 5, 30])
+    def test_matches_dense_path_tone_counts(self, M):
+        gen = np.random.default_rng(M)
+        ha = 1e-6 * (gen.standard_normal((8, M)) + 1j * gen.standard_normal((8, M)))
+        he = ha + 3e-7 * (gen.standard_normal((8, M)) + 1j * gen.standard_normal((8, M)))
+        for regime in Regime:
+            cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=4.0 * M if regime is Regime.UNKNOWN_PARAMS else None)
+            for Bc in (0.0, 2e6, math.inf):
+                p = make_params(M=M, Bc=Bc, sigma_T=3e-7, sigma_N2=2e-14)
+                err = np.abs(miss_rates(ha, he, p, cfg) - dense_miss_rates(ha, he, p, cfg)).max()
+                assert err <= 1e-12, (regime, Bc, err)
+
+
+class TestRegimeForms:
+    def test_low_and_high_bc_are_general_at_the_limits(self):
+        p = make_params(sigma_T=0.7, sigma_N2=0.2)
+        general = TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS)
+        for regime, Bc in ((Regime.LOW_BC_CLOSED_FORM, 0.0), (Regime.HIGH_BC_NUMERICAL, math.inf)):
+            got = regime_forms(p, TestConfig(alpha=0.01, regime=regime))
+            want = regime_forms(replace(p, Bc=Bc), general)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+    def test_zero_noise_floor(self):
+        # Without noise r_hat vanishes where the variation does not reach.
+        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS)
+        with pytest.raises(NotPositiveDefiniteError):
+            regime_forms(make_params(a=1.0, sigma_N2=0.0), cfg)
+        r, _, _ = regime_forms(make_params(a=0.9, Bc=0.0, sigma_N2=0.0), cfg)
+        assert np.all(r > 0)
 
 
 class TestSimulateErrorRates:
