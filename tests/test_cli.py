@@ -323,6 +323,19 @@ class TestMutatedConfig:
         assert math.isfinite(float(calib["alpha_hat"])) and math.isfinite(float(calib["std_err"])), calib
 
 
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig7"])
+def test_shipped_config_runs(config_run, name):
+    # config_run shares the one run of each shipped config with tests/test_golden.py.
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+    assert main(["validate", str(path)]) == EXIT_OK
+    rows, calib = read_outputs(config_run(path))
+    assert rows and all(math.isfinite(float(r["std_err"])) for r in rows)
+    assert all(0.0 <= float(r["beta_bar"]) <= 1.0 for r in rows)
+    alpha_hat, se = float(calib["alpha_hat"]), float(calib["std_err"])
+    assert math.isfinite(alpha_hat) and math.isfinite(se)
+    assert abs(alpha_hat - float(calib["alpha_target"])) <= 4.0 * se
+
+
 def test_run_imports_no_scipy(tmp_path):
     # scipy is a test-only oracle: a run in a fresh interpreter must not load it, whatever the regime.
     configs = [
