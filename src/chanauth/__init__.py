@@ -1,7 +1,7 @@
 """Physical-layer transmitter authentication: channel simulation, chi-square
 spoofing detection, and Monte Carlo miss-rate experiments."""
 
-from .channel import ChannelParams, FreqResponse, SpatialMode, TapState
+from .channel import ChannelParams, SpatialMode, TapState
 from .detect import Decision, Regime, TestConfig, TestOutcome
 from .harness import ErrorRates, LinkBudget, SweepAxis, SweepResult
 from .numerics import HermitianMatrix, NotPositiveDefiniteError, RngStream
@@ -11,7 +11,6 @@ __all__ = [
     "ChannelParams",
     "Decision",
     "ErrorRates",
-    "FreqResponse",
     "GridSpec",
     "HermitianMatrix",
     "LinkBudget",

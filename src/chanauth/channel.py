@@ -82,7 +82,7 @@ class SpatialMode(Enum):
 
 @dataclass(frozen=True)
 class TapState:
-    """Amplitudes and power profile of the folded delay line at time k.
+    """Amplitudes and power profile of the folded delay line.
 
     ``amps`` has shape (..., L), L <= M for a folded line; leading axes
     are independent realizations.
@@ -90,15 +90,6 @@ class TapState:
 
     amps: np.ndarray
     profile: np.ndarray
-    k: int = 0
-
-
-@dataclass(frozen=True)
-class FreqResponse:
-    """Length-M response vector (or a batch of them) at time index k."""
-
-    samples: np.ndarray
-    k: int = 0
 
 
 def build_delay_profile(params: ChannelParams) -> TapState:
@@ -116,7 +107,7 @@ def build_delay_profile(params: ChannelParams) -> TapState:
     weights = params.tap_decay ** np.arange(params.M)
     profile = params.sigma_T**2 * weights / weights.sum()
     profile = profile[: max(1, np.count_nonzero(profile))]
-    return TapState(amps=np.zeros_like(profile, dtype=complex), profile=profile, k=0)
+    return TapState(amps=np.zeros_like(profile, dtype=complex), profile=profile)
 
 
 def init_taps(state: TapState, rng: RngStream, batch: int | None = None) -> TapState:
@@ -127,7 +118,7 @@ def init_taps(state: TapState, rng: RngStream, batch: int | None = None) -> TapS
     """
     size = state.profile.shape if batch is None else (batch, len(state.profile))
     amps = sample_complex_gaussian(rng, state.profile, size=size)
-    return TapState(amps=np.asarray(amps), profile=state.profile, k=0)
+    return TapState(amps=np.asarray(amps), profile=state.profile)
 
 
 def step_taps(state: TapState, a: float, rng: RngStream) -> TapState:
@@ -138,7 +129,7 @@ def step_taps(state: TapState, a: float, rng: RngStream) -> TapState:
     """
     u = sample_complex_gaussian(rng, 1.0, size=state.amps.shape)
     amps = a * state.amps + np.sqrt((1.0 - a**2) * state.profile) * u
-    return replace(state, amps=amps, k=state.k + 1)
+    return replace(state, amps=amps)
 
 
 def taps_to_frequency(state: TapState, params: ChannelParams) -> np.ndarray:
@@ -149,18 +140,20 @@ def taps_to_frequency(state: TapState, params: ChannelParams) -> np.ndarray:
 
 def sample_response(
     fixed: np.ndarray, state: TapState, params: ChannelParams, rng: RngStream
-) -> FreqResponse:
+) -> np.ndarray:
     """One noisy probe: fixed part + variable part + fresh CN(0, sigma_N^2) noise.
 
-    Noise is drawn anew on every call; a stored reference is always a noisy
-    observation, never the clean response.
+    ``fixed`` is the length-M fixed response; the probe has shape
+    state.amps.shape[:-1] + (M,).  Noise is drawn anew on every call; a
+    stored reference is always a noisy observation, never the clean response.
     """
     fixed = np.asarray(fixed, dtype=complex)
     if fixed.shape[-1] != params.M:
         raise ValueError(f"fixed response has length {fixed.shape[-1]}, expected M={params.M}")
-    eps = taps_to_frequency(state, params)
-    noise = sample_complex_gaussian(rng, params.sigma_N2, size=eps.shape[:-1] + (params.M,))
-    return FreqResponse(samples=fixed + eps + noise, k=state.k)
+    probe = taps_to_frequency(state, params)
+    probe += fixed  # in place: batches of probes are the calibration's largest arrays
+    probe += sample_complex_gaussian(rng, params.sigma_N2, size=probe.shape)
+    return probe
 
 
 def eve_variation(
@@ -175,5 +168,4 @@ def eve_variation(
     if mode is SpatialMode.FULLY_CORRELATED:
         return alice_state
     batch = None if alice_state.amps.ndim == 1 else alice_state.amps.shape[0]
-    fresh = init_taps(alice_state, rng, batch=batch)
-    return replace(fresh, k=alice_state.k)
+    return init_taps(alice_state, rng, batch=batch)

@@ -20,31 +20,21 @@ from pathlib import Path
 from .channel import ChannelParams
 from .detect import Regime, TestConfig
 from .harness import (
-    BOLTZMANN_NOISE_DENSITY,
     LinkBudget,
     SweepAxis,
     apply_sweep_value,
     noise_variance,
+    resolve_variances,
     room_sweep,
     sigma_T_from_bT,
     simulate_error_rates,
 )
-from . import raytrace
 from .numerics import RngStream, chi2_inv
-from .raytrace import GridSpec, RoomScene
+from .raytrace import GridSpec, RoomScene, RoomTrace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-_REGIME_NAMES = {
-    "general": Regime.GENERAL_KNOWN_PARAMS,
-    "low_bc": Regime.LOW_BC_CLOSED_FORM,
-    "high_bc": Regime.HIGH_BC_NUMERICAL,
-    "unknown": Regime.UNKNOWN_PARAMS,
-    "full_spatial": Regime.FULL_SPATIAL_CORRELATION,
-    "time_invariant": Regime.TIME_INVARIANT_BENCHMARK,
-}
 
 _SCHEMA = {
     "scene": {
@@ -135,9 +125,10 @@ def _parse_value(kind: str, raw: str):
         conv = int if kind.startswith("ints") else _parse_float
         return tuple(conv(p) for p in parts)
     if kind == "regime":
-        if raw not in _REGIME_NAMES:
-            raise ValueError(f"unknown regime {raw!r}; choose from {sorted(_REGIME_NAMES)}")
-        return _REGIME_NAMES[raw]
+        try:
+            return Regime(raw)
+        except ValueError:
+            raise ValueError(f"unknown regime {raw!r}; choose from {sorted(r.value for r in Regime)}")
     if kind == "sweep_axis":
         try:
             return SweepAxis(raw)
@@ -208,34 +199,13 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     if diags:
         return None, diags
 
-    try:
-        scene = RoomScene(
-            dimensions=values["scene"]["dimensions"],
-            wall_reflectivity=values["scene"].get("wall_reflectivity", -0.7),
-            max_order=values["scene"].get("max_order", 4),
-            c=values["scene"].get("c", 2.998e8),
-            amplitude_scale=values["scene"].get("amplitude_scale", 1e-5),
-        )
-    except ValueError as exc:
-        diags.append(f"[scene]: {exc}")
-    try:
-        grid = GridSpec(
-            origin=values["grid"]["origin"],
-            spacing=values["grid"]["spacing"],
-            counts=values["grid"]["counts"],
-            height=values["grid"]["height"],
-        )
-    except ValueError as exc:
-        diags.append(f"[grid]: {exc}")
-    try:
-        budget = LinkBudget(
-            P_T=values["budget"]["P_T"],
-            kT=values["budget"].get("kT", BOLTZMANN_NOISE_DENSITY),
-            N_F=values["budget"].get("N_F", 10.0),
-            b=values["budget"].get("b", 0.25e6),
-        )
-    except ValueError as exc:
-        diags.append(f"[budget]: {exc}")
+    # Config keys are the field names, so every omitted key takes its type's default.
+    built = {}
+    for section, cls in (("scene", RoomScene), ("grid", GridSpec), ("budget", LinkBudget)):
+        try:
+            built[section] = cls(**values[section])
+        except ValueError as exc:
+            diags.append(f"[{section}]: {exc}")
     ch = values["channel"]
     if not 0 <= ch["b_T"] < math.inf:
         diags.append("channel.b_T: must be nonnegative and finite")
@@ -253,11 +223,7 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         diags.append(f"[channel]: {exc}")
     tst = values["test"]
     try:
-        cfg = TestConfig(
-            alpha=tst["alpha"],
-            regime=tst["regime"],
-            threshold_override=tst.get("threshold_override"),
-        )
+        cfg = TestConfig(**tst)
     except ValueError as exc:
         # alpha is checked only without an override, so one key is at fault.
         key = "alpha" if tst.get("threshold_override") is None else "threshold_override"
@@ -290,6 +256,7 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         return None, diags
 
     # Cross-field checks that need the assembled objects.
+    scene, grid, budget = built["scene"], built["grid"], built["budget"]
     low, high = _MAGNITUDE_RANGE
     for value in sweep_values:
         try:
@@ -308,9 +275,8 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     if grid.n_points < 2:
         diags.append(f"grid.counts: {grid.counts[0]} x {grid.counts[1]} has fewer than 2 points, so no pair")
     dims = scene.dimensions
-    for name, pos in (("bob.position", values["bob"]["position"]),):
-        if not all(0 < p < d for p, d in zip(pos, dims)):
-            diags.append(f"{name}: must be strictly inside the room (scene.dimensions = {dims})")
+    if not all(0 < p < d for p, d in zip(values["bob"]["position"], dims)):
+        diags.append(f"bob.position: must be strictly inside the room (scene.dimensions = {dims})")
     gx = grid.origin[0] + grid.spacing * (grid.counts[0] - 1)
     gy = grid.origin[1] + grid.spacing * (grid.counts[1] - 1)
     if not (0 < grid.origin[0] and 0 < grid.origin[1] and gx < dims[0] and gy < dims[1] and 0 < grid.height < dims[2]):
@@ -387,7 +353,7 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
             fh.write(f"  {result.swept_param}={_fmt(value)}: beta_bar={_fmt(beta)} (se={_fmt(se)})\n")
 
 
-def _calibrate(config: ExperimentConfig, trace: raytrace.RoomTrace, rng: RngStream):
+def _calibrate(config: ExperimentConfig, trace: RoomTrace, rng: RngStream):
     """Empirical false-alarm rate for the configured regime at mid-grid.
 
     The room gain and alice's fixed response (the middle grid point) come
@@ -395,12 +361,7 @@ def _calibrate(config: ExperimentConfig, trace: raytrace.RoomTrace, rng: RngStre
     traced again after a sweep that kept them.  Only alpha_hat is reported,
     so the spoofer (eve, the first grid point) is not simulated.
     """
-    responses = trace.responses(config.channel)
-    params = replace(
-        config.channel,
-        sigma_T=sigma_T_from_bT(config.b_T, raytrace.rms_gain(responses)),
-        sigma_N2=noise_variance(config.budget, config.channel.M),
-    )
+    params, responses = resolve_variances(trace, config.channel, config.budget, config.b_T)
     hbar_a = responses[len(responses) // 2]
     hbar_e = responses[0]
     rates = simulate_error_rates(hbar_a, hbar_e, params, config.test, config.trials, rng, include_h1=False)
@@ -430,11 +391,9 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
     outputs = [out_dir / "sweep.csv", out_dir / "calibration.csv", out_dir / "summary.txt"]
     try:
         rng = RngStream(config.seed)
-        trace = raytrace.RoomTrace(config.scene, config.grid, config.bob)
+        trace = RoomTrace(config.scene, config.grid, config.bob)
         result = room_sweep(
-            config.scene,
-            config.grid,
-            config.bob,
+            trace,
             config.budget,
             config.channel,
             config.test,
@@ -443,7 +402,6 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
             b_T=config.b_T,
             pair_budget=config.pair_budget,
             rng=rng,
-            trace=trace,
         )
         calibration = _calibrate(config, trace, rng.substream(999))
         _write_outputs(out_dir, config, config_path, result, calibration)

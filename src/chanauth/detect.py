@@ -18,7 +18,7 @@ import numpy as np
 import numpy.fft  # every run transforms through it (here and in harness); numpy would otherwise load it on first use
 
 from . import channel
-from .channel import ChannelParams, FreqResponse
+from .channel import ChannelParams
 from .numerics import HermitianMatrix, RngStream, chi2_cdf, chi2_inv, noncentral_chi2_cdf
 
 
@@ -56,19 +56,13 @@ class TestOutcome:
     decision: Decision
 
 
-def _as_vector(h) -> np.ndarray:
-    if isinstance(h, FreqResponse):
-        return np.asarray(h.samples, dtype=complex)
-    return np.asarray(h, dtype=complex)
-
-
 def statistic_general(h_now, h_ref, R: HermitianMatrix) -> float:
     """Whitened-difference statistic Z = 2 d^H R^-1 d, d = h_now - h_ref.
 
     Computed as |sqrt(2) (R_d^H)^-1 d|^2 via a triangular solve.  Under the
     null hypothesis with the correct R this is chi-square with 2M dof.
     """
-    d = _as_vector(h_now) - _as_vector(h_ref)
+    d = np.asarray(h_now, dtype=complex) - np.asarray(h_ref, dtype=complex)
     if d.shape[-1] != R.dim:
         raise ValueError(f"difference length {d.shape[-1]} does not match R dim {R.dim}")
     z = R.half_whiten(d)
@@ -83,18 +77,6 @@ def statistic_batch(diffs: np.ndarray, r_hat: np.ndarray) -> np.ndarray:
     """
     z = np.fft.ifft(diffs, axis=-1)
     return 2.0 * len(r_hat) * np.sum(np.abs(z) ** 2 / r_hat, axis=-1)
-
-
-def statistic_unknown(h_now, h_ref, sigma_N2: float) -> float:
-    """Parameter-free statistic |h_now - h_ref|^2 / sigma_N^2.
-
-    Used when the variation parameters are unknown to the receiver; only
-    its ROC is meaningful, via Monte Carlo.
-    """
-    if sigma_N2 <= 0:
-        raise ValueError("sigma_N2 must be positive")
-    d = _as_vector(h_now) - _as_vector(h_ref)
-    return float(np.real(np.sum(np.abs(d) ** 2, axis=-1)) / sigma_N2)
 
 
 def threshold_for(cfg: TestConfig, M: int) -> float:
@@ -128,7 +110,7 @@ def calibrate_threshold(h0_statistics: np.ndarray, alpha: float) -> float:
 
 
 def _fixed_gap_energy(hbar_A, hbar_E) -> float:
-    d = _as_vector(hbar_E) - _as_vector(hbar_A)
+    d = np.asarray(hbar_E, dtype=complex) - np.asarray(hbar_A, dtype=complex)
     return float(np.real(np.sum(np.abs(d) ** 2)))
 
 
@@ -166,7 +148,7 @@ def miss_rate_full_spatial(alpha: float, params: ChannelParams, hbar_A, hbar_E, 
     is noncentral chi-square with mu = |sqrt(2) (R_d^H)^-1 (hbar_E - hbar_A)|^2
     against the unscaled chi-square threshold.
     """
-    d = _as_vector(hbar_E) - _as_vector(hbar_A)
+    d = np.asarray(hbar_E, dtype=complex) - np.asarray(hbar_A, dtype=complex)
     w = R.factored().half_whiten(d)
     mu = float(np.real(np.vdot(w, w)))
     t = chi2_inv(1.0 - alpha, 2 * params.M)
@@ -205,7 +187,7 @@ def miss_rate_general_numerical(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    delta = _as_vector(hbar_E) - _as_vector(hbar_A)
+    delta = np.asarray(hbar_E, dtype=complex) - np.asarray(hbar_A, dtype=complex)
     m = params.M
     g = G.factored()
     gen = rng.generator
@@ -226,7 +208,7 @@ def roc_unknown_params(
     trials: int,
     rng: RngStream,
 ) -> list[tuple[float, float]]:
-    """Empirical (alpha, beta) pairs for the parameter-free statistic.
+    """Empirical (alpha, beta) pairs for the parameter-free statistic |d|^2 / sigma_N^2.
 
     Both hypotheses' sample paths go through the full channel generator,
     and every threshold is scored against the same paths, so the returned
@@ -239,8 +221,6 @@ def roc_unknown_params(
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be ascending")
 
-    hbar_A = _as_vector(hbar_A)
-    hbar_E = _as_vector(hbar_E)
     state = channel.build_delay_profile(params)
     state = channel.init_taps(state, rng, batch=trials)
     ref = channel.sample_response(hbar_A, state, params, rng)
@@ -249,6 +229,7 @@ def roc_unknown_params(
     eve_state = channel.eve_variation(state, channel.SpatialMode.INDEPENDENT, rng, params)
     probe_eve = channel.sample_response(hbar_E, eve_state, params, rng)
 
-    z0 = np.sum(np.abs(probe_alice.samples - ref.samples) ** 2, axis=-1) / params.sigma_N2
-    z1 = np.sum(np.abs(probe_eve.samples - ref.samples) ** 2, axis=-1) / params.sigma_N2
+    noise = np.full(params.M, 2.0 * params.sigma_N2)  # whitening by the noise alone: |d|^2 / sigma_N^2
+    z0 = statistic_batch(probe_alice - ref, noise)
+    z1 = statistic_batch(probe_eve - ref, noise)
     return [(float(np.mean(z0 > t)), float(np.mean(z1 <= t))) for t in thresholds]

@@ -25,7 +25,7 @@ from . import detect, raytrace, stats
 from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
 from .numerics import NotPositiveDefiniteError, RngStream, generalized_chi2_cdf
-from .raytrace import GridSpec, RoomScene
+from .raytrace import RoomScene
 
 BOLTZMANN_NOISE_DENSITY = 10.0 ** (-17.4)  # thermal noise density kT in mW/Hz
 
@@ -212,12 +212,12 @@ def simulate_error_rates(
             state = chan.step_taps(state, params.a, rng)
         if include_h0:
             probe_alice = chan.sample_response(hbar_a, state, params, rng)
-            z0 = detect.statistic_batch(probe_alice.samples - ref.samples, r)
+            z0 = detect.statistic_batch(probe_alice - ref, r)
             false_alarms += int(np.count_nonzero(z0 > threshold))
         if include_h1:
             eve_state = chan.eve_variation(state, mode, rng, params)
             probe_eve = chan.sample_response(hbar_e, eve_state, params, rng)
-            z1 = detect.statistic_batch(probe_eve.samples - ref.samples, r)
+            z1 = detect.statistic_batch(probe_eve - ref, r)
             misses += int(np.count_nonzero(z1 <= threshold))
         done += n
 
@@ -294,10 +294,26 @@ def apply_sweep_value(
     return params, budget, cfg
 
 
+def resolve_variances(
+    trace: raytrace.RoomTrace, params: ChannelParams, budget: LinkBudget, b_T: float
+) -> tuple[ChannelParams, np.ndarray]:
+    """``params`` with sigma_T and sigma_N2 set for the room, and the grid's fixed responses.
+
+    The fixed responses do not depend on sigma_T or sigma_N2, so the grid
+    ``trace`` holds for the tones of ``params`` also gives the room gain:
+    sigma_T = b_T * rms_gain(responses) and sigma_N2 = noise_variance(budget, M).
+    """
+    responses = trace.responses(params)
+    params = replace(
+        params,
+        sigma_T=sigma_T_from_bT(b_T, raytrace.rms_gain(responses)),
+        sigma_N2=noise_variance(budget, params.M),
+    )
+    return params, responses
+
+
 def room_sweep(
-    scene: RoomScene,
-    grid: GridSpec,
-    bob,
+    trace: raytrace.RoomTrace,
     budget: LinkBudget,
     base_params: ChannelParams,
     cfg: TestConfig,
@@ -306,20 +322,18 @@ def room_sweep(
     b_T: float,
     pair_budget: int = 2000,
     rng: RngStream | None = None,
-    trace: raytrace.RoomTrace | None = None,
 ) -> SweepResult:
     """Room-averaged exact miss rate along one parameter axis.
 
     ``base_params.sigma_T`` and ``sigma_N2`` are derived per sweep value
     from b_T, the room gain, and the link budget (all three can depend on
-    the swept parameter).  The fixed responses and the room gain come from
-    ``trace`` (a fresh RoomTrace of scene, grid and bob by default), which
-    traces the grid once per tone set: once in all for b_T, P_T, B_c and
-    spatial_mode sweeps, once per distinct value for W and M sweeps.  The
-    pair subsample is drawn once from ``rng``, so every sweep value sees
-    the same pairs; each value's miss rates come from one batched
-    miss_rates call.  ``std_err`` is the standard error of the room average
-    over the sampled pairs.
+    the swept parameter; see resolve_variances).  The fixed responses and
+    the room gain come from ``trace``, which traces the grid once per tone
+    set: once in all for b_T, P_T, B_c and spatial_mode sweeps, once per
+    distinct value for W and M sweeps.  The pair subsample is drawn once
+    from ``rng``, so every sweep value sees the same pairs; each value's
+    miss rates come from one batched miss_rates call.  ``std_err`` is the
+    standard error of the room average over the sampled pairs.
     """
     axis = SweepAxis(sweep_param) if not isinstance(sweep_param, SweepAxis) else sweep_param
     sweep_values = list(sweep_values)
@@ -327,10 +341,6 @@ def room_sweep(
         raise ValueError("sweep_values must be nonempty")
     if rng is None:
         rng = RngStream(0)
-    if trace is None:
-        trace = raytrace.RoomTrace(scene, grid, bob)
-    elif (trace.scene, trace.grid, trace.rx) != (scene, grid, tuple(float(v) for v in bob)):
-        raise ValueError("trace was built for a different scene, grid or receiver")
 
     ii, jj = _select_pairs(len(trace.positions), pair_budget, rng.substream(1))
 
@@ -338,14 +348,7 @@ def room_sweep(
     for value in sweep_values:
         params, val_budget, val_cfg = apply_sweep_value(base_params, budget, cfg, axis, value)
         bt = float(value) if axis is SweepAxis.B_T else b_T
-        # The fixed responses do not depend on sigma_T or sigma_N2, so the
-        # grid traced for the pairs also gives the room gain.
-        responses = trace.responses(params)
-        params = replace(
-            params,
-            sigma_T=sigma_T_from_bT(bt, raytrace.rms_gain(responses)),
-            sigma_N2=noise_variance(val_budget, params.M),
-        )
+        params, responses = resolve_variances(trace, params, val_budget, bt)
         betas = miss_rates(responses[ii], responses[jj], params, val_cfg)
         beta_bar.append(float(betas.mean()))
         std_err.append(float(betas.std(ddof=1) / math.sqrt(len(betas))) if len(betas) > 1 else 0.0)

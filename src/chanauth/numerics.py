@@ -424,7 +424,9 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _GCHI2_EPS = 1e-13  # truncation and screening level, absolute in probability
 _PANEL_PHASE = 8.0  # radians the integrand may turn through in one 16-node panel
 _TAIL_TILT = np.exp(-0.25j * np.pi)  # the tail ray runs 45 degrees below the real axis
-_CHERNOFF_S = -np.logspace(-3.0, 9.0, 97)  # lower-tail Chernoff points, in units of 1/(2 max weight)
+# Chernoff points, in units of 1/(2 max weight): s < 0 bounds P(Q <= x), 0 < s < 1 bounds P(Q >= x).
+_CHERNOFF_LOWER = -np.logspace(-3.0, 9.0, 97)
+_CHERNOFF_UPPER = 1.0 - np.logspace(-9.0, 0.0, 37)[:-1]
 
 
 def generalized_chi2_cdf(x: float, weights, offsets):
@@ -446,7 +448,8 @@ def generalized_chi2_cdf(x: float, weights, offsets):
     degrees into the lower half plane, where the characteristic function
     has no singularities and e^{-iux} decays exponentially.  A wide weight
     spread therefore costs few more nodes than a narrow one.  Rows whose
-    Chernoff bound puts the probability below 1e-13 return 0.
+    Chernoff bound puts the probability below 1e-13 return 0, and rows
+    whose bound puts it above 1 - 1e-13 return 1.
     """
     lam = np.asarray(weights, dtype=float)
     m = np.asarray(offsets, dtype=float)
@@ -465,13 +468,24 @@ def generalized_chi2_cdf(x: float, weights, offsets):
         out = np.atleast_1d(noncentral_chi2_cdf(x / scale, 2 * lam.size, m.sum(axis=1) / scale))
     else:
         out = np.zeros(len(m))
-        s = _CHERNOFF_S / (2.0 * lam.max())
-        d = 1.0 - 2.0 * np.outer(lam, s)
-        log_bound = (m @ (s / d) - np.log(d).sum(axis=0) - s * x).min(axis=1)
-        live = log_bound >= math.log(_GCHI2_EPS)
+        live = ~_chernoff_screen(x, lam, m, _CHERNOFF_LOWER)
+        one = _chernoff_screen(x, lam, m, _CHERNOFF_UPPER)
+        out[one] = 1.0
+        live &= ~one
         if x > 0 and live.any():
             out[live] = _gil_pelaez(float(x), lam, m[live])
     return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _chernoff_screen(x: float, lam: np.ndarray, m: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rows whose Chernoff bound over ``points`` puts a tail of Q below 1e-13.
+
+    log E[e^{sQ}] - s x bounds log P(Q <= x) for s < 0 and log P(Q >= x)
+    for 0 < s < 1/(2 max weight); ``points`` are s in units of that limit.
+    """
+    s = points / (2.0 * lam.max())
+    d = 1.0 - 2.0 * np.outer(lam, s)
+    return (m @ (s / d) - np.log(d).sum(axis=0) - s * x).min(axis=1) < math.log(_GCHI2_EPS)
 
 
 def _gil_pelaez(x: float, lam: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -180,7 +180,6 @@ class RoomTrace:
 
     def __init__(self, scene: RoomScene, grid: GridSpec, rx):
         self.scene = scene
-        self.grid = grid
         self.rx = tuple(float(v) for v in rx)
         self.positions = grid_positions(grid)
         self._responses: dict[tuple[float, float, int], np.ndarray] = {}
@@ -195,15 +194,10 @@ class RoomTrace:
         return self._responses[key]
 
 
-def room_average_gain(scene: RoomScene, grid: GridSpec, bob, params: ChannelParams) -> float:
-    """RMS response magnitude over all grid points and tones.
-
-    The room-level scale that converts the relative variation index b_T
-    into an absolute sigma_T.
-    """
-    return rms_gain(response_matrix(scene, grid_positions(grid), bob, params))
-
-
 def rms_gain(responses: np.ndarray) -> float:
-    """RMS magnitude of a block of fixed responses."""
+    """RMS magnitude of a block of fixed responses.
+
+    Over a whole grid (RoomTrace.responses) it is the room-level scale that
+    converts the relative variation index b_T into an absolute sigma_T.
+    """
     return float(np.sqrt(np.mean(np.abs(responses) ** 2)))

@@ -87,8 +87,8 @@ def empirical_difference_covariances(
         probe_a = chan.sample_response(zero, state, params, rng)
         eve = chan.eve_variation(state, SpatialMode.INDEPENDENT, rng, params)
         probe_e = chan.sample_response(zero, eve, params, rng)
-        d_a = probe_a.samples - ref.samples
-        d_e = probe_e.samples - ref.samples
+        d_a = probe_a - ref
+        d_e = probe_e - ref
         acc_r += d_a.T @ d_a.conj()
         acc_g += d_e.T @ d_e.conj()
         done += n

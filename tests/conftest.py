@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import contextlib
+import signal
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,27 @@ def config_run(tmp_path_factory):
         return outs[path]
 
     return out_dir
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(seconds):`` raises TimeoutError in the block after ``seconds``.
+
+    A run catches the error and exits 3, so a hang fails its test instead
+    of stalling the suite.
+    """
+
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

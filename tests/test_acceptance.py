@@ -35,7 +35,7 @@ from chanauth.numerics import (
     noncentral_chi2_cdf,
     sample_complex_gaussian,
 )
-from chanauth.raytrace import GridSpec, RoomScene, fixed_response, room_average_gain
+from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, fixed_response, rms_gain
 
 from _oracles import dense_covariance_G, dense_covariance_R, empirical_difference_covariances, relative_frobenius
 
@@ -61,7 +61,7 @@ def test_criterion_1_size_calibration():
         for Bc in (0.0, 2e6, math.inf):
             for b_T in (0.0, 0.5):
                 base = ChannelParams(f0=5e9, W=1e7, M=M, a=0.9, Bc=Bc, sigma_T=0.0, sigma_N2=1.0)
-                gain = room_average_gain(SCENE, GRID, BOB, base)
+                gain = rms_gain(RoomTrace(SCENE, GRID, BOB).responses(base))
                 params = ChannelParams(
                     f0=5e9,
                     W=1e7,
@@ -121,7 +121,7 @@ def test_criterion_3_closed_form_vs_simulation():
     alice = (2.0, 2.0, 1.0)
     for i, case in enumerate(cases):
         base = ChannelParams(f0=5e9, W=1e7, M=case["M"], a=case["a"], Bc=1e4, sigma_T=0.0, sigma_N2=1.0)
-        gain = room_average_gain(SCENE, GRID, BOB, base)
+        gain = rms_gain(RoomTrace(SCENE, GRID, BOB).responses(base))
         params = ChannelParams(
             f0=5e9,
             W=1e7,
@@ -168,9 +168,7 @@ def test_criterion_5_variation_strength_trend():
     0.01 to 1, with >= 3 standard-error separation, at 2000 pairs.
     Budget: 5 min."""
     res = room_sweep(
-        scene=SCENE,
-        grid=GRID,
-        bob=BOB,
+        trace=RoomTrace(SCENE, GRID, BOB),
         budget=LinkBudget(P_T=100.0),
         base_params=ChannelParams(f0=5e9, W=1e7, M=10, a=0.9, Bc=0.0, sigma_T=0.0, sigma_N2=0.0),
         cfg=TestConfig(alpha=ALPHA, regime=Regime.LOW_BC_CLOSED_FORM),
@@ -198,9 +196,7 @@ def test_criterion_6_bandwidth_trend_and_bracketing():
 
     def sweep(Bc, regime):
         return room_sweep(
-            scene=SCENE,
-            grid=GRID,
-            bob=BOB,
+            trace=RoomTrace(SCENE, GRID, BOB),
             budget=LinkBudget(P_T=10.0),
             base_params=ChannelParams(f0=5e9, W=1e7, M=5, a=0.9, Bc=Bc, sigma_T=0.0, sigma_N2=0.0),
             cfg=TestConfig(alpha=ALPHA, regime=regime),
@@ -232,9 +228,7 @@ def test_criterion_7_spatial_correlation_trend():
     rate than independent variation, with >= 3 standard-error separation.
     Budget: 5 min."""
     res = room_sweep(
-        scene=SCENE,
-        grid=GRID,
-        bob=BOB,
+        trace=RoomTrace(SCENE, GRID, BOB),
         budget=LinkBudget(P_T=100.0),
         base_params=ChannelParams(f0=5e9, W=1e7, M=10, a=0.9, Bc=2e6, sigma_T=0.0, sigma_N2=0.0),
         cfg=TestConfig(alpha=ALPHA, regime=Regime.GENERAL_KNOWN_PARAMS),

@@ -252,7 +252,7 @@ class TestValidateMatchesRun:
 
     @pytest.mark.parametrize("Bc", ["0", "2e6", "inf"])
     @pytest.mark.parametrize("P_T", ["1e16", "1e20", "1e100"])
-    @pytest.mark.parametrize("regime", sorted(cli._REGIME_NAMES))
+    @pytest.mark.parametrize("regime", sorted(r.value for r in Regime))
     def test_high_snr(self, tmp_path, capsys, regime, P_T, Bc):
         # Noise far below the variation: a config is rejected naming [budget]
         # (its noise variance leaves the supported magnitudes) or it runs.
@@ -271,6 +271,19 @@ class TestValidateMatchesRun:
         for row in rows:
             assert 0.0 <= float(row["beta_bar"]) <= 1.0 and math.isfinite(float(row["std_err"])), row
         assert math.isfinite(float(calib["alpha_hat"])) and math.isfinite(float(calib["std_err"])), calib
+
+    @pytest.mark.parametrize("override", ["1e6", "1e100"])
+    @pytest.mark.parametrize("regime", sorted(r.value for r in Regime))
+    def test_large_threshold_override(self, tmp_path, capsys, time_limit, regime, override):
+        # A threshold far above every score accepts every spoofer, and quickly:
+        # the contour evaluator's panel count once grew without bound with it.
+        path = write_cfg(tmp_path, **{"run.trials": "300", "test.regime": regime, "test.threshold_override": override})
+        assert validate(path) == []
+        with time_limit(60):
+            rc = run(path, tmp_path / "out")
+        assert rc == EXIT_OK, capsys.readouterr().err
+        rows, _ = read_outputs(tmp_path / "out")
+        assert all(abs(float(row["beta_bar"]) - 1.0) <= 1e-13 for row in rows), rows
 
 
 def read_outputs(out: Path) -> tuple[list[dict], dict]:
@@ -298,16 +311,19 @@ _RAW_VALUES = st.one_of(
 
 
 class TestMutatedConfig:
-    """Any one-key mutation of a small valid config: validate and run reject it
-    with exit 2 naming the key, or run exits 0 with finite, in-range CSVs."""
+    """Any one-key mutation of a small valid config, low_bc or general:
+    validate and run reject it with exit 2 naming the key, or run exits 0
+    with finite, in-range CSVs."""
 
     @settings(max_examples=200, deadline=None)
-    @given(target=st.sampled_from(_KEYS), raw=_RAW_VALUES)
-    def test_one_key_mutation(self, target, raw):
+    @given(base=st.sampled_from(["low_bc", "general"]), target=st.sampled_from(_KEYS), raw=_RAW_VALUES)
+    def test_one_key_mutation(self, base, target, raw):
+        # A general base sends every threshold through the contour evaluator,
+        # a low_bc one through the equal-weight noncentral CDF.
         section, key = target
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            path = write_cfg(tmp, **{"run.trials": "300", f"{section}.{key}": raw})
+            path = write_cfg(tmp, **{"run.trials": "300", "test.regime": base, f"{section}.{key}": raw})
             config, diags = load_config(path)
             rc = run(path, tmp / "out")
             if diags:

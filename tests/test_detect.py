@@ -22,7 +22,6 @@ from chanauth.detect import (
     roc_unknown_params,
     statistic_batch,
     statistic_general,
-    statistic_unknown,
     threshold_for,
 )
 from chanauth.numerics import RngStream, chi2_cdf, chi2_inv, cholesky
@@ -86,12 +85,9 @@ class TestStatistics:
         assert np.all(np.isfinite(z)) and np.all(z >= 0.0)
 
     def test_unknown_norm(self):
-        d = np.array([1.0, 1j, -1.0])
-        assert statistic_unknown(d, np.zeros(3), 1.0) == pytest.approx(3.0)
-
-    def test_unknown_rejects_zero_noise(self):
-        with pytest.raises(ValueError):
-            statistic_unknown(np.zeros(2), np.zeros(2), 0.0)
+        # Whitening by the noise spectrum 2 sigma_N^2 alone scores |d|^2 / sigma_N^2 (Parseval).
+        d = np.array([[1.0, 1j, -1.0]])
+        assert statistic_batch(d, np.full(3, 2.0))[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_unknown_null_mean(self):
         # Pure noise: the difference has per-tone variance 2 sigma_N^2, so

@@ -34,7 +34,7 @@ from chanauth.harness import (
     simulate_error_rates,
 )
 from chanauth.numerics import NotPositiveDefiniteError, RngStream, chi2_inv, cholesky
-from chanauth.raytrace import GridSpec, RoomScene, fixed_response, grid_positions, response_matrix, room_average_gain
+from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, fixed_response, grid_positions, response_matrix, rms_gain
 
 from _oracles import (
     asymptotic_G_high_bc,
@@ -81,7 +81,7 @@ class TestLinkBudget:
         assert sigma_T_from_bT(0.0, 3.0) == 0.0
         assert sigma_T_from_bT(1.0, 1.0) == 1.0
         grid = GridSpec(origin=(2.0, 2.0), spacing=0.2, counts=(4, 4), height=1.0)
-        gain = room_average_gain(SCENE, grid, BOB, make_params())
+        gain = rms_gain(RoomTrace(SCENE, grid, BOB).responses(make_params()))
         assert sigma_T_from_bT(0.5, gain) == pytest.approx(0.5 * gain, rel=1e-12)
         with pytest.raises(ValueError):
             sigma_T_from_bT(-0.1, 1.0)
@@ -141,7 +141,7 @@ class TestMissRates:
     @pytest.fixture(scope="class")
     def room(self):
         base = make_params(sigma_T=0.0, sigma_N2=0.0)
-        gain = room_average_gain(SCENE, self.GRID, BOB, base)
+        gain = rms_gain(RoomTrace(SCENE, self.GRID, BOB).responses(base))
         p = make_params(sigma_T=0.5 * gain, sigma_N2=noise_variance(LinkBudget(P_T=100.0), base.M))
         responses = response_matrix(SCENE, grid_positions(self.GRID), BOB, p)
         pick = np.random.default_rng(8).choice(len(responses) - 1, size=40, replace=False)
@@ -251,6 +251,10 @@ class TestRegimeForms:
             regime_forms(make_params(a=1.0, sigma_N2=0.0), cfg)
         r, _, _ = regime_forms(make_params(a=0.9, Bc=0.0, sigma_N2=0.0), cfg)
         assert np.all(r > 0)
+        # The unknown regime whitens with the noise alone, so it has no floor at all.
+        unknown = TestConfig(alpha=0.01, regime=Regime.UNKNOWN_PARAMS, threshold_override=40.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            regime_forms(make_params(sigma_N2=0.0), unknown)
 
 
 class TestSimulateErrorRates:
@@ -321,11 +325,9 @@ class TestSelectPairs:
 class TestRoomSweep:
     GRID = GridSpec(origin=(2.0, 2.0), spacing=0.4, counts=(3, 3), height=1.0)
 
-    def sweep(self, seed=5, **overrides):
+    def sweep(self, seed=5, grid=None, **overrides):
         kwargs = dict(
-            scene=SCENE,
-            grid=self.GRID,
-            bob=BOB,
+            trace=raytrace.RoomTrace(SCENE, grid or self.GRID, BOB),
             budget=LinkBudget(P_T=100.0),
             base_params=make_params(Bc=0.0, sigma_T=0.0, sigma_N2=0.0),
             cfg=TestConfig(alpha=0.01, regime=Regime.LOW_BC_CLOSED_FORM),
@@ -361,7 +363,6 @@ class TestRoomSweep:
         calls = []
         real = raytrace.response_matrix
         monkeypatch.setattr(raytrace, "response_matrix", lambda *a: calls.append(1) or real(*a))
-        monkeypatch.setattr(raytrace, "room_average_gain", None)  # the traced grid gives the gain
         for axis, values, traces in [
             (SweepAxis.B_T, [0.01, 0.1, 1.0], 1),
             (SweepAxis.P_T, [1.0, 10.0, 100.0], 1),
@@ -372,11 +373,11 @@ class TestRoomSweep:
             assert len(calls) == traces, axis
 
     def test_shared_trace_matches_fresh_one(self):
+        # A trace that already holds the tones (as after an earlier sweep) gives the same result.
         trace = raytrace.RoomTrace(SCENE, self.GRID, BOB)
-        assert self.sweep(trace=trace) == self.sweep()
+        first = self.sweep(trace=trace)
+        assert self.sweep(trace=trace) == first == self.sweep()
         assert not trace.responses(make_params()).flags.writeable
-        with pytest.raises(ValueError, match="different"):
-            self.sweep(trace=raytrace.RoomTrace(SCENE, self.GRID, (8.0, 5.0, 2.0)))
 
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chanauth import numerics
 from chanauth.numerics import (
     HermitianMatrix,
     NotPositiveDefiniteError,
@@ -282,6 +283,28 @@ class TestGeneralizedChi2Cdf:
     def test_far_lower_tail_is_zero(self):
         assert generalized_chi2_cdf(10.0, [1.0, 2.0, 3.0], [1e6, 0.0, 0.0]) == 0.0
         assert generalized_chi2_cdf(0.0, [1.0, 2.0], [0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("x, screened_to", [(30.0, 0.0), (300.0, 0.0), (3e4, 1.0), (1e5, 1.0)])
+    def test_screened_rows_match_contour(self, x, screened_to):
+        # Rows the Chernoff screens return as exactly 0 or 1 agree with the
+        # contour integral they skip, to the truncation level.
+        weights = np.array([1.0, 4.0, 30.0, 200.0])
+        offsets = np.random.default_rng(5).exponential(1.0, (25, 4)) * weights * np.logspace(-2, 2.5, 25)[:, None]
+        zero = numerics._chernoff_screen(x, weights, offsets, numerics._CHERNOFF_LOWER)
+        one = numerics._chernoff_screen(x, weights, offsets, numerics._CHERNOFF_UPPER)
+        screened = one if screened_to else zero
+        assert screened.any() and not (zero & one).any()
+        assert np.all(generalized_chi2_cdf(x, weights, offsets)[screened] == screened_to)
+        contour = numerics._gil_pelaez(x, weights, offsets[screened])
+        assert np.max(np.abs(contour - screened_to)) <= 1e-13
+
+    def test_far_upper_tail_is_one(self, time_limit):
+        # Panel widths shrink like 1/x, so without the upper screen this never finishes.
+        weights = [1.0, 4.0, 30.0, 200.0]
+        offsets = np.random.default_rng(6).exponential(1.0, (8, 4)) * 1e3
+        with time_limit(30):
+            assert np.all(generalized_chi2_cdf(1e100, weights, offsets) == 1.0)
+            assert generalized_chi2_cdf(1e6, [1e-3, 2e-3], [0.0, 5.0]) == 1.0
 
     @pytest.mark.parametrize(
         "x, weights, offsets",

@@ -14,11 +14,12 @@ from chanauth.raytrace import (
     _ROW_BLOCK,
     GridSpec,
     RoomScene,
+    RoomTrace,
     fixed_response,
     grid_positions,
     image_sources,
     response_matrix,
-    room_average_gain,
+    rms_gain,
 )
 
 
@@ -199,15 +200,15 @@ class TestRoomAverageGain:
     def test_unit_distance_free_space(self):
         scene = RoomScene(max_order=0, amplitude_scale=1.0)
         grid = GridSpec(origin=(4.0, 4.0), spacing=0.1, counts=(1, 1), height=1.0)
-        gain = room_average_gain(scene, grid, (4.0, 4.0, 2.0), make_params())
+        gain = rms_gain(RoomTrace(scene, grid, (4.0, 4.0, 2.0)).responses(make_params()))
         assert gain == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneity(self):
         grid = GridSpec(origin=(2.0, 2.0), spacing=0.3, counts=(3, 3), height=1.0)
         p = make_params()
         bob = (8.0, 6.0, 2.0)
-        g1 = room_average_gain(RoomScene(amplitude_scale=1e-5), grid, bob, p)
-        g2 = room_average_gain(RoomScene(amplitude_scale=2e-5), grid, bob, p)
+        g1 = rms_gain(RoomTrace(RoomScene(amplitude_scale=1e-5), grid, bob).responses(p))
+        g2 = rms_gain(RoomTrace(RoomScene(amplitude_scale=2e-5), grid, bob).responses(p))
         assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
 
     def test_against_two_loop_recomputation(self):
@@ -215,7 +216,7 @@ class TestRoomAverageGain:
         grid = GridSpec(origin=(2.0, 2.0), spacing=0.2, counts=(5, 5), height=1.0)
         p = make_params(M=4)
         bob = (8.0, 6.0, 2.0)
-        gain = room_average_gain(scene, grid, bob, p)
+        gain = rms_gain(RoomTrace(scene, grid, bob).responses(p))
         total = 0.0
         count = 0
         for pt in grid_positions(grid):
