@@ -220,6 +220,8 @@ def roc_unknown_params(
         raise ValueError("thresholds must be nonempty")
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be ascending")
+    if params.sigma_N2 <= 0:
+        raise ValueError("the unknown-parameters statistic needs sigma_N2 > 0")
 
     state = channel.build_delay_profile(params)
     state = channel.init_taps(state, rng, batch=trials)

@@ -89,6 +89,13 @@ class TestStatistics:
         d = np.array([[1.0, 1j, -1.0]])
         assert statistic_batch(d, np.full(3, 2.0))[0] == pytest.approx(3.0, rel=1e-12)
 
+    def test_unknown_rejects_zero_noise(self):
+        # |d|^2 / sigma_N^2 has no value without noise.
+        p = make_params(sigma_N2=0.0)
+        h = np.zeros(p.M, dtype=complex)
+        with pytest.raises(ValueError):
+            roc_unknown_params(p, h, h, [1.0], 10, RngStream(42))
+
     def test_unknown_null_mean(self):
         # Pure noise: the difference has per-tone variance 2 sigma_N^2, so
         # the statistic averages 2M.
