@@ -2,10 +2,11 @@
 
 Everything downstream (channel generation, detectors, miss rates) funnels
 its numerical needs through here: chi-square CDFs/quantiles, the
-noncentral and generalized chi-square CDFs, Hermitian Cholesky
-factorization with whitening solves for dense covariances (the Monte Carlo
-cross-check; the run path is spectral and factors nothing), and
-reproducible complex-Gaussian sampling.  Only numpy and the standard
+noncentral and generalized chi-square CDFs, unit phasors e^{i theta} in
+real arithmetic (the ray trace's and the contour integral's), Hermitian
+Cholesky factorization with whitening solves for dense covariances (the
+Monte Carlo cross-check; the run path is spectral and factors nothing),
+and reproducible complex-Gaussian sampling.  Only numpy and the standard
 library are used: the incomplete gamma function is a series or a continued
 fraction around Loader's saddle-point Poisson pmf, and the whitening solves
 are forward substitutions.
@@ -418,10 +419,86 @@ def _log_gamma_tail(a: float, y: float, upper: bool, log_pmf: float) -> tuple[fl
     return log_tail, math.exp(min(log_tail - log_density, 700.0))
 
 
+# Unit phasors e^{i theta}: theta = n * step + r with step = 2 pi / 1024, a
+# table of cos and sin at n * step, and Taylor series in |r| <= step / 2.  The
+# step is split in three (Cody-Waite): _CIS_STEP1 and _CIS_STEP2 have 21
+# significant bits, so n * _CIS_STEP1 and n * _CIS_STEP2 are exact for
+# |n| <= 2^32, and r is exact to about 1e-18 up to _CIS_LIMIT.  The table is
+# rounded from np.longdouble once, at import.
+_CIS_STEP1, _CIS_STEP2, _CIS_STEP3 = 0.00613592192530632, 1.2262360016279672e-09, 2.4310047546471146e-16
+_CIS_LIMIT = 2.0**32 * _CIS_STEP1
+_CIS_ANGLES = np.arange(1024) * (np.longdouble(_CIS_STEP1) + np.longdouble(_CIS_STEP2) + np.longdouble(_CIS_STEP3))
+_CIS_COS, _CIS_SIN = np.cos(_CIS_ANGLES).astype(float), np.sin(_CIS_ANGLES).astype(float)
+_CIS_WORK = 6  # work arrays _cos_sin needs
+
+
+def cis(theta) -> np.ndarray:
+    """e^{i theta} for real theta, elementwise, as a complex array.
+
+    Within about 1.2e-16 of the exact value for |theta| < _CIS_LIMIT
+    (~2.6e7); beyond it, and for non-finite theta, it is np.exp(1j * theta).
+    A few times faster than np.exp(1j * theta), which takes the complex
+    exponential's general path.
+    """
+    shape = np.shape(theta)
+    theta = np.array(theta, dtype=float, ndmin=1)  # a copy, which _cos_sin overwrites
+    out = np.empty(theta.shape, dtype=complex)
+    _cos_sin(theta, out.real, out.imag, np.empty((_CIS_WORK, *theta.shape)))
+    return out.reshape(shape)[()]
+
+
+def _cos_sin(theta: np.ndarray, cos: np.ndarray, sin: np.ndarray, work) -> None:
+    """Write cos(theta) into ``cos`` and sin(theta) into ``sin`` (see cis).
+
+    ``theta`` is overwritten, and ``work`` holds _CIS_WORK contiguous float
+    arrays of theta's shape; callers that evaluate many equal-sized blocks
+    reuse them, so the kernel allocates nothing and touches no fresh memory.
+    """
+    far = None
+    if not (theta.min(initial=0.0) > -_CIS_LIMIT and theta.max(initial=0.0) < _CIS_LIMIT):  # NaN fails too
+        far = ~(np.abs(theta) < _CIS_LIMIT)
+        far_theta = theta[far]
+        theta[far] = 0.0
+    n, cm1, c, s, t, sr = work
+    k = cm1.view(np.int64)
+    np.multiply(theta, 1.0 / (_CIS_STEP1 + _CIS_STEP2), out=n)
+    np.rint(n, out=n)
+    np.copyto(k, n, casting="unsafe")
+    k &= 1023
+    np.take(_CIS_COS, k, out=c, mode="clip")
+    np.take(_CIS_SIN, k, out=s, mode="clip")
+    r = theta  # theta - n * step
+    r -= np.multiply(n, _CIS_STEP1, out=t)
+    r -= np.multiply(n, _CIS_STEP2, out=t)
+    r -= np.multiply(n, _CIS_STEP3, out=t)
+    u = np.multiply(r, r, out=n)
+    np.multiply(u, 1.0 / 24.0, out=cm1)  # cos r - 1 = u (-1/2 + u / 24), to 1.2e-18
+    cm1 -= 0.5
+    cm1 *= u
+    np.multiply(u, 1.0 / 120.0, out=sr)  # sin r = r + r u (-1/6 + u / 120), to 5e-22
+    sr -= 1.0 / 6.0
+    sr *= u
+    sr *= r
+    sr += r
+    # cos = c + (c (cos r - 1) - s sin r) and sin = s + (s (cos r - 1) + c sin r):
+    # the corrections are below 3.1e-3, so the table's rounding dominates.
+    np.multiply(c, cm1, out=t)
+    t -= np.multiply(s, sr, out=u)
+    cm1 *= s
+    sr *= c
+    cm1 += sr
+    np.add(c, t, out=cos)
+    np.add(s, cm1, out=sin)
+    if far is not None:
+        z = np.exp(1j * far_theta)
+        cos[far], sin[far] = z.real, z.imag
+
+
 # Gil-Pelaez quadrature for the generalized chi-square CDF.  The nodes depend
 # on the weights, x and a bound over the offsets, so rows can share them.
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _GCHI2_EPS = 1e-13  # truncation and screening level, absolute in probability
+_GIL_PELAEZ_CHUNK = 2**14  # (rows x nodes) elements per chunk: its ~10 work arrays stay in cache
 _PANEL_PHASE = 8.0  # radians the integrand may turn through in one 16-node panel
 _TAIL_TILT = np.exp(-0.25j * np.pi)  # the tail ray runs 45 degrees below the real axis
 # Chernoff points, in units of 1/(2 max weight): s < 0 bounds P(Q <= x), 0 < s < 1 bounds P(Q >= x).
@@ -492,8 +569,12 @@ def _gil_pelaez(x: float, lam: np.ndarray, m: np.ndarray) -> np.ndarray:
     """F(x) = 1/2 - (1/pi) Im int e^{-iux} phi(u) / u du along a tilted contour.
 
     phi(u) = prod_k exp(i m_k u / (1 - 2i lam_k u)) / (1 - 2i lam_k u) is the
-    characteristic function; its log is linear in the offsets, so each chunk
-    of nodes costs one (rows x M) @ (M x nodes) product.  The contour runs
+    characteristic function; its log is linear in the real offsets, so each
+    chunk of nodes takes its real and imaginary parts as two real (rows x M)
+    @ (M x nodes) products.  The integrand is then e^{real part} times the
+    unit phasor of the imaginary part (_cos_sin), and the imaginary part of
+    its node sum is two real products with the weights over u; no complex
+    product, exp or log touches a (rows x nodes) array.  The contour runs
     along the real axis to u0 = 1/(2 lam_j) (weights sorted descending) and
     then down the ray u0 + r e^{-i pi/4}, which is allowed because phi is
     analytic except at u = -i/(2 lam_k).  The ray clears the heavier terms'
@@ -509,19 +590,30 @@ def _gil_pelaez(x: float, lam: np.ndarray, m: np.ndarray) -> np.ndarray:
     split = np.argmax(x >= 4.0 * light_mean, axis=1)
     octave = np.floor(np.log2(lam[split]))
     out = np.empty(len(m))
-    for level in np.unique(octave):
+    for level in sorted(set(octave.tolist())):  # not np.unique, which imports numpy.ma on first use
         rows = octave == level
         j = int(split[rows].max())
         nodes, weights = _gil_pelaez_contour(x, lam, m[rows], j, light_mean[rows, j].max())
-        offsets = m[rows].astype(complex)  # same dtype on both sides keeps the product in BLAS
-        total = np.zeros(len(offsets), dtype=complex)
-        step = max(1, 2**16 // len(offsets))  # bounds the (rows x nodes) work arrays
+        offsets = m[rows]
+        total = np.zeros(len(offsets))
+        step = max(1, _GIL_PELAEZ_CHUNK // len(offsets))
+        work = np.empty((4 + _CIS_WORK, len(offsets) * min(step, len(nodes))))  # reused by every chunk
         for i in range(0, len(nodes), step):
             u = nodes[i : i + step]
+            modulus, phase, cos, sin, *cis_work = (w[: len(offsets) * len(u)].reshape(len(offsets), len(u)) for w in work)
             den = 1.0 - 2j * np.outer(lam, u)
-            log_phi = offsets @ (1j * u / den) - np.log(den).sum(axis=0)
-            total += (np.exp(log_phi - 1j * u * x) / u) @ weights[i : i + step]
-        out[rows] = 0.5 - total.imag / math.pi
+            slope = 1j * u / den  # d log phi / d m_k, (M x nodes)
+            free = -np.log(den).sum(axis=0) - 1j * u * x  # the rest of log(e^{-iux} phi)
+            v = weights[i : i + step] / u
+            np.matmul(offsets, np.ascontiguousarray(slope.real), out=modulus)
+            modulus += free.real
+            np.matmul(offsets, np.ascontiguousarray(slope.imag), out=phase)
+            phase += free.imag
+            _cos_sin(phase, cos, sin, cis_work)
+            np.exp(modulus, out=modulus)
+            total += np.multiply(cos, modulus, out=cos) @ v.imag
+            total += np.multiply(sin, modulus, out=sin) @ v.real
+        out[rows] = 0.5 - total / math.pi
     return np.clip(out, 0.0, 1.0)
 
 
@@ -629,17 +721,20 @@ class RngStream:
 def sample_complex_gaussian(rng: RngStream, variance, size=None) -> np.ndarray | complex:
     """Draw zero-mean circular complex Gaussians with E|x|^2 = variance.
 
-    ``variance`` may be an array; it broadcasts against ``size``.
+    ``variance`` may be an array; it broadcasts against ``size``.  A
+    negative, NaN or infinite variance raises ValueError.
     """
     variance = np.asarray(variance, dtype=float)
-    if np.any(variance < 0):
-        raise ValueError("variance must be nonnegative")
+    if not np.all((variance >= 0) & (variance < np.inf)):  # NaN fails too
+        raise ValueError("variance must be nonnegative and finite")
     if size is None:
         size = ()
     elif np.isscalar(size):
         size = (size,)
     shape = np.broadcast_shapes(variance.shape, tuple(size))
     g = rng.generator
-    x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    x = np.empty(shape, dtype=complex)  # filled in place: no complex temporaries
+    x.real = g.standard_normal(shape)
+    x.imag = g.standard_normal(shape)
     x *= np.sqrt(variance / 2.0)
     return x if shape else complex(x)

@@ -250,6 +250,24 @@ class TestValidateMatchesRun:
         assert run(path, tmp_path / "out") == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "f0, beta_bar",
+        [
+            ("1e20", (0.0035165237231037593, 0.0033732219126545314)),
+            ("1e60", (4.571638978749714e-06, 0.003268594077743086)),
+            ("1e99", (4.569031185897117e-06, 0.0030298055360458453)),
+        ],
+    )
+    def test_huge_carrier_frequency(self, tmp_path, capsys, f0, beta_bar):
+        # Path phases reach ~1e93 rad, far past numerics.cis's exact range
+        # reduction, where it hands them to np.exp.  beta_bar are the values
+        # of the trace that took every path phasor as np.exp(1j * phase).
+        path = write_cfg(tmp_path, **{"channel.f0": f0})
+        assert validate(path) == []
+        assert run(path, tmp_path / "out") == EXIT_OK, capsys.readouterr().err
+        rows, _ = read_outputs(tmp_path / "out")
+        assert [float(row["beta_bar"]) for row in rows] == pytest.approx(beta_bar, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("Bc", ["0", "2e6", "inf"])
     @pytest.mark.parametrize("P_T", ["1e16", "1e20", "1e100"])
     @pytest.mark.parametrize("regime", sorted(r.value for r in Regime))

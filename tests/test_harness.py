@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from chanauth import raytrace
 from chanauth.channel import ChannelParams, SpatialMode
+from chanauth.cli import load_config
 from chanauth.detect import (
     Regime,
     TestConfig,
@@ -23,12 +25,14 @@ from chanauth.harness import (
     SweepAxis,
     _select_pairs,
     _unrank_pairs,
+    apply_sweep_value,
     empirical_error_rates,
     miss_rate_for_pair,
     miss_rates,
     noise_variance,
     pair_miss_rate,
     regime_forms,
+    resolve_variances,
     room_sweep,
     sigma_T_from_bT,
     simulate_error_rates,
@@ -56,6 +60,7 @@ def make_params(**overrides) -> ChannelParams:
 
 SCENE = RoomScene()
 BOB = (8.0, 6.0, 2.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestLinkBudget:
@@ -382,6 +387,31 @@ class TestRoomSweep:
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
             self.sweep(sweep_values=[])
+
+    @pytest.mark.parametrize("name, values", [("fig3", (0.01, 0.1, 1.0)), ("fig5", (5,))], ids=["fig3", "fig5"])
+    def test_subsample_matches_all_pairs_average(self, name, values):
+        # The seeded pair subsample estimates the exact room average over all
+        # n(n-1)/2 pairs (32 640 on the 16 x 16 figure grids), and std_err
+        # measures its error: every value lies within 4 standard errors.
+        config, diags = load_config(CONFIGS / f"{name}.cfg")
+        assert not diags
+        trace = raytrace.RoomTrace(config.scene, config.grid, config.bob)
+        res = room_sweep(
+            trace, config.budget, config.channel, config.test, config.sweep_param, values,
+            b_T=config.b_T, pair_budget=config.pair_budget, rng=RngStream(config.seed),
+        )
+        n = len(trace.positions)
+        ii, jj = _unrank_pairs(np.arange(n * (n - 1) // 2), n)
+        for value, beta_bar, std_err in zip(values, res.beta_bar, res.std_err):
+            params, budget, cfg = apply_sweep_value(config.channel, config.budget, config.test, config.sweep_param, value)
+            b_T = float(value) if config.sweep_param is SweepAxis.B_T else config.b_T
+            params, responses = resolve_variances(trace, params, budget, b_T)
+            total = sum(
+                miss_rates(responses[ii[i : i + 4096]], responses[jj[i : i + 4096]], params, cfg).sum()
+                for i in range(0, len(ii), 4096)
+            )
+            exact = total / len(ii)
+            assert abs(beta_bar - exact) <= 4.0 * std_err, (value, beta_bar, exact, std_err)
 
     def test_spatial_mode_axis(self):
         res = self.sweep(

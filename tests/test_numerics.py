@@ -1,6 +1,7 @@
 """Special functions, Cholesky whitening, and sampling primitives."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -210,6 +211,66 @@ class TestSampling:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             sample_complex_gaussian(RngStream(1), -1.0)
+
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, [1.0, math.nan], [math.inf, 1.0]])
+    def test_non_finite_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match="finite"):
+            sample_complex_gaussian(RngStream(1), variance, size=2)
+
+
+class TestCis:
+    def test_split_of_the_table_step(self):
+        # Two 21-bit leading parts (n * part exact for |n| <= 2^32) and a
+        # remainder that sum to 2 pi / 1024 far below double precision.
+        pi = Fraction("3.14159265358979323846264338327950288419716939937510582097494459230781640628620899")
+        parts = [Fraction(p) for p in (numerics._CIS_STEP1, numerics._CIS_STEP2, numerics._CIS_STEP3)]
+        for part in (numerics._CIS_STEP1, numerics._CIS_STEP2):
+            assert (math.frexp(part)[0] * 2**21).is_integer()
+        assert abs(sum(parts) - pi / 512) < Fraction(1, 2**100)
+        assert round(Fraction(numerics._CIS_LIMIT) / (pi / 512)) <= 2**32
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, numerics._CIS_LIMIT])
+    def test_against_long_double(self, scale):
+        theta = np.random.default_rng(int(scale) % 97).uniform(-scale, scale, 200_000)
+        theta[:4] = [0.0, -0.0, np.nextafter(scale, 0.0), -np.nextafter(scale, 0.0)]
+        theta = theta[np.abs(theta) < numerics._CIS_LIMIT]
+        z = numerics.cis(theta)
+        exact = theta.astype(np.longdouble)
+        assert np.max(np.abs(z.real - np.cos(exact))) <= 2.5e-16
+        assert np.max(np.abs(z.imag - np.sin(exact))) <= 2.5e-16
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.lists(
+            st.one_of(
+                st.floats(-1e300, 1e300, allow_nan=False),
+                st.floats(-4 * numerics._CIS_LIMIT, 4 * numerics._CIS_LIMIT, allow_nan=False),
+                st.sampled_from([0.0, -0.0, numerics._CIS_LIMIT, -numerics._CIS_LIMIT]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_matches_complex_exp(self, theta):
+        # Near and far elements mixed in one call; both sides agree to a few
+        # ulp of theta (np.exp reduces theta exactly) and both are unit phasors.
+        theta = np.array(theta)
+        z = numerics.cis(theta)
+        assert z.shape == theta.shape and np.all(np.isfinite(z))
+        assert np.all(np.abs(np.abs(z) - 1.0) <= 4e-16)
+        assert np.all(np.abs(z - np.exp(1j * theta)) <= 4.0 * np.spacing(np.abs(theta)) + 2.5e-16)
+
+    def test_shapes(self):
+        assert np.ndim(numerics.cis(0.5)) == 0 and abs(numerics.cis(0.5) - np.exp(0.5j)) <= 2.5e-16
+        assert numerics.cis(np.zeros((3, 4))).shape == (3, 4)
+        assert numerics.cis(np.zeros(0)).shape == (0,)
+        theta = np.linspace(-10.0, 10.0, 12)
+        assert np.array_equal(numerics.cis(theta.reshape(3, 4)), numerics.cis(theta).reshape(3, 4))
+
+    def test_input_is_not_modified(self):
+        theta = np.array([1.0, 1e30, 3.0])
+        numerics.cis(theta)
+        assert theta.tolist() == [1.0, 1e30, 3.0]
 
 
 def test_simpson_oracle_self_check():

@@ -195,6 +195,16 @@ class TestFixedResponse:
         rms = np.sqrt(np.mean(np.abs(expected) ** 2))
         assert np.abs(got - expected).max() <= 1e-12 * rms
 
+    def test_complex_reflectivity_matches_long_double_image_sum(self):
+        # A complex wall coefficient makes the path gains complex.
+        scene = RoomScene(max_order=6, wall_reflectivity=0.5 - 0.6j)
+        p = make_params(M=20, W=2e7)
+        rx = (8.0, 6.0, 2.0)
+        txs = grid_positions(GridSpec(origin=(1.5, 1.5), spacing=0.1, counts=(60, 40), height=1.0))[::150]
+        expected = image_source_sum_longdouble(scene, txs, rx, p)
+        got = response_matrix(scene, txs, rx, p)
+        assert np.abs(got - expected).max() <= 1e-12 * np.sqrt(np.mean(np.abs(expected) ** 2))
+
 
 class TestRoomAverageGain:
     def test_unit_distance_free_space(self):
