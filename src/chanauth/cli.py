@@ -23,6 +23,7 @@ from .harness import (
     LinkBudget,
     SweepAxis,
     apply_sweep_value,
+    false_alarm_rate,
     noise_variance,
     resolve_variances,
     room_sweep,
@@ -335,7 +336,7 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
     with open(out_dir / "calibration.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["regime", "alpha_target", "alpha_hat", "std_err", "trials"])
-        regime, rates = calibration
+        regime, rates, exact_alpha = calibration
         writer.writerow([regime.value, _fmt(config.test.alpha), _fmt(rates.alpha_hat), _fmt(rates.alpha_se), rates.trials])
     digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
     with open(out_dir / "summary.txt", "w") as fh:
@@ -347,25 +348,29 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
         fh.write(f"alpha: {_fmt(config.test.alpha)}\n")
         fh.write(f"pair_count: {result.pair_count}\n")
         fh.write(f"trials: {config.trials}\n")
-        fh.write(f"empirical_alpha_hat: {_fmt(calibration[1].alpha_hat)}\n")
+        fh.write(f"empirical_alpha_hat: {_fmt(rates.alpha_hat)}\n")
+        fh.write(f"exact_alpha: {_fmt(exact_alpha)}\n")
         fh.write(f"sweep: {result.swept_param} = {' '.join(_fmt(v) for v in result.values)}\n")
         for value, beta, se in zip(result.values, result.beta_bar, result.std_err):
             fh.write(f"  {result.swept_param}={_fmt(value)}: beta_bar={_fmt(beta)} (se={_fmt(se)})\n")
 
 
 def _calibrate(config: ExperimentConfig, trace: RoomTrace, rng: RngStream):
-    """Empirical false-alarm rate for the configured regime at mid-grid.
+    """Empirical false-alarm rate for the configured regime at mid-grid, and the exact one.
 
     The room gain and alice's fixed response (the middle grid point) come
     from the grid ``trace`` already holds for the base tones, so nothing is
     traced again after a sweep that kept them.  Only alpha_hat is reported,
-    so the spoofer (eve, the first grid point) is not simulated.
+    so the spoofer (eve, the first grid point) is not simulated.  The exact
+    size (harness.false_alarm_rate) is what alpha_hat estimates; it differs
+    from the configured alpha when the regime's covariance is not the
+    channel's.
     """
     params, responses = resolve_variances(trace, config.channel, config.budget, config.b_T)
     hbar_a = responses[len(responses) // 2]
     hbar_e = responses[0]
     rates = simulate_error_rates(hbar_a, hbar_e, params, config.test, config.trials, rng, include_h1=False)
-    return config.test.regime, rates
+    return config.test.regime, rates, false_alarm_rate(params, config.test)
 
 
 def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, threads: int | None = None) -> int:

@@ -29,7 +29,9 @@ from .raytrace import RoomScene
 
 BOLTZMANN_NOISE_DENSITY = 10.0 ** (-17.4)  # thermal noise density kT in mW/Hz
 
-# Trials simulated together by simulate_error_rates; bounds its memory.
+# Trials simulated together by simulate_error_rates; bounds its memory.  The
+# batch size also fixes the order of the draws (each batch draws its taps,
+# then its noise), so changing it moves calibration.csv.
 _TRIAL_BATCH = 4000
 
 
@@ -122,6 +124,21 @@ def regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarray, np
     return r, g, detect.threshold_for(cfg, params.M)
 
 
+def false_alarm_rate(params: ChannelParams, cfg: TestConfig) -> float:
+    """Exact size P(Z > t) of the configured test when the transmitter is the stored one.
+
+    The fixed part cancels in the self-difference, whose true spectrum is
+    stats.covariance_R(params); the statistic whitens with regime_forms'
+    r_hat instead, so Z is a generalized chi-square with weights
+    r_true / r_hat and no offsets.  It is alpha where the two spectra agree
+    (general, full_spatial, and any regime on the channel it assumes) and
+    differs where they do not: high_bc at finite B_c, low_bc at B_c > 0,
+    time_invariant with variation, and unknown at its override.
+    """
+    r, _, t = regime_forms(params, cfg)
+    return 1.0 - float(generalized_chi2_cdf(t, stats.covariance_R(params) / r, np.zeros(params.M)))
+
+
 def miss_rates(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelParams, cfg: TestConfig) -> np.ndarray:
     """Exact miss rates P(Z <= t) for rows of fixed-response pairs, shape (pairs, M).
 
@@ -180,9 +197,12 @@ def simulate_error_rates(
     Every trial probes the channel at k-1 (the stored reference), steps the
     taps once, and scores both the legitimate probe and the spoofed probe
     at k with the configured statistic.  Trials run in batches of
-    _TRIAL_BATCH, so memory stays bounded however many trials are asked
-    for.  A skipped hypothesis (include_h0/include_h1) reports nan for its
-    rate.
+    _TRIAL_BATCH, and their arrays are allocated once per call: the taps
+    and the reference, which each scored probe overwrites with its
+    difference from it (channel.sample_response with ``subtract``), plus a
+    copy of the reference when both hypotheses are scored.  So memory stays
+    bounded however many trials are asked for.  A skipped hypothesis
+    (include_h0/include_h1) reports nan for its rate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -201,24 +221,32 @@ def simulate_error_rates(
     # or when the spoofer shares the variation.
     need_step = include_h0 or mode is SpatialMode.FULLY_CORRELATED
 
+    batch = min(_TRIAL_BATCH, trials)
+    amps = np.empty((batch, len(profile.profile)), dtype=complex)
+    ref = np.empty((batch, params.M), dtype=complex)
+    # Each hypothesis overwrites a reference with its probe minus it; scoring
+    # both takes a copy for the first.
+    copy = np.empty_like(ref) if include_h0 and include_h1 else None
     false_alarms = 0
     misses = 0
     done = 0
     while done < trials:
-        n = min(_TRIAL_BATCH, trials - done)
-        state = chan.init_taps(profile, rng, batch=n)
-        ref = chan.sample_response(hbar_a, state, params, rng)
+        n = min(batch, trials - done)
+        state = chan.init_taps(profile, rng, batch=n, out=amps[:n])
+        chan.sample_response(hbar_a, state, params, rng, out=ref[:n])
         if need_step:
-            state = chan.step_taps(state, params.a, rng)
+            state = chan.step_taps(state, params.a, rng, out=state.amps)
         if include_h0:
-            probe_alice = chan.sample_response(hbar_a, state, params, rng)
-            z0 = detect.statistic_batch(probe_alice - ref, r)
-            false_alarms += int(np.count_nonzero(z0 > threshold))
+            diffs = ref[:n]
+            if copy is not None:
+                diffs = copy[:n]
+                diffs[...] = ref[:n]
+            chan.sample_response(hbar_a, state, params, rng, out=diffs, subtract=True)
+            false_alarms += int(np.count_nonzero(detect.statistic_batch(diffs, r) > threshold))
         if include_h1:
-            eve_state = chan.eve_variation(state, mode, rng, params)
-            probe_eve = chan.sample_response(hbar_e, eve_state, params, rng)
-            z1 = detect.statistic_batch(probe_eve - ref, r)
-            misses += int(np.count_nonzero(z1 <= threshold))
+            eve_state = chan.eve_variation(state, mode, rng, params, out=state.amps)
+            chan.sample_response(hbar_e, eve_state, params, rng, out=ref[:n], subtract=True)
+            misses += int(np.count_nonzero(detect.statistic_batch(ref[:n], r) <= threshold))
         done += n
 
     a_hat = false_alarms / trials if include_h0 else math.nan

@@ -268,6 +268,24 @@ class TestValidateMatchesRun:
         rows, _ = read_outputs(tmp_path / "out")
         assert [float(row["beta_bar"]) for row in rows] == pytest.approx(beta_bar, rel=1e-12, abs=0.0)
 
+    def test_noncentral_cdf_past_its_term_cap(self, tmp_path, capsys):
+        # The threshold is this pair's noncentrality, so the CDF sits at the
+        # mean of a Poisson mixture far past 2^20 terms (x/2 ~ 5.2e19).
+        path = write_cfg(
+            tmp_path,
+            **{
+                "test.regime": "time_invariant",
+                "test.threshold_override": "1.043219786681157e20",
+                "budget.P_T": "1e20",
+                "grid.counts": "2 1",
+                "sweep.values": "0.1",
+            },
+        )
+        assert validate(path) == []
+        assert run(path, tmp_path / "out") == EXIT_OK, capsys.readouterr().err
+        rows, _ = read_outputs(tmp_path / "out")
+        assert [0.0 <= float(row["beta_bar"]) <= 1.0 for row in rows] == [True]
+
     @pytest.mark.parametrize("Bc", ["0", "2e6", "inf"])
     @pytest.mark.parametrize("P_T", ["1e16", "1e20", "1e100"])
     @pytest.mark.parametrize("regime", sorted(r.value for r in Regime))
@@ -372,6 +390,7 @@ def test_shipped_config_runs(config_run, name):
 
 def test_run_imports_no_scipy(tmp_path):
     # scipy is a test-only oracle: a run in a fresh interpreter must not load it, whatever the regime.
+    # Nor numpy.polynomial (~1.5 MB of every process), whose Gauss-Legendre rule numerics keeps as constants.
     configs = [
         write_cfg(tmp_path, name=f"{regime}.cfg", **{"test.regime": regime})
         for regime in ("low_bc", "high_bc", "general", "full_spatial", "time_invariant")
@@ -382,7 +401,7 @@ def test_run_imports_no_scipy(tmp_path):
         "from chanauth import cli\n"
         "for config in sys.argv[2:]:\n"
         "    assert cli.main(['run', config, '--out', sys.argv[1]]) == 0, config\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy' or name.startswith('numpy.polynomial')))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

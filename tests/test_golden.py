@@ -5,10 +5,12 @@ checked-in CSVs.
 ``tests/golden/<name>/`` holds the sweep.csv and calibration.csv that
 ``chanauth run`` wrote for each config at its own seed.  A change that moves
 a miss rate by more than RTOL, or flips one calibration decision, fails
-here.  Regenerate on purpose with ``python tests/golden/regenerate.py``,
-which prints every value that moved.  Each config is run once per session
-(the ``config_run`` fixture), and tests/test_cli.py::test_shipped_config_runs
-reads the same runs of the shipped configs.  Every golden config must also
+here, and so does an alpha_hat more than 4 standard errors from the exact
+size in summary.txt.  Regenerate on purpose with
+``python tests/golden/regenerate.py``, which prints every value that moved.
+Each config is run once per session (the ``config_run`` fixture), and
+tests/test_cli.py::test_shipped_config_runs reads the same runs of the
+shipped configs.  Every golden config must also
 validate and give finite outputs with beta_bar in [0, 1].
 """
 
@@ -48,6 +50,10 @@ def test_matches_golden(config_run, name):
     assert all(0.0 <= float(r["beta_bar"]) <= 1.0 for r in got_rows)
     alpha_hat, se = float(calib["alpha_hat"]), float(calib["std_err"])
     assert math.isfinite(alpha_hat) and math.isfinite(se)
+    # The calibration estimates the test's exact size, which summary.txt records.
+    summary = (out / "summary.txt").read_text().splitlines()
+    (exact,) = [float(line.removeprefix("exact_alpha: ")) for line in summary if line.startswith("exact_alpha: ")]
+    assert abs(alpha_hat - exact) <= 4.0 * se
 
     want = GOLDEN / name
     assert (out / "calibration.csv").read_bytes() == (want / "calibration.csv").read_bytes()

@@ -1,6 +1,7 @@
 """Link budget, per-pair miss rates, end-to-end simulation, room sweeps."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chanauth import channel as chan
 from chanauth import raytrace
 from chanauth.channel import ChannelParams, SpatialMode
 from chanauth.cli import load_config
@@ -19,6 +21,7 @@ from chanauth.detect import (
     miss_rate_general_numerical,
     miss_rate_low_bc,
     miss_rate_time_invariant,
+    statistic_batch,
 )
 from chanauth.harness import (
     LinkBudget,
@@ -27,6 +30,7 @@ from chanauth.harness import (
     _unrank_pairs,
     apply_sweep_value,
     empirical_error_rates,
+    false_alarm_rate,
     miss_rate_for_pair,
     miss_rates,
     noise_variance,
@@ -295,6 +299,56 @@ class TestSimulateErrorRates:
         assert 0.0 <= rates.alpha_hat <= 1.0
         assert 0.0 <= rates.beta_hat <= 1.0
 
+    @pytest.mark.parametrize("regime", [Regime.GENERAL_KNOWN_PARAMS, Regime.FULL_SPATIAL_CORRELATION])
+    def test_matches_fresh_arrays_every_batch(self, regime):
+        # The batch loop with fresh arrays for every stage, as the generator
+        # is called without out=: the same draws, and differences equal to
+        # rounding, give the same decisions.  5000 trials take one full
+        # batch and one partial one.
+        p = make_params(M=6, sigma_T=0.3, sigma_N2=0.05)
+        ha = np.linspace(0.0, 0.2, p.M) + 0.1j
+        he = ha[::-1]
+        cfg = TestConfig(alpha=0.05, regime=regime)
+        mode = SpatialMode.FULLY_CORRELATED if regime is Regime.FULL_SPATIAL_CORRELATION else SpatialMode.INDEPENDENT
+        r, _, t = regime_forms(p, cfg)
+        rng, false_alarms, misses, done = RngStream(74), 0, 0, 0
+        while done < 5000:
+            n = min(4000, 5000 - done)
+            state = chan.init_taps(chan.build_delay_profile(p), rng, batch=n)
+            ref = chan.sample_response(ha, state, p, rng)
+            state = chan.step_taps(state, p.a, rng)
+            z0 = statistic_batch(chan.sample_response(ha, state, p, rng) - ref, r)
+            eve = chan.eve_variation(state, mode, rng, p)
+            z1 = statistic_batch(chan.sample_response(he, eve, p, rng) - ref, r)
+            false_alarms += int(np.count_nonzero(z0 > t))
+            misses += int(np.count_nonzero(z1 <= t))
+            done += n
+        rates = simulate_error_rates(ha, he, p, cfg, trials=5000, rng=RngStream(74))
+        assert (rates.alpha_hat, rates.beta_hat) == (false_alarms / 5000, misses / 5000)
+        assert 0 < false_alarms < 5000 and 0 < misses < 5000
+
+    def test_working_memory_is_bounded(self):
+        # room_grid's calibration (M = 20, one tap): the reference, which the
+        # probe overwrites with its difference, is most of what it holds at
+        # its peak, and it is allocated once per call.
+        budget = LinkBudget(P_T=100.0)
+        p = make_params(W=2e7, M=20, Bc=math.inf, sigma_T=0.0, sigma_N2=noise_variance(budget, 20))
+        cfg = TestConfig(alpha=0.01, regime=Regime.TIME_INVARIANT_BENCHMARK)
+        h = np.linspace(0.0, 1.0, p.M) + 0.5j
+
+        def peak(trials: int) -> int:
+            tracemalloc.start()
+            try:
+                simulate_error_rates(h, h[::-1], p, cfg, trials, RngStream(75), include_h1=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call caches (FFT plans) out of the measurement
+        small, large = peak(4000), peak(40_000)
+        assert small < 1.5 * 4000 * p.M * 16  # 1.92 MB; one (4000 x M) complex array is 1.28 MB
+        assert large <= small + 4000  # no growth with the trial count
+
     def test_input_validation(self):
         p = make_params()
         h = np.zeros(p.M, dtype=complex)
@@ -303,6 +357,35 @@ class TestSimulateErrorRates:
             simulate_error_rates(h, h, p, cfg, trials=0, rng=RngStream(0))
         with pytest.raises(ValueError):
             simulate_error_rates(h, h, p, cfg, trials=10, rng=RngStream(0), include_h0=False, include_h1=False)
+
+
+class TestFalseAlarmRate:
+    @pytest.mark.parametrize("regime", [Regime.GENERAL_KNOWN_PARAMS, Regime.FULL_SPATIAL_CORRELATION])
+    def test_matched_regimes_have_size_alpha(self, regime):
+        cfg = TestConfig(alpha=0.01, regime=regime)
+        assert false_alarm_rate(make_params(sigma_N2=0.1), cfg) == pytest.approx(0.01, rel=1e-12)
+        low = TestConfig(alpha=0.01, regime=Regime.LOW_BC_CLOSED_FORM)
+        assert false_alarm_rate(make_params(Bc=0.0, sigma_N2=0.1), low) == pytest.approx(0.01, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "regime, Bc, override, size",
+        [
+            (Regime.HIGH_BC_NUMERICAL, 2e6, None, 0.0903),
+            (Regime.TIME_INVARIANT_BENCHMARK, 2e6, None, 0.4650),
+            (Regime.UNKNOWN_PARAMS, 2e6, 40.0, 0.4087),
+            (Regime.LOW_BC_CLOSED_FORM, 1e3, None, 0.0100),
+        ],
+    )
+    def test_matches_monte_carlo(self, regime, Bc, override, size):
+        # A regime whose covariance is not the channel's has its own size.
+        # M = 10, a = 0.9, sigma_T = 1, sigma_N^2 = 0.1, alpha = 0.01.
+        p = make_params(Bc=Bc, sigma_N2=0.1)
+        cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=override)
+        exact = false_alarm_rate(p, cfg)
+        assert exact == pytest.approx(size, abs=5e-5)
+        h = np.zeros(p.M, dtype=complex)
+        rates = simulate_error_rates(h, h, p, cfg, trials=40_000, rng=RngStream(76), include_h1=False)
+        assert abs(rates.alpha_hat - exact) <= 4.0 * rates.alpha_se
 
 
 class TestSelectPairs:

@@ -13,6 +13,7 @@ from chanauth.numerics import (
     HermitianMatrix,
     NotPositiveDefiniteError,
     RngStream,
+    add_complex_gaussian,
     chi2_cdf,
     chi2_inv,
     cholesky,
@@ -117,6 +118,32 @@ class TestNoncentralChi2Cdf:
         assert 0.0 < estimate < 1.0
         assert noncentral_chi2_cdf(x, k, mu) == pytest.approx(estimate, abs=2e-3)
 
+    @pytest.mark.parametrize("y", [1e8, 1e9])
+    def test_saddle_point_matches_mixture(self, y):
+        # x/2 = y at 1 and 3 standard deviations either side of the mean h + lam
+        # (k = 10 dof, so h = 5); the saddle point's own error there is ~1e-14.
+        h = 5.0
+        lam = []
+        for sds in (-3.0, -1.0, 1.0, 3.0):
+            value = y - h
+            for _ in range(8):  # fixed point of lam = y - h - sds * sqrt(h + 2 lam)
+                value = y - h - sds * math.sqrt(h + 2.0 * value)
+            lam.append(value)
+        lam = np.array(lam)
+        mixture = numerics._poisson_mixture(y, h, lam)
+        assert np.abs(numerics._lugannani_rice(y, h, lam) - mixture).max() <= 2e-13
+        assert mixture == pytest.approx([0.00135, 0.15866, 0.84134, 0.99865], abs=1e-4)  # ~Phi(sds)
+
+    def test_past_the_term_cap(self):
+        # At x/2 = mu/2 = 5.2e19 the mixture would need ~1.4e11 terms; the
+        # saddle point gives the CDF at the mean, 1/2 + O(1/sqrt(mu)).
+        x = 1.043219786681157e20
+        assert noncentral_chi2_cdf(x, 20, x) == pytest.approx(0.5, abs=1e-9)
+        # One standard deviation of mu/2 is ~1e-10 of it.
+        values = noncentral_chi2_cdf(x, 20, x * (1.0 + 1e-10 * np.arange(-3.0, 4.0)))
+        assert np.all(np.diff(values) < 0) and 0.0 < values[-1] < values[0] < 1.0
+        assert noncentral_chi2_cdf(x, 20, [1.0, 1e30]).tolist() == [1.0, 0.0]
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             noncentral_chi2_cdf(-1.0, 4, 1.0)
@@ -217,6 +244,29 @@ class TestSampling:
         with pytest.raises(ValueError, match="finite"):
             sample_complex_gaussian(RngStream(1), variance, size=2)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 4), (1000, 7), (5000, 3)])
+    def test_in_place_draws_match_sample(self, shape):
+        # Same draws in the same order, a row block at a time: bit for bit
+        # the out-of-place sum, whatever the split of the rows into blocks.
+        variance = np.linspace(0.5, 2.0, shape[-1])
+        base = np.arange(math.prod(shape)).reshape(shape) * (1.0 - 0.5j)
+        want = base + sample_complex_gaussian(RngStream(4, 2), variance, size=shape)
+        got = base.copy()
+        assert add_complex_gaussian(RngStream(4, 2), got, np.sqrt(variance / 2.0)) is got
+        assert np.array_equal(got, want)
+
+    def test_in_place_scales_round_in_order(self):
+        a, b = np.full((300, 3), 1.5 + 0j), np.full((300, 3), 1.5 + 0j)
+        add_complex_gaussian(RngStream(6), a, math.sqrt(0.5), np.array([0.3, 0.7, 1.1]))
+        b += sample_complex_gaussian(RngStream(6), 1.0, size=b.shape) * np.array([0.3, 0.7, 1.1])
+        assert np.array_equal(a, b)
+
+    def test_in_place_needs_contiguous_complex(self):
+        with pytest.raises(ValueError):
+            add_complex_gaussian(RngStream(1), np.zeros((4, 4), dtype=complex)[:, ::2], 1.0)
+        with pytest.raises(ValueError):
+            add_complex_gaussian(RngStream(1), np.zeros((4, 4)), 1.0)
+
 
 class TestCis:
     def test_split_of_the_table_step(self):
@@ -271,6 +321,15 @@ class TestCis:
         theta = np.array([1.0, 1e30, 3.0])
         numerics.cis(theta)
         assert theta.tolist() == [1.0, 1e30, 3.0]
+
+
+def test_gauss_legendre_constants_are_leggauss():
+    # The run path never imports numpy.polynomial; its rule is kept as constants.
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert np.array_equal(numerics._GL_NODES, nodes)
+    assert np.array_equal(numerics._GL_WEIGHTS, weights)
 
 
 def test_simpson_oracle_self_check():
