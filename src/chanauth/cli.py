@@ -392,7 +392,11 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
             return EXIT_CONFIG
         config = replace(config, seed=seed)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path, or one of its parents, is a file
+        print(f"runtime error: --out {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     outputs = [out_dir / "sweep.csv", out_dir / "calibration.csv", out_dir / "summary.txt"]
     try:
         rng = RngStream(config.seed)

@@ -356,12 +356,18 @@ def room_sweep(
     ``base_params.sigma_T`` and ``sigma_N2`` are derived per sweep value
     from b_T, the room gain, and the link budget (all three can depend on
     the swept parameter; see resolve_variances).  The fixed responses and
-    the room gain come from ``trace``, which traces the grid once per tone
-    set: once in all for b_T, P_T, B_c and spatial_mode sweeps, once per
-    distinct value for W and M sweeps.  The pair subsample is drawn once
-    from ``rng``, so every sweep value sees the same pairs; each value's
-    miss rates come from one batched miss_rates call.  ``std_err`` is the
-    standard error of the room average over the sampled pairs.
+    the room gain come from ``trace``, which is told every tone set of the
+    sweep and of ``base_params`` (the calibration's) before the first value
+    is evaluated: it traces the grid once in all for b_T, P_T, B_c and
+    spatial_mode sweeps, once for an M sweep whose tone counts share a small
+    common multiple (RoomTrace.prepare), and once per distinct value
+    otherwise.  The pair subsample is drawn once from ``rng``, so every
+    sweep value sees the same pairs; each value's miss rates come from one
+    batched miss_rates call.  ``std_err`` is the standard error of the
+    room average over the sampled pairs.  When ``pair_budget`` covers all
+    n (n - 1) / 2 pairs the average is exact, and ``std_err`` is then the
+    spread of the per-pair miss rates over sqrt(pairs), not a sampling
+    error.
     """
     axis = SweepAxis(sweep_param) if not isinstance(sweep_param, SweepAxis) else sweep_param
     sweep_values = list(sweep_values)
@@ -370,11 +376,12 @@ def room_sweep(
     if rng is None:
         rng = RngStream(0)
 
+    applied = [apply_sweep_value(base_params, budget, cfg, axis, value) for value in sweep_values]
+    trace.prepare([base_params, *(params for params, _, _ in applied)])
     ii, jj = _select_pairs(len(trace.positions), pair_budget, rng.substream(1))
 
     beta_bar, std_err = [], []
-    for value in sweep_values:
-        params, val_budget, val_cfg = apply_sweep_value(base_params, budget, cfg, axis, value)
+    for value, (params, val_budget, val_cfg) in zip(sweep_values, applied):
         bt = float(value) if axis is SweepAxis.B_T else b_T
         params, responses = resolve_variances(trace, params, val_budget, bt)
         betas = miss_rates(responses[ii], responses[jj], params, val_cfg)

@@ -10,17 +10,24 @@ over sub-wavelength displacements, which is all the detection math needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelParams
 from .numerics import _CIS_WORK, _cos_sin
 
-# Transmitters traced together by response_matrix; bounds its work arrays
-# (~1.3 MB at 377 images).  On a 2400-point grid with 377 images, 32 to 128
-# rows ran alike (95-110 ms), and 16 and 256 rows 15-35 % slower.
-_ROW_BLOCK = 32
+# (transmitter x image) elements traced together by response_matrix; bounds
+# its work arrays (~1.3 MB).  Most of a small block's cost is per-block
+# overhead: one 60-tone trace of a 256-point grid with 129 images took 8.0 ms
+# in 32-row blocks and 4.8 ms in 95-row blocks.  At 377 images a block is 32
+# rows, where 32 to 128 rows ran alike on a 2400-point grid.
+_BLOCK_ELEMENTS = 12_288
+
+
+def _block_rows(n_images: int) -> int:
+    """Transmitters per response_matrix block when each has ``n_images`` paths."""
+    return max(1, _BLOCK_ELEMENTS // n_images)
 
 
 @dataclass(frozen=True)
@@ -139,10 +146,11 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
     Each path therefore costs two unit phasors (numerics.cis, in real
     arithmetic), and tone m is the image sum of the running phasor, which
     is advanced by one step multiply per tone; no (transmitter x image x
-    tone) array is built.  Transmitters are traced _ROW_BLOCK at a time
-    through (transmitter x image) work arrays that every block reuses, so
-    the trace allocates nothing per block.  Each row is computed alone, so
-    it does not depend on the block size or on the other transmitters.
+    tone) array is built.  Transmitters are traced in blocks of about
+    _BLOCK_ELEMENTS paths through (transmitter x image) work arrays that
+    every block reuses, so the trace allocates nothing per block.  Each row
+    is computed alone, so it does not depend on the block size or on the
+    other transmitters.
     """
     txs = np.atleast_2d(np.asarray(txs, dtype=float))
     rx = np.asarray(rx, dtype=float)
@@ -151,12 +159,13 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
     images, bounces = image_sources(scene, rx)
     gains = scene.amplitude_scale * scene.wall_reflectivity ** bounces  # (K,)
     out = np.empty((len(txs), params.M), dtype=complex)
-    size = min(_ROW_BLOCK, len(txs)) * len(images)
+    block_rows = _block_rows(len(images))
+    size = min(block_rows, len(txs)) * len(images)
     work = np.empty((2 + _CIS_WORK, size))
     amplitudes = np.empty(size, dtype=np.result_type(gains, 1.0))  # complex if the walls are
     phasors = np.empty((2, size), dtype=complex)
-    for start in range(0, len(txs), _ROW_BLOCK):
-        block = txs[start : start + _ROW_BLOCK]
+    for start in range(0, len(txs), block_rows):
+        block = txs[start : start + block_rows]
         shape = (len(block), len(images))
         dists, phase, *cis_work = (w[: shape[0] * shape[1]].reshape(shape) for w in work)
         amplitude, phasor, step = (a[: shape[0] * shape[1]].reshape(shape) for a in (amplitudes, *phasors))
@@ -189,9 +198,14 @@ class RoomTrace:
     """Fixed responses of every grid point to one receiver, for one run.
 
     A response depends on the channel only through its tones, and
-    ChannelParams.tones only on (f0, W, M), so the grid is traced once per
-    distinct tone set and the stored (n_points, M) array is returned after
-    that.  The arrays are read-only because every caller shares them.
+    ChannelParams.tones only on (f0, W, M), so the grid is traced at most
+    once per distinct tone set and the stored (n_points, M) array is
+    returned after that.  Tone sets that share (f0, W) all lie on the tones
+    of one grid of L = lcm of their M values: tone m of set M is grid tone
+    m L / M.  prepare() traces that grid once when L is at most the sum of
+    the M values, so it costs no more tone steps than the separate traces
+    and fewer paths' unit phasors.  The arrays are read-only because every
+    caller shares them.
     """
 
     def __init__(self, scene: RoomScene, grid: GridSpec, rx):
@@ -200,14 +214,36 @@ class RoomTrace:
         self.positions = grid_positions(grid)
         self._responses: dict[tuple[float, float, int], np.ndarray] = {}
 
+    def prepare(self, params_seq) -> None:
+        """Trace the tone sets of every ChannelParams in ``params_seq`` not yet held.
+
+        Per (f0, W), the new sets come from one trace of their common grid
+        if it has no more tones than they have together, and each from its
+        own trace otherwise.
+        """
+        groups: dict[tuple[float, float], dict[int, ChannelParams]] = {}
+        for params in params_seq:
+            if (params.f0, params.W, params.M) not in self._responses:
+                groups.setdefault((params.f0, params.W), {})[int(params.M)] = params
+        for (f0, W), sets in groups.items():
+            n_tones = math.lcm(*sets)
+            if n_tones <= sum(sets):
+                full = self._trace(replace(next(iter(sets.values())), M=n_tones))
+                for M in sets:
+                    self._responses[(f0, W, M)] = full[:, n_tones // M - 1 :: n_tones // M]
+            else:
+                for M, params in sets.items():
+                    self._responses[(f0, W, M)] = self._trace(params)
+
     def responses(self, params: ChannelParams) -> np.ndarray:
         """The grid's (n_points, M) fixed responses at the tones of ``params``."""
-        key = (params.f0, params.W, params.M)
-        if key not in self._responses:
-            traced = response_matrix(self.scene, self.positions, self.rx, params)
-            traced.flags.writeable = False
-            self._responses[key] = traced
-        return self._responses[key]
+        self.prepare([params])
+        return self._responses[(params.f0, params.W, params.M)]
+
+    def _trace(self, params: ChannelParams) -> np.ndarray:
+        traced = response_matrix(self.scene, self.positions, self.rx, params)
+        traced.flags.writeable = False
+        return traced
 
 
 def rms_gain(responses: np.ndarray) -> float:

@@ -194,6 +194,14 @@ class TestRun:
         assert "runtime error" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing_file", "under_a_file"])
+    def test_unusable_out_dir(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("not a directory\n")
+        assert main(["run", str(write_cfg(tmp_path)), "--out", str(tmp_path / out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and str(tmp_path / out) in err
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+
     def test_seed_reproducibility(self, tmp_path):
         path = write_cfg(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -454,7 +454,11 @@ class TestRoomSweep:
         for axis, values, traces in [
             (SweepAxis.B_T, [0.01, 0.1, 1.0], 1),
             (SweepAxis.P_T, [1.0, 10.0, 100.0], 1),
-            (SweepAxis.M, [4, 8, 4, 10], 3),  # one per distinct M
+            # The base M = 10 joins the sweep's tone sets.  5, 10, 20 and 30
+            # are columns of one 60-tone grid; 4, 8 and 10 would need 40
+            # tones, more than their 22, so each is traced alone.
+            (SweepAxis.M, [5, 10, 20, 30], 1),
+            (SweepAxis.M, [4, 8, 4, 10], 3),
         ]:
             calls.clear()
             self.sweep(sweep_param=axis, sweep_values=values)

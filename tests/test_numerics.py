@@ -2,10 +2,11 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanauth import numerics
@@ -357,6 +358,20 @@ def gchi2_cases(draw):
     return weights, offsets, x
 
 
+@st.composite
+def panel_budget_cases(draw):
+    """M from 2 to 30, weight spreads up to 1e4, offsets up to 1e3 weights, x within 3 sd of the mean."""
+    m = draw(st.integers(2, 30))
+    spread = draw(st.floats(0.0, 4.0))
+    weights = 10.0 ** np.array(draw(st.lists(st.floats(0.0, spread), min_size=m, max_size=m)))
+    log_ratio = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
+    central = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    offsets = np.where(central, 0.0, weights * 10.0**log_ratio)
+    mean = float(np.sum(2.0 * weights + offsets))
+    sd = math.sqrt(float(np.sum(4.0 * weights * (weights + offsets))))
+    return weights, offsets, max(0.0, mean + draw(st.floats(-3.0, 3.0)) * sd)
+
+
 class TestGeneralizedChi2Cdf:
     def test_equal_weights_are_noncentral_chi2(self):
         offsets = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [40.0, 0.0, 3.0]])
@@ -439,6 +454,21 @@ class TestGeneralizedChi2Cdf:
     def test_input_validation(self, x, weights, offsets):
         with pytest.raises(ValueError):
             generalized_chi2_cdf(x, weights, offsets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=panel_budget_cases())
+    # Lower-tail pairs that real-axis panels of 10 rad miss by 3.5e-13 and
+    # 2.3e-13, and 12 rad by 1.1e-11 and 7.0e-12.
+    @example(case=(np.array([134.74, 101.14]), np.array([2543.6, 138.8]), 38.7))
+    @example(case=(np.array([49.66, 550.19]), np.array([23.6, 13193.2]), 59.0))
+    def test_panel_budgets_match_narrow_panels(self, case):
+        # The panel budgets stay within the truncation level of 2-rad
+        # panels, which take four (real axis) to twelve (ray) times the nodes.
+        weights, offsets, x = case
+        got = generalized_chi2_cdf(x, weights, offsets)
+        with mock.patch.multiple(numerics, _PANEL_PHASE=2.0, _RAY_PANEL_PHASE=2.0):
+            narrow = generalized_chi2_cdf(x, weights, offsets)
+        assert abs(got - narrow) <= 1e-13
 
     @settings(max_examples=80, deadline=None)
     @given(case=gchi2_cases(), stretch=st.floats(0.0, 1.0))

@@ -11,10 +11,10 @@ from _oracles import image_source_sum_longdouble
 from chanauth.channel import ChannelParams
 from chanauth.numerics import RngStream
 from chanauth.raytrace import (
-    _ROW_BLOCK,
     GridSpec,
     RoomScene,
     RoomTrace,
+    _block_rows,
     fixed_response,
     grid_positions,
     image_sources,
@@ -142,9 +142,10 @@ class TestFixedResponse:
             fixed_response(scene, (1.0, 2.0, 1.0), (5.0, 9.0, 1.0), make_params())
 
     def test_names_first_outside_transmitter(self):
-        txs = np.full((2 * _ROW_BLOCK, 3), 1.0)
-        txs[_ROW_BLOCK + 5] = (1.0, 8.5, 1.0)
-        txs[_ROW_BLOCK + 9] = (-1.0, 2.0, 1.0)
+        block = _block_rows(len(image_sources(RoomScene(), (5.0, 5.0, 1.0))[0]))
+        txs = np.full((2 * block, 3), 1.0)
+        txs[block + 5] = (1.0, 8.5, 1.0)
+        txs[block + 9] = (-1.0, 2.0, 1.0)
         with pytest.raises(ValueError, match=r"transmitter position \[1\.0, 8\.5, 1\.0\]"):
             response_matrix(RoomScene(), txs, (5.0, 5.0, 1.0), make_params())
 
@@ -152,34 +153,40 @@ class TestFixedResponse:
         # Row blocks change no bits: every row equals its single-row trace.
         scene = RoomScene()
         p = make_params()
-        n_tx = 2 * _ROW_BLOCK + 3
+        rx = (8.0, 6.0, 2.0)
+        n_tx = 2 * _block_rows(len(image_sources(scene, rx)[0])) + 3
         gen = RngStream(61).generator
         txs = np.array([[2.0, 2.0, 1.0], [3.0, 4.0, 1.0]])
         txs = np.vstack([txs, gen.uniform((0.5, 0.5, 0.5), (9.5, 7.5, 2.5), size=(n_tx - 2, 3))])
-        rx = (8.0, 6.0, 2.0)
         batch = response_matrix(scene, txs, rx, p)
         assert batch.shape == (n_tx, p.M)
         for i, tx in enumerate(txs):
             assert np.array_equal(batch[i], fixed_response(scene, tx, rx, p))
 
     def test_work_arrays_are_bounded_by_one_block(self):
-        scene = RoomScene()
         p = make_params(M=20)
         rx = (8.0, 6.0, 2.0)
-        n_images = len(image_sources(scene, rx)[0])
-        block_bytes = _ROW_BLOCK * n_images * p.M * 16
-        grid = GridSpec(origin=(1.0, 1.0), spacing=0.15, counts=(50, 40), height=1.0)
+        grid = GridSpec(origin=(1.0, 1.0), spacing=0.1, counts=(80, 50), height=1.0)
         txs = grid_positions(grid)
-        tracemalloc.start()
-        try:
-            response_matrix(scene, txs, rx, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # The tones are built by recurrence, so not even one block's
-        # (block x images x M) phase tensor is ever held; the whole tensor
-        # would be len(txs) / _ROW_BLOCK ~ 16 blocks.
-        assert peak < block_bytes, (peak, block_bytes)
+        output_bytes = 2000 * p.M * 16
+        for max_order, n_images in ((4, 129), (6, 377)):
+            scene = RoomScene(max_order=max_order)
+            assert len(image_sources(scene, rx)[0]) == n_images
+            block_bytes = _block_rows(n_images) * n_images * p.M * 16
+            peaks = []
+            for n_tx in (2000, 4000):
+                tracemalloc.start()
+                try:
+                    response_matrix(scene, txs[:n_tx], rx, p)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # The tones are built by recurrence, so not even one block's
+            # (block x images x M) phase tensor is ever held; the whole tensor
+            # would be 2000 / _block_rows(n_images) blocks.  Only the output
+            # grows with the transmitter count.
+            assert peaks[0] < block_bytes, (n_images, peaks[0], block_bytes)
+            assert peaks[1] - peaks[0] <= output_bytes, (n_images, peaks, output_bytes)
 
     @pytest.mark.parametrize("M, W", [(1, 1e7), (2, 1e7), (20, 2e7), (30, 1e7), (1000, 1e8)])
     def test_matches_long_double_image_sum(self, M, W):
@@ -235,6 +242,28 @@ class TestRoomAverageGain:
                 total += abs(h[m]) ** 2
                 count += 1
         assert gain == pytest.approx(math.sqrt(total / count), rel=1e-12)
+
+
+class TestRoomTrace:
+    def test_shared_tone_grid_matches_each_set(self):
+        # M = 5, 10, 20 and 30 are every 12th, 6th, 3rd and 2nd tone of one
+        # 60-tone grid; its columns match each set's own trace and the image
+        # sum taken in extended precision.
+        scene = RoomScene(max_order=6)
+        rx = (8.0, 6.0, 2.0)
+        grid = GridSpec(origin=(1.5, 1.5), spacing=0.7, counts=(4, 4), height=1.0)
+        trace = RoomTrace(scene, grid, rx)
+        sets = [make_params(M=M) for M in (5, 10, 20, 30)]
+        trace.prepare(sets)
+        for p in sets:
+            got = trace.responses(p)
+            assert not got.flags.writeable
+            assert np.shares_memory(got, trace.responses(sets[0]))
+            own = response_matrix(scene, trace.positions, rx, p)
+            expected = image_source_sum_longdouble(scene, trace.positions, rx, p)
+            rms = np.sqrt(np.mean(np.abs(expected) ** 2))
+            assert np.abs(got - own).max() <= 1e-12 * rms
+            assert np.abs(got - expected).max() <= 1e-12 * rms
 
 
 class TestPhysicalPremises:
