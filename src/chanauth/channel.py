@@ -23,13 +23,21 @@ import numpy as np
 from .numerics import RngStream, add_complex_gaussian, block_rows
 
 
+class SpatialMode(Enum):
+    """Spatial correlation of the variable part between the two transmitters."""
+
+    INDEPENDENT = "independent"
+    FULLY_CORRELATED = "fully_correlated"
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Physical and statistical parameters of the channel and measurement.
 
     Bc may be 0 (tone-independent variation) or ``math.inf`` (a single
     tap, fully tone-correlated); the generator is exact at both.  Temporal
-    correlation over one probe interval enters solely through a.
+    correlation over one probe interval enters solely through a, and
+    spatial_mode says whether the spoofer shares the variable part.
     """
 
     f0: float
@@ -39,6 +47,7 @@ class ChannelParams:
     Bc: float
     sigma_T: float
     sigma_N2: float
+    spatial_mode: SpatialMode = SpatialMode.INDEPENDENT
 
     def __post_init__(self):
         # Comparisons are written so that NaN fails them.
@@ -56,6 +65,8 @@ class ChannelParams:
             raise ValueError("sigma_T must be nonnegative and finite")
         if not 0 <= self.sigma_N2 < math.inf:
             raise ValueError("sigma_N2 must be nonnegative and finite")
+        if not isinstance(self.spatial_mode, SpatialMode):
+            raise ValueError("spatial_mode must be a SpatialMode")
 
     @property
     def delta_f(self) -> float:
@@ -71,13 +82,6 @@ class ChannelParams:
     def tap_decay(self) -> float:
         """Power ratio E = e^{-2 pi Bc/W} of adjacent taps: 1 at Bc = 0, 0 at Bc = inf."""
         return math.exp(-2.0 * math.pi * self.Bc / self.W)
-
-
-class SpatialMode(Enum):
-    """Spatial correlation of the variable part between the two transmitters."""
-
-    INDEPENDENT = "independent"
-    FULLY_CORRELATED = "fully_correlated"
 
 
 @dataclass(frozen=True)
@@ -199,17 +203,15 @@ def sample_response(
     return add_complex_gaussian(rng, probe, math.sqrt(params.sigma_N2 / 2.0))
 
 
-def eve_variation(
-    alice_state: TapState, mode: SpatialMode, rng: RngStream, params: ChannelParams, out: np.ndarray | None = None
-) -> TapState:
-    """The spoofer's tap state under the chosen spatial-correlation extreme.
+def eve_variation(alice_state: TapState, rng: RngStream, params: ChannelParams, out: np.ndarray | None = None) -> TapState:
+    """The spoofer's tap state under ``params.spatial_mode``.
 
     INDEPENDENT draws a fresh stationary realization with the same profile,
     into ``out`` if given (see init_taps); FULLY_CORRELATED shares the
     identical amplitudes, so the two variable parts coincide
     sample-for-sample.
     """
-    if mode is SpatialMode.FULLY_CORRELATED:
+    if params.spatial_mode is SpatialMode.FULLY_CORRELATED:
         return alice_state
     batch = None if alice_state.amps.ndim == 1 else alice_state.amps.shape[0]
     return init_taps(alice_state, rng, batch=batch, out=out)

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .channel import ChannelParams
+from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
 from .harness import (
     LinkBudget,
@@ -36,6 +36,16 @@ from .raytrace import GridSpec, RoomScene, RoomTrace
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# test.regime's channel presets: the general detector with one sweep setting
+# fixed, once, for the sweep, the calibration and the exact size alike.
+PRESETS = {
+    "low_bc": (SweepAxis.B_C, 0.0),
+    "high_bc": (SweepAxis.B_C, math.inf),
+    "time_invariant": (SweepAxis.B_T, 0.0),
+    "full_spatial": (SweepAxis.SPATIAL_MODE, SpatialMode.FULLY_CORRELATED.value),
+}
+REGIME_NAMES = sorted([*(r.value for r in Regime), *PRESETS])
 
 _SCHEMA = {
     "scene": {
@@ -88,6 +98,7 @@ class ExperimentConfig:
     budget: LinkBudget
     channel: ChannelParams  # sigma_T/sigma_N2 are placeholders until the room is known
     b_T: float
+    regime: str  # test.regime as written: a detector or a PRESETS name, echoed in the outputs
     test: TestConfig
     sweep_param: SweepAxis
     sweep_values: tuple
@@ -126,10 +137,9 @@ def _parse_value(kind: str, raw: str):
         conv = int if kind.startswith("ints") else _parse_float
         return tuple(conv(p) for p in parts)
     if kind == "regime":
-        try:
-            return Regime(raw)
-        except ValueError:
-            raise ValueError(f"unknown regime {raw!r}; choose from {sorted(r.value for r in Regime)}")
+        if raw not in REGIME_NAMES:
+            raise ValueError(f"unknown regime {raw!r}; choose from {REGIME_NAMES}")
+        return raw
     if kind == "sweep_axis":
         try:
             return SweepAxis(raw)
@@ -223,14 +233,15 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     except ValueError as exc:
         diags.append(f"[channel]: {exc}")
     tst = values["test"]
+    name = tst["regime"]
     try:
-        cfg = TestConfig(**tst)
+        cfg = TestConfig(**{**tst, "regime": Regime.GENERAL if name in PRESETS else Regime(name)})
     except ValueError as exc:
         # alpha is checked only without an override, so one key is at fault.
         key = "alpha" if tst.get("threshold_override") is None else "threshold_override"
         diags.append(f"test.{key}: {exc}")
     else:
-        if cfg.regime is Regime.UNKNOWN_PARAMS and cfg.threshold_override is None:
+        if cfg.regime is Regime.UNKNOWN and cfg.threshold_override is None:
             diags.append("test.threshold_override: required when test.regime = unknown (its statistic has no nominal size)")
         try:
             if cfg.threshold_override is None:
@@ -258,10 +269,18 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
 
     # Cross-field checks that need the assembled objects.
     scene, grid, budget = built["scene"], built["grid"], built["budget"]
+    b_T = ch["b_T"]
+    if name in PRESETS:
+        preset_axis, preset_value = PRESETS[name]
+        if axis is preset_axis:
+            diags.append(f"sweep.param: {axis.value} is fixed by test.regime = {name}; sweep another, or use general")
+        params, budget = apply_sweep_value(params, budget, preset_axis, preset_value)
+        if preset_axis is SweepAxis.B_T:
+            b_T = preset_value
     low, high = _MAGNITUDE_RANGE
     for value in sweep_values:
         try:
-            val_params, val_budget, _ = apply_sweep_value(params, budget, cfg, axis, value)
+            val_params, val_budget = apply_sweep_value(params, budget, axis, value)
             if axis is SweepAxis.B_T:
                 sigma_T_from_bT(value, 1.0)
         except ValueError as exc:
@@ -292,7 +311,8 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
             bob=values["bob"]["position"],
             budget=budget,
             channel=params,
-            b_T=ch["b_T"],
+            b_T=b_T,
+            regime=name,
             test=cfg,
             sweep_param=axis,
             sweep_values=sweep_values,
@@ -330,21 +350,21 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
                     _fmt(se),
                     result.pair_count,
                     _fmt(config.test.alpha),
-                    config.test.regime.value,
+                    config.regime,
                 ]
             )
     with open(out_dir / "calibration.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["regime", "alpha_target", "alpha_hat", "std_err", "trials"])
-        regime, rates, exact_alpha = calibration
-        writer.writerow([regime.value, _fmt(config.test.alpha), _fmt(rates.alpha_hat), _fmt(rates.alpha_se), rates.trials])
+        rates, exact_alpha = calibration
+        writer.writerow([config.regime, _fmt(config.test.alpha), _fmt(rates.alpha_hat), _fmt(rates.alpha_se), rates.trials])
     digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
     with open(out_dir / "summary.txt", "w") as fh:
         fh.write("chanauth sweep summary\n")
         fh.write(f"config: {config_path.name}\n")
         fh.write(f"config_sha256: {digest}\n")
         fh.write(f"seed: {config.seed}\n")
-        fh.write(f"regime: {config.test.regime.value}\n")
+        fh.write(f"regime: {config.regime}\n")
         fh.write(f"alpha: {_fmt(config.test.alpha)}\n")
         fh.write(f"pair_count: {result.pair_count}\n")
         fh.write(f"trials: {config.trials}\n")
@@ -356,21 +376,21 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
 
 
 def _calibrate(config: ExperimentConfig, trace: RoomTrace, rng: RngStream):
-    """Empirical false-alarm rate for the configured regime at mid-grid, and the exact one.
+    """Empirical false-alarm rate of the configured detector at mid-grid, and the exact one.
 
     The room gain and alice's fixed response (the middle grid point) come
     from the grid ``trace`` already holds for the base tones, so nothing is
     traced again after a sweep that kept them.  Only alpha_hat is reported,
     so the spoofer (eve, the first grid point) is not simulated.  The exact
     size (harness.false_alarm_rate) is what alpha_hat estimates; it differs
-    from the configured alpha when the regime's covariance is not the
-    channel's.
+    from the configured alpha only for the unknown detector or a
+    threshold_override.
     """
     params, responses = resolve_variances(trace, config.channel, config.budget, config.b_T)
     hbar_a = responses[len(responses) // 2]
     hbar_e = responses[0]
     rates = simulate_error_rates(hbar_a, hbar_e, params, config.test, config.trials, rng, include_h1=False)
-    return config.test.regime, rates, false_alarm_rate(params, config.test)
+    return rates, false_alarm_rate(params, config.test)
 
 
 def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, threads: int | None = None) -> int:

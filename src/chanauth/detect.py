@@ -4,8 +4,8 @@ The receiver compares the freshly probed response against its stored
 reference.  Under the null hypothesis (same transmitter) the whitened
 difference statistic is chi-square with 2M degrees of freedom, which fixes
 the threshold for a target false-alarm rate.  The closed-form miss rates
-here cover the regimes that admit one; harness.miss_rates evaluates every
-regime exactly, and the Monte Carlo evaluator here cross-checks it.
+here cover the channels that admit one; harness.miss_rates evaluates every
+channel exactly, and the Monte Carlo evaluator here cross-checks it.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from .numerics import HermitianMatrix, RngStream, block_rows, chi2_cdf, chi2_inv
 
 
 class Regime(Enum):
-    GENERAL_KNOWN_PARAMS = "general"
-    LOW_BC_CLOSED_FORM = "low_bc"
-    HIGH_BC_NUMERICAL = "high_bc"
-    UNKNOWN_PARAMS = "unknown"
-    FULL_SPATIAL_CORRELATION = "full_spatial"
-    TIME_INVARIANT_BENCHMARK = "time_invariant"
+    """The detector: whitening by the channel's R, or by the noise alone (|d|^2 / sigma_N^2)."""
+
+    GENERAL = "general"
+    UNKNOWN = "unknown"
 
 
 class Decision(Enum):
@@ -39,7 +37,7 @@ class Decision(Enum):
 @dataclass(frozen=True)
 class TestConfig:
     alpha: float
-    regime: Regime = Regime.GENERAL_KNOWN_PARAMS
+    regime: Regime = Regime.GENERAL
     threshold_override: float | None = None
 
     def __post_init__(self):
@@ -237,7 +235,7 @@ def roc_unknown_params(
     ref = channel.sample_response(hbar_A, state, params, rng)
     state = channel.step_taps(state, params.a, rng)
     probe_alice = channel.sample_response(hbar_A, state, params, rng)
-    eve_state = channel.eve_variation(state, channel.SpatialMode.INDEPENDENT, rng, params)
+    eve_state = channel.eve_variation(state, rng, params)
     probe_eve = channel.sample_response(hbar_E, eve_state, params, rng)
 
     noise = np.full(params.M, 2.0 * params.sigma_N2)  # whitening by the noise alone: |d|^2 / sigma_N^2

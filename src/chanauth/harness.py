@@ -2,9 +2,9 @@
 end-to-end empirical error rates.
 
 For each candidate spoofer/legitimate position pair the ray tracer supplies
-the fixed responses and the link budget sets the noise floor.  Every
-regime's detector is a triple (r_hat, g_hat, t) of covariance spectra and
-a threshold (regime_forms), under which the score is a generalized
+the fixed responses and the link budget sets the noise floor.  A detector
+on a channel is a triple (r_hat, g_hat, t) of covariance spectra and a
+threshold (regime_forms), under which the score is a generalized
 chi-square, so miss rates are exact: one inverse FFT and one batched
 evaluation per sweep value cover all pairs (miss_rates).  Room-level
 sweeps average the per-pair miss rates over a seeded subsample of position
@@ -89,36 +89,27 @@ def sigma_T_from_bT(b_T: float, room_gain: float) -> float:
 
 
 def regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """The detector of each regime as (r_hat, g_hat, t).
+    """The configured detector on the channel ``params`` as (r_hat, g_hat, t).
 
     r_hat is the spectrum of the covariance the statistic whitens with,
     g_hat that of the spoofed difference H_E[k] - H_A[k-1], and t the
     acceptance threshold (see stats: both covariances are circulant).  The
     score Z = 2M sum |ifft(delta + n)|^2 / r_hat with n ~ CN(0, G) then
-    fixes the miss rate for a fixed-response gap delta.  low_bc and high_bc
-    are the general forms at B_c = 0 and B_c = inf.
+    fixes the miss rate for a fixed-response gap delta.  The detector sets
+    r_hat (the channel's R, or the noise alone for unknown); the channel
+    sets g_hat, which is R when the spoofer shares the variation.
 
     Raises NotPositiveDefiniteError if r_hat has a bin that is not
     positive, which takes a zero noise floor (sigma_N2 = 0).
     """
-    regime = cfg.regime
-    if regime is Regime.LOW_BC_CLOSED_FORM:
-        params = replace(params, Bc=0.0)
-    elif regime is Regime.HIGH_BC_NUMERICAL:
-        params = replace(params, Bc=math.inf)
-    noise = np.full(params.M, 2.0 * params.sigma_N2)
-    if regime in (Regime.GENERAL_KNOWN_PARAMS, Regime.LOW_BC_CLOSED_FORM, Regime.HIGH_BC_NUMERICAL):
-        r, g = stats.covariance_R(params), stats.covariance_G(params)
-    elif regime is Regime.FULL_SPATIAL_CORRELATION:
-        r = g = stats.covariance_R(params)
-    elif regime is Regime.TIME_INVARIANT_BENCHMARK:
-        r = g = noise
-    elif regime is Regime.UNKNOWN_PARAMS:
+    r_true = stats.covariance_R(params)
+    if cfg.regime is Regime.UNKNOWN:
         if cfg.threshold_override is None:
-            raise ValueError("unknown-parameters regime needs threshold_override")
-        r, g = noise, stats.covariance_G(params)
+            raise ValueError("the unknown-parameters detector needs threshold_override")
+        r = np.full(params.M, 2.0 * params.sigma_N2)
     else:
-        raise ValueError(f"unhandled regime {regime}")
+        r = r_true
+    g = r_true if params.spatial_mode is SpatialMode.FULLY_CORRELATED else stats.covariance_G(params)
     if not np.all(r > 0):
         raise NotPositiveDefiniteError(f"covariance spectrum has a bin {r.min():.3e} <= 0")
     return r, g, detect.threshold_for(cfg, params.M)
@@ -130,10 +121,10 @@ def false_alarm_rate(params: ChannelParams, cfg: TestConfig) -> float:
     The fixed part cancels in the self-difference, whose true spectrum is
     stats.covariance_R(params); the statistic whitens with regime_forms'
     r_hat instead, so Z is a generalized chi-square with weights
-    r_true / r_hat and no offsets.  It is alpha where the two spectra agree
-    (general, full_spatial, and any regime on the channel it assumes) and
-    differs where they do not: high_bc at finite B_c, low_bc at B_c > 0,
-    time_invariant with variation, and unknown at its override.
+    r_true / r_hat and no offsets.  The general detector whitens with the
+    true spectrum, so its size is alpha on every channel; it differs from
+    alpha for the unknown detector at its override, and for any threshold
+    override.
     """
     r, _, t = regime_forms(params, cfg)
     return 1.0 - float(generalized_chi2_cdf(t, stats.covariance_R(params) / r, np.zeros(params.M)))
@@ -145,9 +136,9 @@ def miss_rates(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelParams, cf
     In DFT coordinates R and G are both diagonal, so Z is a generalized
     chi-square with weights g_hat / r_hat (shared by every pair) and
     offsets 2M |ifft(hbar_e - hbar_a)|^2 / r_hat: one inverse FFT of the
-    gaps and one batched CDF cover all pairs.  Equal weights (low_bc,
-    time_invariant, full_spatial) fall back to the closed-form noncentral
-    chi-square.
+    gaps and one batched CDF cover all pairs.  Equal weights (general at
+    B_c = 0, without variation, or against a spoofer that shares it) fall
+    back to the closed-form noncentral chi-square.
     """
     r, g, t = regime_forms(params, cfg)
     gaps = np.fft.ifft(np.asarray(hbar_e, dtype=complex) - np.asarray(hbar_a, dtype=complex), axis=-1)
@@ -210,16 +201,11 @@ def simulate_error_rates(
         raise ValueError("at least one hypothesis must be simulated")
     hbar_a = np.asarray(hbar_a, dtype=complex)
     hbar_e = np.asarray(hbar_e, dtype=complex)
-    mode = (
-        SpatialMode.FULLY_CORRELATED
-        if cfg.regime is Regime.FULL_SPATIAL_CORRELATION
-        else SpatialMode.INDEPENDENT
-    )
     r, _, threshold = regime_forms(params, cfg)
     profile = chan.build_delay_profile(params)
     # Stepping the legitimate taps only matters when its k-probe is scored
     # or when the spoofer shares the variation.
-    need_step = include_h0 or mode is SpatialMode.FULLY_CORRELATED
+    need_step = include_h0 or params.spatial_mode is SpatialMode.FULLY_CORRELATED
 
     batch = min(_TRIAL_BATCH, trials)
     amps = np.empty((batch, len(profile.profile)), dtype=complex)
@@ -244,7 +230,7 @@ def simulate_error_rates(
             chan.sample_response(hbar_a, state, params, rng, out=diffs, subtract=True)
             false_alarms += int(np.count_nonzero(detect.statistic_batch(diffs, r) > threshold))
         if include_h1:
-            eve_state = chan.eve_variation(state, mode, rng, params, out=state.amps)
+            eve_state = chan.eve_variation(state, rng, params, out=state.amps)
             chan.sample_response(hbar_e, eve_state, params, rng, out=ref[:n], subtract=True)
             misses += int(np.count_nonzero(detect.statistic_batch(ref[:n], r) <= threshold))
         done += n
@@ -296,9 +282,9 @@ def _select_pairs(n_points: int, pair_budget: int, rng: RngStream) -> tuple[np.n
 
 
 def apply_sweep_value(
-    params: ChannelParams, budget: LinkBudget, cfg: TestConfig, axis: SweepAxis, value
-) -> tuple[ChannelParams, LinkBudget, TestConfig]:
-    """Base objects with one sweep value applied (b_T waits for the room gain).
+    params: ChannelParams, budget: LinkBudget, axis: SweepAxis, value
+) -> tuple[ChannelParams, LinkBudget]:
+    """Channel and link budget with one sweep value applied (b_T waits for the room gain).
 
     Rebuilding through dataclasses.replace reruns each class's validation.
     """
@@ -311,15 +297,9 @@ def apply_sweep_value(
     elif axis is SweepAxis.P_T:
         budget = replace(budget, P_T=float(value))
     elif axis is SweepAxis.SPATIAL_MODE:
-        mode = SpatialMode(value) if not isinstance(value, SpatialMode) else value
-        regime = (
-            Regime.FULL_SPATIAL_CORRELATION
-            if mode is SpatialMode.FULLY_CORRELATED
-            else Regime.GENERAL_KNOWN_PARAMS
-        )
-        cfg = replace(cfg, regime=regime)
+        params = replace(params, spatial_mode=SpatialMode(value))
     # B_T is applied later, after the room gain is known.
-    return params, budget, cfg
+    return params, budget
 
 
 def resolve_variances(
@@ -376,15 +356,15 @@ def room_sweep(
     if rng is None:
         rng = RngStream(0)
 
-    applied = [apply_sweep_value(base_params, budget, cfg, axis, value) for value in sweep_values]
-    trace.prepare([base_params, *(params for params, _, _ in applied)])
+    applied = [apply_sweep_value(base_params, budget, axis, value) for value in sweep_values]
+    trace.prepare([base_params, *(params for params, _ in applied)])
     ii, jj = _select_pairs(len(trace.positions), pair_budget, rng.substream(1))
 
     beta_bar, std_err = [], []
-    for value, (params, val_budget, val_cfg) in zip(sweep_values, applied):
+    for value, (params, val_budget) in zip(sweep_values, applied):
         bt = float(value) if axis is SweepAxis.B_T else b_T
         params, responses = resolve_variances(trace, params, val_budget, bt)
-        betas = miss_rates(responses[ii], responses[jj], params, val_cfg)
+        betas = miss_rates(responses[ii], responses[jj], params, cfg)
         beta_bar.append(float(betas.mean()))
         std_err.append(float(betas.std(ddof=1) / math.sqrt(len(betas))) if len(betas) > 1 else 0.0)
 

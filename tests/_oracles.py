@@ -66,7 +66,8 @@ def empirical_difference_covariances(
     """Monte Carlo covariances of the two probe differences.
 
     Simulates the full probe protocol (reference at k-1, legitimate and
-    independent-spoofer probes at k, both fixed parts zero) and accumulates
+    spoofer probes at k, both fixed parts zero; the spoofer's variation is
+    independent at the default params.spatial_mode) and accumulates
     the second-moment matrices E[d_m d_n^*] of
 
       d_A = H_A[k] - H_A[k-1]   and   d_E = H_E[k] - H_A[k-1].
@@ -85,7 +86,7 @@ def empirical_difference_covariances(
         ref = chan.sample_response(zero, state, params, rng)
         state = chan.step_taps(state, params.a, rng)
         probe_a = chan.sample_response(zero, state, params, rng)
-        eve = chan.eve_variation(state, SpatialMode.INDEPENDENT, rng, params)
+        eve = chan.eve_variation(state, rng, params)
         probe_e = chan.sample_response(zero, eve, params, rng)
         d_a = probe_a - ref
         d_e = probe_e - ref
@@ -179,24 +180,14 @@ def asymptotic_G_high_bc(params: ChannelParams) -> HermitianMatrix:
 
 
 def dense_regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Each regime's (R, G, t) as dense M x M matrices, built per regime as
-    the library did before its covariances became spectra."""
-    eye = np.eye(params.M, dtype=complex)
-    noise = 2.0 * params.sigma_N2 * eye
-    regime = cfg.regime
-    if regime is Regime.LOW_BC_CLOSED_FORM:
-        r = (2.0 * (1.0 - params.a) * params.sigma_T**2 + 2.0 * params.sigma_N2) * eye
-        g = (2.0 * params.sigma_T**2 + 2.0 * params.sigma_N2) * eye
-    elif regime is Regime.TIME_INVARIANT_BENCHMARK:
-        r = g = noise
-    elif regime is Regime.FULL_SPATIAL_CORRELATION:
-        r = g = dense_covariance_R(params).entries
-    elif regime is Regime.HIGH_BC_NUMERICAL:
-        r, g = asymptotic_R_high_bc(params).entries, asymptotic_G_high_bc(params).entries
-    elif regime is Regime.GENERAL_KNOWN_PARAMS:
-        r, g = dense_covariance_R(params).entries, dense_covariance_G(params).entries
-    else:  # Regime.UNKNOWN_PARAMS
-        r, g = noise, dense_covariance_G(params).entries
+    """The detector's (R, G, t) on the channel ``params`` as dense M x M
+    matrices, as the library built them before its covariances became
+    spectra: the general detector whitens with the channel's R, the unknown
+    one with the noise alone, and a spoofer that shares the variation
+    differs from the reference with covariance R instead of G."""
+    r_true = dense_covariance_R(params).entries
+    r = 2.0 * params.sigma_N2 * np.eye(params.M, dtype=complex) if cfg.regime is Regime.UNKNOWN else r_true
+    g = r_true if params.spatial_mode is SpatialMode.FULLY_CORRELATED else dense_covariance_G(params).entries
     return r, g, threshold_for(cfg, params.M)
 
 

@@ -72,7 +72,7 @@ def test_criterion_1_size_calibration():
                     sigma_N2=noise_variance(budget, M),
                 )
                 h = fixed_response(SCENE, alice, BOB, params)
-                cfg = TestConfig(alpha=ALPHA, regime=Regime.GENERAL_KNOWN_PARAMS)
+                cfg = TestConfig(alpha=ALPHA, regime=Regime.GENERAL)
                 rates = simulate_error_rates(
                     h, h, params, cfg, trials=100_000, rng=RngStream(1000 + M, int(b_T * 2)), include_h1=False
                 )
@@ -134,7 +134,7 @@ def test_criterion_3_closed_form_vs_simulation():
         ha = fixed_response(SCENE, alice, BOB, params)
         he = fixed_response(SCENE, case["eve"], BOB, params)
         closed = miss_rate_low_bc(ALPHA, params, ha, he)
-        cfg = TestConfig(alpha=ALPHA, regime=Regime.LOW_BC_CLOSED_FORM)
+        cfg = TestConfig(alpha=ALPHA, regime=Regime.GENERAL)
         rates = simulate_error_rates(ha, he, params, cfg, trials=100_000, rng=RngStream(1100 + i), include_h0=False)
         assert abs(rates.beta_hat - closed) < 0.01, (i, closed, rates.beta_hat)
         print(f"criterion 3 set {i}: closed={closed:.4f} simulated={rates.beta_hat:.4f} (|diff| < 0.01)")
@@ -171,7 +171,7 @@ def test_criterion_5_variation_strength_trend():
         trace=RoomTrace(SCENE, GRID, BOB),
         budget=LinkBudget(P_T=100.0),
         base_params=ChannelParams(f0=5e9, W=1e7, M=10, a=0.9, Bc=0.0, sigma_T=0.0, sigma_N2=0.0),
-        cfg=TestConfig(alpha=ALPHA, regime=Regime.LOW_BC_CLOSED_FORM),
+        cfg=TestConfig(alpha=ALPHA, regime=Regime.GENERAL),
         sweep_param=SweepAxis.B_T,
         sweep_values=[0.01, 1.0],
         b_T=0.5,
@@ -194,12 +194,12 @@ def test_criterion_6_bandwidth_trend_and_bracketing():
     3 combined standard errors of slack.  Budget: 5 min."""
     widths = [5e6, 1e7, 2e7, 5e7, 1e8]
 
-    def sweep(Bc, regime):
+    def sweep(Bc):
         return room_sweep(
             trace=RoomTrace(SCENE, GRID, BOB),
             budget=LinkBudget(P_T=10.0),
             base_params=ChannelParams(f0=5e9, W=1e7, M=5, a=0.9, Bc=Bc, sigma_T=0.0, sigma_N2=0.0),
-            cfg=TestConfig(alpha=ALPHA, regime=regime),
+            cfg=TestConfig(alpha=ALPHA, regime=Regime.GENERAL),
             sweep_param=SweepAxis.W,
             sweep_values=widths,
             b_T=0.5,
@@ -207,9 +207,7 @@ def test_criterion_6_bandwidth_trend_and_bracketing():
             rng=RngStream(600),
         )
 
-    mid = sweep(2e6, Regime.GENERAL_KNOWN_PARAMS)
-    low = sweep(0.0, Regime.LOW_BC_CLOSED_FORM)
-    high = sweep(math.inf, Regime.GENERAL_KNOWN_PARAMS)
+    mid, low, high = sweep(2e6), sweep(0.0), sweep(math.inf)
 
     for i in range(len(widths) - 1):
         slack = 3.0 * combined_se(mid.std_err[i], mid.std_err[i + 1])
@@ -231,7 +229,7 @@ def test_criterion_7_spatial_correlation_trend():
         trace=RoomTrace(SCENE, GRID, BOB),
         budget=LinkBudget(P_T=100.0),
         base_params=ChannelParams(f0=5e9, W=1e7, M=10, a=0.9, Bc=2e6, sigma_T=0.0, sigma_N2=0.0),
-        cfg=TestConfig(alpha=ALPHA, regime=Regime.GENERAL_KNOWN_PARAMS),
+        cfg=TestConfig(alpha=ALPHA, regime=Regime.GENERAL),
         sweep_param=SweepAxis.SPATIAL_MODE,
         sweep_values=["independent", "fully_correlated"],
         b_T=0.5,

@@ -60,7 +60,8 @@ class TestChannelParams:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("W", 0.0), ("M", 0), ("a", 1.5), ("a", -0.1), ("Bc", -1.0), ("sigma_T", -1.0), ("sigma_N2", -0.5)],
+        [("W", 0.0), ("M", 0), ("a", 1.5), ("a", -0.1), ("Bc", -1.0), ("sigma_T", -1.0), ("sigma_N2", -0.5),
+         ("spatial_mode", "fully_correlated")],
     )
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
@@ -242,7 +243,7 @@ class TestOutArrays:
             first = sample_response(fixed, state, p, rng, out=probe).copy()
             state = step_taps(state, p.a, rng, out=taps)
             second = sample_response(fixed, state, p, rng, out=probe)
-            eve = eve_variation(state, SpatialMode.INDEPENDENT, rng, p, out=taps)
+            eve = eve_variation(state, rng, p, out=taps)
             if in_place:
                 assert state.amps is taps and eve.amps is taps and second is probe
             runs.append((first, second.copy(), eve.amps.copy()))
@@ -293,16 +294,16 @@ class TestSampleResponse:
 
 class TestEveVariation:
     def test_fully_correlated_shares_state(self):
-        p = make_params()
+        p = make_params(spatial_mode=SpatialMode.FULLY_CORRELATED)
         state = init_taps(build_delay_profile(p), RngStream(19))
-        eve = eve_variation(state, SpatialMode.FULLY_CORRELATED, RngStream(20), p)
+        eve = eve_variation(state, RngStream(20), p)
         assert eve is state
         assert np.array_equal(taps_to_frequency(eve, p), taps_to_frequency(state, p))
 
     def test_independent_uncorrelated(self):
         p = make_params()
         state = init_taps(build_delay_profile(p), RngStream(21), batch=100_000)
-        eve = eve_variation(state, SpatialMode.INDEPENDENT, RngStream(22), p)
+        eve = eve_variation(state, RngStream(22), p)
         eps_a = taps_to_frequency(state, p)[:, 0]
         eps_e = taps_to_frequency(eve, p)[:, 0]
         rho = np.abs(np.mean(eps_a * eps_e.conj())) / p.sigma_T**2
@@ -311,7 +312,7 @@ class TestEveVariation:
     def test_independent_zero_variation(self):
         p = make_params(sigma_T=0.0)
         state = init_taps(build_delay_profile(p), RngStream(23))
-        eve = eve_variation(state, SpatialMode.INDEPENDENT, RngStream(24), p)
+        eve = eve_variation(state, RngStream(24), p)
         assert np.all(eve.amps == 0)
 
 

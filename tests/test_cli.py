@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanauth import cli, raytrace
-from chanauth.cli import _SCHEMA, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_config, main, run, validate
+from chanauth.cli import _SCHEMA, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, PRESETS, REGIME_NAMES, load_config, main, run, validate
 from chanauth.detect import Regime
-from chanauth.harness import SweepAxis
+from chanauth.harness import SweepAxis, apply_sweep_value
 
 BASE = """
 [scene]
@@ -57,6 +57,11 @@ seed = 3
 """
 
 
+# BASE sweeps b_T, the setting time_invariant fixes; under that name a test
+# sweeps W instead.
+OFF_AXIS = {"time_invariant": {"sweep.param": "W", "sweep.values": "5e6 1e7"}}
+
+
 def write_cfg(tmp_path, text=BASE, name="exp.cfg", **overrides):
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -77,7 +82,7 @@ class TestLoadConfig:
     def test_valid(self, tmp_path):
         config, diags = load_config(write_cfg(tmp_path))
         assert diags == []
-        assert config.test.regime is Regime.LOW_BC_CLOSED_FORM
+        assert config.regime == "low_bc" and config.test.regime is Regime.GENERAL and config.channel.Bc == 0.0
         assert config.sweep_param is SweepAxis.B_T
         assert config.sweep_values == (0.1, 1.0)
         assert config.trials == 2000 and config.pair_budget == 6 and config.seed == 3
@@ -137,8 +142,26 @@ class TestLoadConfig:
         _, diags = load_config(write_cfg(tmp_path, **{"channel.W": None, "test.alpha": "zzz"}))
         assert len(diags) >= 2
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_are_general_on_a_fixed_channel(self, tmp_path, name):
+        # A preset is the general detector with one sweep setting of the
+        # channel fixed, once, for the sweep and the calibration alike.
+        axis, value = PRESETS[name]
+        overrides = {"sweep.param": "P_T", "sweep.values": "10 100"}
+        config, diags = load_config(write_cfg(tmp_path, **overrides, **{"test.regime": name}))
+        general, _ = load_config(write_cfg(tmp_path, name="general.cfg", **overrides, **{"test.regime": "general"}))
+        assert diags == [] and config.regime == name
+        assert config.test.regime is Regime.GENERAL and config.test == general.test
+        fixed = {SweepAxis.B_C: config.channel.Bc, SweepAxis.B_T: config.b_T, SweepAxis.SPATIAL_MODE: config.channel.spatial_mode.value}
+        assert fixed[axis] == value
+        assert config.channel == apply_sweep_value(general.channel, general.budget, axis, value)[0]
+        assert config.b_T == (value if axis is SweepAxis.B_T else general.b_T)
+
+    def test_regime_names(self):
+        assert REGIME_NAMES == ["full_spatial", "general", "high_bc", "low_bc", "time_invariant", "unknown"]
+
     def test_infinite_coherence_bandwidth(self, tmp_path):
-        config, diags = load_config(write_cfg(tmp_path, **{"channel.B_c": "inf"}))
+        config, diags = load_config(write_cfg(tmp_path, **{"channel.B_c": "inf", "test.regime": "general"}))
         assert diags == [] and config.channel.Bc == float("inf")
 
     def test_spatial_mode_values(self, tmp_path):
@@ -219,6 +242,25 @@ class TestRun:
         assert run(path, tmp_path / "out") == EXIT_OK
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "name, key, value", [("low_bc", "channel.B_c", "0"), ("high_bc", "channel.B_c", "inf"), ("time_invariant", "channel.b_T", "0")]
+    )
+    def test_preset_runs_its_channel_everywhere(self, tmp_path, name, key, value):
+        # The sweep, the calibration and the exact size of a preset are those
+        # of the general detector with the preset's setting written out; only
+        # the echoed regime differs.  A spatial_mode sweep once kept the
+        # written B_c for low_bc and high_bc.
+        overrides = {"sweep.param": "spatial_mode", "sweep.values": "independent fully_correlated"}
+        outs = []
+        for cfg_name, extra in ((name, {}), ("general", {key: value})):
+            path = write_cfg(tmp_path, name=f"{cfg_name}.cfg", **overrides, **extra, **{"test.regime": cfg_name})
+            assert run(path, tmp_path / cfg_name) == EXIT_OK
+            rows, calib = read_outputs(tmp_path / cfg_name)
+            summary = (tmp_path / cfg_name / "summary.txt").read_text().splitlines()
+            assert {row.pop("regime") for row in rows} == {calib.pop("regime")} == {cfg_name}
+            outs.append((rows, calib, [line for line in summary if line.startswith("exact_alpha: ")]))
+        assert outs[0] == outs[1]
+
     def test_seed_override_changes_output(self, tmp_path):
         path = write_cfg(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -259,6 +301,26 @@ class TestValidateMatchesRun:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "regime, param, values",
+        [
+            ("low_bc", "B_c", "0 2e6 inf"),
+            ("high_bc", "B_c", "0 2e6 inf"),
+            ("time_invariant", "b_T", "0 0.5 5"),
+            ("full_spatial", "spatial_mode", "independent fully_correlated"),
+        ],
+    )
+    def test_preset_setting_cannot_be_swept(self, tmp_path, capsys, regime, param, values):
+        # The preset fixes the swept setting, so every row would repeat one
+        # channel: the config is rejected naming both keys.
+        path = write_cfg(tmp_path, **{"test.regime": regime, "sweep.param": param, "sweep.values": values})
+        assert any("sweep.param" in d and "test.regime" in d for d in validate(path))
+        out = tmp_path / "out"
+        assert run(path, out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sweep.param" in err and "test.regime" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
         "f0, beta_bar",
         [
             ("1e20", (0.0035165237231037593, 0.0033732219126545314)),
@@ -286,7 +348,8 @@ class TestValidateMatchesRun:
                 "test.threshold_override": "1.043219786681157e20",
                 "budget.P_T": "1e20",
                 "grid.counts": "2 1",
-                "sweep.values": "0.1",
+                "sweep.param": "P_T",
+                "sweep.values": "1e20",
             },
         )
         assert validate(path) == []
@@ -296,11 +359,12 @@ class TestValidateMatchesRun:
 
     @pytest.mark.parametrize("Bc", ["0", "2e6", "inf"])
     @pytest.mark.parametrize("P_T", ["1e16", "1e20", "1e100"])
-    @pytest.mark.parametrize("regime", sorted(r.value for r in Regime))
+    @pytest.mark.parametrize("regime", REGIME_NAMES)
     def test_high_snr(self, tmp_path, capsys, regime, P_T, Bc):
         # Noise far below the variation: a config is rejected naming [budget]
         # (its noise variance leaves the supported magnitudes) or it runs.
         overrides = {"run.trials": "300", "test.regime": regime, "budget.P_T": P_T, "channel.B_c": Bc}
+        overrides.update(OFF_AXIS.get(regime, {}))
         if regime == "unknown":
             overrides["test.threshold_override"] = "40"
         path = write_cfg(tmp_path, **overrides)
@@ -317,11 +381,12 @@ class TestValidateMatchesRun:
         assert math.isfinite(float(calib["alpha_hat"])) and math.isfinite(float(calib["std_err"])), calib
 
     @pytest.mark.parametrize("override", ["1e6", "1e100"])
-    @pytest.mark.parametrize("regime", sorted(r.value for r in Regime))
+    @pytest.mark.parametrize("regime", REGIME_NAMES)
     def test_large_threshold_override(self, tmp_path, capsys, time_limit, regime, override):
         # A threshold far above every score accepts every spoofer, and quickly:
         # the contour evaluator's panel count once grew without bound with it.
-        path = write_cfg(tmp_path, **{"run.trials": "300", "test.regime": regime, "test.threshold_override": override})
+        overrides = {"run.trials": "300", "test.regime": regime, "test.threshold_override": override}
+        path = write_cfg(tmp_path, **overrides, **OFF_AXIS.get(regime, {}))
         assert validate(path) == []
         with time_limit(60):
             rc = run(path, tmp_path / "out")
@@ -400,7 +465,7 @@ def test_run_imports_no_scipy(tmp_path):
     # scipy is a test-only oracle: a run in a fresh interpreter must not load it, whatever the regime.
     # Nor numpy.polynomial (~1.5 MB of every process), whose Gauss-Legendre rule numerics keeps as constants.
     configs = [
-        write_cfg(tmp_path, name=f"{regime}.cfg", **{"test.regime": regime})
+        write_cfg(tmp_path, name=f"{regime}.cfg", **{"test.regime": regime}, **OFF_AXIS.get(regime, {}))
         for regime in ("low_bc", "high_bc", "general", "full_spatial", "time_invariant")
     ]
     code = (

@@ -1,6 +1,6 @@
 """Golden outputs: each shipped config, a dense room grid, and three fig4-derived
-configs that pin the high_bc and unknown regimes and the B_c axis reproduce
-checked-in CSVs.
+configs that pin the high_bc preset, the unknown detector and the B_c axis
+reproduce checked-in CSVs.
 
 ``tests/golden/<name>/`` holds the sweep.csv and calibration.csv that
 ``chanauth run`` wrote for each config at its own seed.  A change that moves

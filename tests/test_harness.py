@@ -98,9 +98,9 @@ class TestLinkBudget:
 
 class TestPairMissRate:
     def test_indistinguishable_pair(self):
-        # Same position, no variation, closed-form regime: miss rate is 1 - alpha.
+        # Same position, no variation, equal weights: miss rate is 1 - alpha.
         p = make_params(sigma_T=0.0, sigma_N2=1e-11)
-        cfg = TestConfig(alpha=0.01, regime=Regime.LOW_BC_CLOSED_FORM)
+        cfg = TestConfig(alpha=0.01)
         alice = (2.0, 2.0, 1.0)
         beta = pair_miss_rate(SCENE, alice, alice, BOB, p, cfg)
         assert beta == pytest.approx(0.99, abs=1e-9)
@@ -108,16 +108,21 @@ class TestPairMissRate:
     def test_huge_power_far_pair(self):
         budget = LinkBudget(P_T=1e6)
         p = make_params(sigma_T=0.0, sigma_N2=noise_variance(budget, 10))
-        cfg = TestConfig(alpha=0.01, regime=Regime.TIME_INVARIANT_BENCHMARK)
+        cfg = TestConfig(alpha=0.01)
         beta = pair_miss_rate(SCENE, (2.0, 2.0, 1.0), (7.0, 5.5, 1.0), BOB, p, cfg)
         assert beta < 1e-6
 
     def test_time_invariant_reduction(self):
+        # Without variation B_c has nothing to act on: the time-invariant
+        # benchmark is the general detector at any B_c.
         p = make_params(sigma_T=0.0, sigma_N2=1e-11)
         alice, eve = (2.0, 2.0, 1.0), (2.4, 2.0, 1.0)
-        b1 = pair_miss_rate(SCENE, alice, eve, BOB, p, TestConfig(alpha=0.01, regime=Regime.TIME_INVARIANT_BENCHMARK))
-        b2 = pair_miss_rate(SCENE, alice, eve, BOB, p, TestConfig(alpha=0.01, regime=Regime.LOW_BC_CLOSED_FORM))
+        cfg = TestConfig(alpha=0.01)
+        b1 = pair_miss_rate(SCENE, alice, eve, BOB, p, cfg)
+        b2 = pair_miss_rate(SCENE, alice, eve, BOB, replace(p, Bc=0.0), cfg)
         assert b1 == b2
+        ha, he = fixed_response(SCENE, alice, BOB, p), fixed_response(SCENE, eve, BOB, p)
+        assert b1 == pytest.approx(miss_rate_time_invariant(0.01, p.sigma_N2, ha, he, p.M), abs=1e-12)
 
     def test_general_regime_is_exact(self):
         # No random stream: the general regime is the Simpson oracle's
@@ -125,7 +130,7 @@ class TestPairMissRate:
         p = make_params(M=6, sigma_T=0.8, sigma_N2=0.3)
         ha = np.zeros(p.M, dtype=complex)
         he = ha + np.linspace(0.5, 1.5, p.M) * np.exp(1j * np.arange(p.M))
-        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS)
+        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
         beta = miss_rate_for_pair(ha, he, p, cfg)
         assert beta == miss_rate_for_pair(ha, he, p, cfg)
         lower = np.linalg.cholesky(dense_covariance_R(p).entries)
@@ -138,7 +143,7 @@ class TestPairMissRate:
         p = make_params()
         h = np.zeros(p.M, dtype=complex)
         with pytest.raises(ValueError):
-            miss_rate_for_pair(h, h + 1.0, p, TestConfig(alpha=0.01, regime=Regime.UNKNOWN_PARAMS))
+            miss_rate_for_pair(h, h + 1.0, p, TestConfig(alpha=0.01, regime=Regime.UNKNOWN))
 
 
 class TestMissRates:
@@ -157,56 +162,62 @@ class TestMissRates:
         return p, responses[pick], responses[pick + 1]  # grid neighbours
 
     @pytest.mark.parametrize(
-        "regime, closed_form",
+        "channel, closed_form",
         [
-            (Regime.LOW_BC_CLOSED_FORM, lambda p, ha, he: miss_rate_low_bc(0.01, p, ha, he)),
-            (Regime.TIME_INVARIANT_BENCHMARK, lambda p, ha, he: miss_rate_time_invariant(0.01, p.sigma_N2, ha, he, p.M)),
+            (lambda p: replace(p, Bc=0.0), lambda p, ha, he: miss_rate_low_bc(0.01, p, ha, he)),
             (
-                Regime.FULL_SPATIAL_CORRELATION,
+                lambda p: replace(p, sigma_T=0.0),
+                lambda p, ha, he: miss_rate_time_invariant(0.01, p.sigma_N2, ha, he, p.M),
+            ),
+            (
+                lambda p: replace(p, spatial_mode=SpatialMode.FULLY_CORRELATED),
                 lambda p, ha, he: miss_rate_full_spatial(0.01, p, ha, he, dense_covariance_R(p)),
             ),
         ],
+        ids=["low_bc", "time_invariant", "full_spatial"],
     )
-    def test_equal_weight_regimes_match_closed_forms(self, room, regime, closed_form):
+    def test_equal_weight_channels_match_closed_forms(self, room, channel, closed_form):
         p, ha, he = room
-        batch = miss_rates(ha, he, p, TestConfig(alpha=0.01, regime=regime))
+        p = channel(p)
+        batch = miss_rates(ha, he, p, TestConfig(alpha=0.01))
         closed = np.array([closed_form(p, a, e) for a, e in zip(ha, he)])
         assert np.max(np.abs(batch - closed)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
-        regime=st.sampled_from(
-            [
-                Regime.LOW_BC_CLOSED_FORM,
-                Regime.TIME_INVARIANT_BENCHMARK,
-                Regime.FULL_SPATIAL_CORRELATION,
-                Regime.HIGH_BC_NUMERICAL,
-                Regime.GENERAL_KNOWN_PARAMS,
-            ]
-        ),
+        Bc=st.sampled_from([0.0, 2e6, math.inf]),
+        mode=st.sampled_from(list(SpatialMode)),
+        varies=st.booleans(),
         alphas=st.lists(st.floats(1e-6, 0.5), min_size=2, max_size=2),
     )
-    def test_nonincreasing_in_alpha(self, room, regime, alphas):
+    def test_nonincreasing_in_alpha(self, room, Bc, mode, varies, alphas):
         # A larger size lowers the threshold, so on the same pairs the
         # exact miss rates can only fall; the evaluator may wobble by its
-        # accuracy (1e-9), not more.
+        # accuracy (1e-9), not more.  The general detector, with or without
+        # variation, at B_c in {0, 2e6, inf}, against either spoofer.
         p, ha, he = room
+        p = replace(p, Bc=Bc, spatial_mode=mode, sigma_T=p.sigma_T if varies else 0.0)
         lo, hi = sorted(alphas)
-        beta_lo = miss_rates(ha, he, p, TestConfig(alpha=lo, regime=regime))
-        beta_hi = miss_rates(ha, he, p, TestConfig(alpha=hi, regime=regime))
+        beta_lo = miss_rates(ha, he, p, TestConfig(alpha=lo))
+        beta_hi = miss_rates(ha, he, p, TestConfig(alpha=hi))
         assert np.all(beta_hi <= beta_lo + 1e-9)
 
-    @pytest.mark.parametrize("regime", [Regime.GENERAL_KNOWN_PARAMS, Regime.HIGH_BC_NUMERICAL, Regime.UNKNOWN_PARAMS])
-    def test_matches_monte_carlo(self, room, regime):
+    @pytest.mark.parametrize(
+        "regime, Bc",
+        [(Regime.GENERAL, 2e6), (Regime.GENERAL, math.inf), (Regime.UNKNOWN, 2e6)],
+        ids=["general", "high_bc", "unknown"],
+    )
+    def test_matches_monte_carlo(self, room, regime, Bc):
         p, ha, he = room
+        p = replace(p, Bc=Bc)
         close = np.argsort(np.linalg.norm(he - ha, axis=1))[[0, 2, 4, 6]]  # miss rates of 0.02 to 0.42
         ha, he = ha[close], he[close]
-        if regime is Regime.HIGH_BC_NUMERICAL:
+        if Bc == math.inf:
             r, g = asymptotic_R_high_bc(p), asymptotic_G_high_bc(p)
         else:
             r, g = dense_covariance_R(p), dense_covariance_G(p)
         cfg = TestConfig(alpha=0.01, regime=regime)
-        if regime is Regime.UNKNOWN_PARAMS:
+        if regime is Regime.UNKNOWN:
             # |d|^2 / sigma_N^2 <= t is the whitened score for R = 2 sigma_N^2 I,
             # rescaled so the chi-square threshold at alpha = 0.01 lands on t.
             t = float(np.trace(g.entries).real) / p.sigma_N2
@@ -218,18 +229,20 @@ class TestMissRates:
             assert abs(exact[i] - mc) <= 4.0 * se, (i, exact[i], mc, se)
 
 
+    @pytest.mark.parametrize("varies", [False, True], ids=["sigma_T0", "sigma_T"])
+    @pytest.mark.parametrize("mode", list(SpatialMode))
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("Bc", [0.0, 1e3, 2e6, 5e7, math.inf])
-    def test_matches_dense_path(self, room, regime, Bc):
+    def test_matches_dense_path(self, room, regime, mode, varies, Bc):
         # The spectral forms against Cholesky + eigh of the dense Toeplitz
-        # covariances, at every a in {0, 0.5, 0.9, 1} and sigma_T in {0, 1x}.
+        # covariances, for each detector, spoofer and sigma_T in {0, 1x},
+        # at every a in {0, 0.5, 0.9, 1}.
         p, ha, he = room
-        cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=40.0 if regime is Regime.UNKNOWN_PARAMS else None)
+        cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=40.0 if regime is Regime.UNKNOWN else None)
         for a in (0.0, 0.5, 0.9, 1.0):
-            for sigma_T in (0.0, p.sigma_T):
-                q = replace(p, Bc=Bc, a=a, sigma_T=sigma_T)
-                err = np.abs(miss_rates(ha, he, q, cfg) - dense_miss_rates(ha, he, q, cfg)).max()
-                assert err <= 1e-12, (a, sigma_T, err)
+            q = replace(p, Bc=Bc, a=a, sigma_T=p.sigma_T if varies else 0.0, spatial_mode=mode)
+            err = np.abs(miss_rates(ha, he, q, cfg) - dense_miss_rates(ha, he, q, cfg)).max()
+            assert err <= 1e-12, (a, err)
 
     @pytest.mark.parametrize("M", [1, 2, 5, 30])
     def test_matches_dense_path_tone_counts(self, M):
@@ -237,31 +250,36 @@ class TestMissRates:
         ha = 1e-6 * (gen.standard_normal((8, M)) + 1j * gen.standard_normal((8, M)))
         he = ha + 3e-7 * (gen.standard_normal((8, M)) + 1j * gen.standard_normal((8, M)))
         for regime in Regime:
-            cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=4.0 * M if regime is Regime.UNKNOWN_PARAMS else None)
-            for Bc in (0.0, 2e6, math.inf):
-                p = make_params(M=M, Bc=Bc, sigma_T=3e-7, sigma_N2=2e-14)
-                err = np.abs(miss_rates(ha, he, p, cfg) - dense_miss_rates(ha, he, p, cfg)).max()
-                assert err <= 1e-12, (regime, Bc, err)
+            cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=4.0 * M if regime is Regime.UNKNOWN else None)
+            for mode in SpatialMode:
+                for sigma_T in (0.0, 3e-7):
+                    for Bc in (0.0, 2e6, math.inf):
+                        p = make_params(M=M, Bc=Bc, sigma_T=sigma_T, sigma_N2=2e-14, spatial_mode=mode)
+                        err = np.abs(miss_rates(ha, he, p, cfg) - dense_miss_rates(ha, he, p, cfg)).max()
+                        assert err <= 1e-12, (regime, mode, sigma_T, Bc, err)
 
 
 class TestRegimeForms:
-    def test_low_and_high_bc_are_general_at_the_limits(self):
+    def test_detector_sets_r_and_channel_sets_g(self):
         p = make_params(sigma_T=0.7, sigma_N2=0.2)
-        general = TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS)
-        for regime, Bc in ((Regime.LOW_BC_CLOSED_FORM, 0.0), (Regime.HIGH_BC_NUMERICAL, math.inf)):
-            got = regime_forms(p, TestConfig(alpha=0.01, regime=regime))
-            want = regime_forms(replace(p, Bc=Bc), general)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
+        shared = replace(p, spatial_mode=SpatialMode.FULLY_CORRELATED)
+        general = TestConfig(alpha=0.01)
+        unknown = TestConfig(alpha=0.01, regime=Regime.UNKNOWN, threshold_override=40.0)
+        r, g, _ = regime_forms(p, general)
+        assert np.array_equal(regime_forms(shared, general)[1], r)  # a shared variation cancels as in H0
+        assert np.array_equal(regime_forms(p, unknown)[1], g)
+        assert np.array_equal(regime_forms(shared, unknown)[1], r)
+        assert np.all(regime_forms(shared, unknown)[0] == 2.0 * p.sigma_N2)
 
     def test_zero_noise_floor(self):
         # Without noise r_hat vanishes where the variation does not reach.
-        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS)
+        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
         with pytest.raises(NotPositiveDefiniteError):
             regime_forms(make_params(a=1.0, sigma_N2=0.0), cfg)
         r, _, _ = regime_forms(make_params(a=0.9, Bc=0.0, sigma_N2=0.0), cfg)
         assert np.all(r > 0)
         # The unknown regime whitens with the noise alone, so it has no floor at all.
-        unknown = TestConfig(alpha=0.01, regime=Regime.UNKNOWN_PARAMS, threshold_override=40.0)
+        unknown = TestConfig(alpha=0.01, regime=Regime.UNKNOWN, threshold_override=40.0)
         with pytest.raises(NotPositiveDefiniteError):
             regime_forms(make_params(sigma_N2=0.0), unknown)
 
@@ -270,16 +288,16 @@ class TestSimulateErrorRates:
     def test_size_calibration_single_case(self):
         p = make_params(Bc=2e6, sigma_T=2e-6, sigma_N2=1e-11)
         h = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
-        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS)
+        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
         rates = simulate_error_rates(h, h, p, cfg, trials=100_000, rng=RngStream(70), include_h1=False)
         assert 0.007 <= rates.alpha_hat <= 0.013
         assert math.isnan(rates.beta_hat)
 
     def test_fully_correlated_self_spoof(self):
         # A spoofer sharing both position and variation is accepted at 1 - alpha.
-        p = make_params(Bc=2e6, sigma_T=2e-6, sigma_N2=1e-11)
+        p = make_params(Bc=2e6, sigma_T=2e-6, sigma_N2=1e-11, spatial_mode=SpatialMode.FULLY_CORRELATED)
         h = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
-        cfg = TestConfig(alpha=0.01, regime=Regime.FULL_SPATIAL_CORRELATION)
+        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
         rates = simulate_error_rates(h, h, p, cfg, trials=50_000, rng=RngStream(71), include_h0=False)
         assert rates.beta_hat == pytest.approx(0.99, abs=3 * rates.beta_se + 1e-3)
 
@@ -288,28 +306,27 @@ class TestSimulateErrorRates:
         p = make_params(Bc=0.0, M=5, sigma_T=2e-6, sigma_N2=noise_variance(budget, 5))
         ha = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
         he = fixed_response(SCENE, (2.6, 2.2, 1.0), BOB, p)
-        cfg = TestConfig(alpha=0.01, regime=Regime.LOW_BC_CLOSED_FORM)
+        cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
         rates = simulate_error_rates(ha, he, p, cfg, trials=100_000, rng=RngStream(72), include_h0=False)
         assert abs(rates.beta_hat - miss_rate_low_bc(0.01, p, ha, he)) < 0.01
 
     def test_empirical_wrapper(self):
         p = make_params(sigma_T=1e-6, sigma_N2=1e-11)
-        cfg = TestConfig(alpha=0.05, regime=Regime.GENERAL_KNOWN_PARAMS)
+        cfg = TestConfig(alpha=0.05, regime=Regime.GENERAL)
         rates = empirical_error_rates(SCENE, (2.0, 2.0, 1.0), (3.0, 3.0, 1.0), BOB, p, cfg, 5000, RngStream(73))
         assert 0.0 <= rates.alpha_hat <= 1.0
         assert 0.0 <= rates.beta_hat <= 1.0
 
-    @pytest.mark.parametrize("regime", [Regime.GENERAL_KNOWN_PARAMS, Regime.FULL_SPATIAL_CORRELATION])
-    def test_matches_fresh_arrays_every_batch(self, regime):
+    @pytest.mark.parametrize("mode", list(SpatialMode))
+    def test_matches_fresh_arrays_every_batch(self, mode):
         # The batch loop with fresh arrays for every stage, as the generator
         # is called without out=: the same draws, and differences equal to
         # rounding, give the same decisions.  5000 trials take one full
         # batch and one partial one.
-        p = make_params(M=6, sigma_T=0.3, sigma_N2=0.05)
+        p = make_params(M=6, sigma_T=0.3, sigma_N2=0.05, spatial_mode=mode)
         ha = np.linspace(0.0, 0.2, p.M) + 0.1j
         he = ha[::-1]
-        cfg = TestConfig(alpha=0.05, regime=regime)
-        mode = SpatialMode.FULLY_CORRELATED if regime is Regime.FULL_SPATIAL_CORRELATION else SpatialMode.INDEPENDENT
+        cfg = TestConfig(alpha=0.05)
         r, _, t = regime_forms(p, cfg)
         rng, false_alarms, misses, done = RngStream(74), 0, 0, 0
         while done < 5000:
@@ -318,7 +335,7 @@ class TestSimulateErrorRates:
             ref = chan.sample_response(ha, state, p, rng)
             state = chan.step_taps(state, p.a, rng)
             z0 = statistic_batch(chan.sample_response(ha, state, p, rng) - ref, r)
-            eve = chan.eve_variation(state, mode, rng, p)
+            eve = chan.eve_variation(state, rng, p)
             z1 = statistic_batch(chan.sample_response(he, eve, p, rng) - ref, r)
             false_alarms += int(np.count_nonzero(z0 > t))
             misses += int(np.count_nonzero(z1 <= t))
@@ -333,7 +350,7 @@ class TestSimulateErrorRates:
         # its peak, and it is allocated once per call.
         budget = LinkBudget(P_T=100.0)
         p = make_params(W=2e7, M=20, Bc=math.inf, sigma_T=0.0, sigma_N2=noise_variance(budget, 20))
-        cfg = TestConfig(alpha=0.01, regime=Regime.TIME_INVARIANT_BENCHMARK)
+        cfg = TestConfig(alpha=0.01)
         h = np.linspace(0.0, 1.0, p.M) + 0.5j
 
         def peak(trials: int) -> int:
@@ -360,27 +377,35 @@ class TestSimulateErrorRates:
 
 
 class TestFalseAlarmRate:
-    @pytest.mark.parametrize("regime", [Regime.GENERAL_KNOWN_PARAMS, Regime.FULL_SPATIAL_CORRELATION])
-    def test_matched_regimes_have_size_alpha(self, regime):
-        cfg = TestConfig(alpha=0.01, regime=regime)
-        assert false_alarm_rate(make_params(sigma_N2=0.1), cfg) == pytest.approx(0.01, rel=1e-12)
-        low = TestConfig(alpha=0.01, regime=Regime.LOW_BC_CLOSED_FORM)
-        assert false_alarm_rate(make_params(Bc=0.0, sigma_N2=0.1), low) == pytest.approx(0.01, rel=1e-12)
+    @pytest.mark.parametrize("mode", list(SpatialMode))
+    def test_general_detector_has_size_alpha(self, mode):
+        cfg = TestConfig(alpha=0.01)
+        for Bc in (0.0, 2e6):
+            p = make_params(Bc=Bc, sigma_N2=0.1, spatial_mode=mode)
+            assert false_alarm_rate(p, cfg) == pytest.approx(0.01, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "regime, Bc, override, size",
-        [
-            (Regime.HIGH_BC_NUMERICAL, 2e6, None, 0.0903),
-            (Regime.TIME_INVARIANT_BENCHMARK, 2e6, None, 0.4650),
-            (Regime.UNKNOWN_PARAMS, 2e6, 40.0, 0.4087),
-            (Regime.LOW_BC_CLOSED_FORM, 1e3, None, 0.0100),
-        ],
+    @settings(max_examples=200, deadline=None)
+    @given(
+        Bc=st.sampled_from([0.0, 1e3, 2e6, 5e7, math.inf]),
+        a=st.floats(0.0, 1.0),
+        mode=st.sampled_from(list(SpatialMode)),
+        M=st.integers(1, 30),
+        sigma_T=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+        sigma_N2=st.floats(1e-12, 1e2),
     )
-    def test_matches_monte_carlo(self, regime, Bc, override, size):
-        # A regime whose covariance is not the channel's has its own size.
-        # M = 10, a = 0.9, sigma_T = 1, sigma_N^2 = 0.1, alpha = 0.01.
+    def test_general_detector_size_is_alpha_on_every_channel(self, Bc, a, mode, M, sigma_T, sigma_N2):
+        # The general detector whitens with the channel's own spectrum, so
+        # its exact size is alpha wherever the channel sits.
+        p = make_params(M=M, a=a, Bc=Bc, sigma_T=sigma_T, sigma_N2=sigma_N2, spatial_mode=mode)
+        assert false_alarm_rate(p, TestConfig(alpha=0.01)) == pytest.approx(0.01, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("Bc, size", [(0.0, 0.4579), (1e3, 0.4579), (2e6, 0.4087), (math.inf, 0.3824)])
+    def test_matches_monte_carlo(self, Bc, size):
+        # The unknown detector whitens with the noise alone, so at its
+        # override it has its own size on each channel.
+        # M = 10, a = 0.9, sigma_T = 1, sigma_N^2 = 0.1, threshold 40.
         p = make_params(Bc=Bc, sigma_N2=0.1)
-        cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=override)
+        cfg = TestConfig(alpha=0.01, regime=Regime.UNKNOWN, threshold_override=40.0)
         exact = false_alarm_rate(p, cfg)
         assert exact == pytest.approx(size, abs=5e-5)
         h = np.zeros(p.M, dtype=complex)
@@ -418,7 +443,7 @@ class TestRoomSweep:
             trace=raytrace.RoomTrace(SCENE, grid or self.GRID, BOB),
             budget=LinkBudget(P_T=100.0),
             base_params=make_params(Bc=0.0, sigma_T=0.0, sigma_N2=0.0),
-            cfg=TestConfig(alpha=0.01, regime=Regime.LOW_BC_CLOSED_FORM),
+            cfg=TestConfig(alpha=0.01),
             sweep_param=SweepAxis.B_T,
             sweep_values=[0.01, 0.1, 1.0],
             b_T=0.5,
@@ -490,11 +515,11 @@ class TestRoomSweep:
         n = len(trace.positions)
         ii, jj = _unrank_pairs(np.arange(n * (n - 1) // 2), n)
         for value, beta_bar, std_err in zip(values, res.beta_bar, res.std_err):
-            params, budget, cfg = apply_sweep_value(config.channel, config.budget, config.test, config.sweep_param, value)
+            params, budget = apply_sweep_value(config.channel, config.budget, config.sweep_param, value)
             b_T = float(value) if config.sweep_param is SweepAxis.B_T else config.b_T
             params, responses = resolve_variances(trace, params, budget, b_T)
             total = sum(
-                miss_rates(responses[ii[i : i + 4096]], responses[jj[i : i + 4096]], params, cfg).sum()
+                miss_rates(responses[ii[i : i + 4096]], responses[jj[i : i + 4096]], params, config.test).sum()
                 for i in range(0, len(ii), 4096)
             )
             exact = total / len(ii)
@@ -503,10 +528,27 @@ class TestRoomSweep:
     def test_spatial_mode_axis(self):
         res = self.sweep(
             base_params=make_params(sigma_T=0.0, sigma_N2=0.0),
-            cfg=TestConfig(alpha=0.01, regime=Regime.GENERAL_KNOWN_PARAMS),
+            cfg=TestConfig(alpha=0.01, regime=Regime.GENERAL),
             sweep_param=SweepAxis.SPATIAL_MODE,
             sweep_values=[SpatialMode.INDEPENDENT.value, SpatialMode.FULLY_CORRELATED.value],
             pair_budget=5,
         )
         assert len(res.beta_bar) == 2
         assert all(0.0 <= b <= 1.0 for b in res.beta_bar)
+
+    def test_spatial_mode_axis_keeps_the_detector(self):
+        # A spatial_mode sweep changes the spoofer, not the detector: every
+        # row under the unknown detector is its exact room average over all
+        # 36 pairs at that mode, and none is the general detector's.
+        base = make_params(sigma_T=0.0, sigma_N2=0.0)
+        unknown = TestConfig(alpha=0.01, regime=Regime.UNKNOWN, threshold_override=30.0)
+        modes = [SpatialMode.INDEPENDENT.value, SpatialMode.FULLY_CORRELATED.value]
+        kwargs = dict(base_params=base, sweep_param=SweepAxis.SPATIAL_MODE, sweep_values=modes, pair_budget=36)
+        res = self.sweep(cfg=unknown, **kwargs)
+        general = self.sweep(cfg=TestConfig(alpha=0.01), **kwargs)
+        trace = raytrace.RoomTrace(SCENE, self.GRID, BOB)
+        ii, jj = _unrank_pairs(np.arange(36), 9)
+        for mode, beta_bar, beta_general in zip(modes, res.beta_bar, general.beta_bar):
+            params, responses = resolve_variances(trace, replace(base, spatial_mode=SpatialMode(mode)), LinkBudget(P_T=100.0), 0.5)
+            assert beta_bar == pytest.approx(miss_rates(responses[ii], responses[jj], params, unknown).mean(), rel=1e-12)
+            assert beta_bar != pytest.approx(beta_general, rel=1e-3)
