@@ -248,8 +248,8 @@ class TestRun:
     def test_preset_runs_its_channel_everywhere(self, tmp_path, name, key, value):
         # The sweep, the calibration and the exact size of a preset are those
         # of the general detector with the preset's setting written out; only
-        # the echoed regime differs.  A spatial_mode sweep once kept the
-        # written B_c for low_bc and high_bc.
+        # the echoed regime differs.  The spatial_mode sweep rebuilds the
+        # channel for every row, and each row must keep the preset's setting.
         overrides = {"sweep.param": "spatial_mode", "sweep.values": "independent fully_correlated"}
         outs = []
         for cfg_name, extra in ((name, {}), ("general", {key: value})):
