@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from chanauth import channel as chan
 from chanauth import raytrace
 from chanauth.channel import ChannelParams, SpatialMode
-from chanauth.cli import load_config
+from chanauth.cli import PRESETS, REGIME_NAMES, load_config
 from chanauth.detect import (
     Regime,
     TestConfig,
@@ -60,6 +60,29 @@ def make_params(**overrides) -> ChannelParams:
     base = dict(f0=5e9, W=1e7, M=10, a=0.9, Bc=2e6, sigma_T=1.0, sigma_N2=1.0)
     base.update(overrides)
     return ChannelParams(**base)
+
+
+def resolve_name(params: ChannelParams, name: str) -> tuple[Regime, ChannelParams]:
+    """The detector and channel that ``test.regime = name`` runs on ``params``,
+    as load_config resolves a detector or a preset."""
+    if name not in PRESETS:
+        return Regime(name), params
+    axis, value = PRESETS[name]
+    if axis is SweepAxis.B_T:
+        return Regime.GENERAL, replace(params, sigma_T=sigma_T_from_bT(value, 1.0))
+    return Regime.GENERAL, apply_sweep_value(params, LinkBudget(P_T=1.0), axis, value)[0]
+
+
+# Case ids over test.regime names keep the ids these cases had while each
+# name was a member of Regime, so a case's history reads across that change.
+NAME_IDS = {
+    "general": "Regime.GENERAL_KNOWN_PARAMS",
+    "unknown": "Regime.UNKNOWN_PARAMS",
+    "low_bc": "Regime.LOW_BC_CLOSED_FORM",
+    "high_bc": "Regime.HIGH_BC_NUMERICAL",
+    "time_invariant": "Regime.TIME_INVARIANT_BENCHMARK",
+    "full_spatial": "Regime.FULL_SPATIAL_CORRELATION",
+}
 
 
 SCENE = RoomScene()
@@ -162,24 +185,18 @@ class TestMissRates:
         return p, responses[pick], responses[pick + 1]  # grid neighbours
 
     @pytest.mark.parametrize(
-        "channel, closed_form",
+        "name, closed_form",
         [
-            (lambda p: replace(p, Bc=0.0), lambda p, ha, he: miss_rate_low_bc(0.01, p, ha, he)),
-            (
-                lambda p: replace(p, sigma_T=0.0),
-                lambda p, ha, he: miss_rate_time_invariant(0.01, p.sigma_N2, ha, he, p.M),
-            ),
-            (
-                lambda p: replace(p, spatial_mode=SpatialMode.FULLY_CORRELATED),
-                lambda p, ha, he: miss_rate_full_spatial(0.01, p, ha, he, dense_covariance_R(p)),
-            ),
+            ("low_bc", lambda p, ha, he: miss_rate_low_bc(0.01, p, ha, he)),
+            ("time_invariant", lambda p, ha, he: miss_rate_time_invariant(0.01, p.sigma_N2, ha, he, p.M)),
+            ("full_spatial", lambda p, ha, he: miss_rate_full_spatial(0.01, p, ha, he, dense_covariance_R(p))),
         ],
-        ids=["low_bc", "time_invariant", "full_spatial"],
+        ids=[NAME_IDS[n] for n in ("low_bc", "time_invariant", "full_spatial")],
     )
-    def test_equal_weight_channels_match_closed_forms(self, room, channel, closed_form):
+    def test_equal_weight_regimes_match_closed_forms(self, room, name, closed_form):
         p, ha, he = room
-        p = channel(p)
-        batch = miss_rates(ha, he, p, TestConfig(alpha=0.01))
+        detector, p = resolve_name(p, name)
+        batch = miss_rates(ha, he, p, TestConfig(alpha=0.01, regime=detector))
         closed = np.array([closed_form(p, a, e) for a, e in zip(ha, he)])
         assert np.max(np.abs(batch - closed)) <= 1e-12
 
@@ -205,7 +222,7 @@ class TestMissRates:
     @pytest.mark.parametrize(
         "regime, Bc",
         [(Regime.GENERAL, 2e6), (Regime.GENERAL, math.inf), (Regime.UNKNOWN, 2e6)],
-        ids=["general", "high_bc", "unknown"],
+        ids=[NAME_IDS[n] for n in ("general", "high_bc", "unknown")],
     )
     def test_matches_monte_carlo(self, room, regime, Bc):
         p, ha, he = room
@@ -229,20 +246,23 @@ class TestMissRates:
             assert abs(exact[i] - mc) <= 4.0 * se, (i, exact[i], mc, se)
 
 
-    @pytest.mark.parametrize("varies", [False, True], ids=["sigma_T0", "sigma_T"])
-    @pytest.mark.parametrize("mode", list(SpatialMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
-    @pytest.mark.parametrize("Bc", [0.0, 1e3, 2e6, 5e7, math.inf], ids=["0", "1e3", "2e6", "5e7", "inf"])
-    def test_matches_dense_path(self, room, regime, mode, varies, Bc):
+    @pytest.mark.parametrize("name", REGIME_NAMES, ids=NAME_IDS.get)
+    @pytest.mark.parametrize("Bc", [0.0, 1e3, 2e6, 5e7, math.inf])
+    def test_matches_dense_path(self, room, name, Bc):
         # The spectral forms against Cholesky + eigh of the dense Toeplitz
-        # covariances, for each detector, spoofer and sigma_T in {0, 1x},
-        # at every a in {0, 0.5, 0.9, 1}.
+        # covariances, for each test.regime name on a channel at B_c (a
+        # preset then fixes its own setting), against either spoofer, at
+        # sigma_T in {0, 1x} and every a in {0, 0.5, 0.9, 1}.
         p, ha, he = room
-        cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=40.0 if regime is Regime.UNKNOWN else None)
-        for a in (0.0, 0.5, 0.9, 1.0):
-            q = replace(p, Bc=Bc, a=a, sigma_T=p.sigma_T if varies else 0.0, spatial_mode=mode)
-            err = np.abs(miss_rates(ha, he, q, cfg) - dense_miss_rates(ha, he, q, cfg)).max()
-            assert err <= 1e-12, (a, err)
+        for mode in SpatialMode:
+            for sigma_T in (0.0, p.sigma_T):
+                for a in (0.0, 0.5, 0.9, 1.0):
+                    q = replace(p, Bc=Bc, a=a, sigma_T=sigma_T, spatial_mode=mode)
+                    detector, q = resolve_name(q, name)
+                    override = 40.0 if detector is Regime.UNKNOWN else None
+                    cfg = TestConfig(alpha=0.01, regime=detector, threshold_override=override)
+                    err = np.abs(miss_rates(ha, he, q, cfg) - dense_miss_rates(ha, he, q, cfg)).max()
+                    assert err <= 1e-12, (mode, sigma_T, a, err)
 
     @pytest.mark.parametrize("M", [1, 2, 5, 30])
     def test_matches_dense_path_tone_counts(self, M):
@@ -317,16 +337,16 @@ class TestSimulateErrorRates:
         assert 0.0 <= rates.alpha_hat <= 1.0
         assert 0.0 <= rates.beta_hat <= 1.0
 
-    @pytest.mark.parametrize("mode", list(SpatialMode), ids=lambda m: m.value)
-    def test_matches_fresh_arrays_every_batch(self, mode):
+    @pytest.mark.parametrize("name", ["general", "full_spatial"], ids=NAME_IDS.get)
+    def test_matches_fresh_arrays_every_batch(self, name):
         # The batch loop with fresh arrays for every stage, as the generator
         # is called without out=: the same draws, and differences equal to
         # rounding, give the same decisions.  5000 trials take one full
         # batch and one partial one.
-        p = make_params(M=6, sigma_T=0.3, sigma_N2=0.05, spatial_mode=mode)
+        detector, p = resolve_name(make_params(M=6, sigma_T=0.3, sigma_N2=0.05), name)
         ha = np.linspace(0.0, 0.2, p.M) + 0.1j
         he = ha[::-1]
-        cfg = TestConfig(alpha=0.05)
+        cfg = TestConfig(alpha=0.05, regime=detector)
         r, _, t = regime_forms(p, cfg)
         rng, false_alarms, misses, done = RngStream(74), 0, 0, 0
         while done < 5000:
@@ -377,6 +397,16 @@ class TestSimulateErrorRates:
 
 
 class TestFalseAlarmRate:
+    @pytest.mark.parametrize("name", [n for n in REGIME_NAMES if n != "unknown"], ids=NAME_IDS.get)
+    def test_matched_regimes_have_size_alpha(self, name):
+        # A preset sets the channel that exact_alpha and the calibration run,
+        # not only the sweep's, so every name on the general detector has
+        # size alpha whatever B_c the config gives.
+        for Bc in (0.0, 2e6, math.inf):
+            detector, p = resolve_name(make_params(Bc=Bc, sigma_N2=0.1), name)
+            assert detector is Regime.GENERAL
+            assert false_alarm_rate(p, TestConfig(alpha=0.01, regime=detector)) == pytest.approx(0.01, rel=1e-12)
+
     @settings(max_examples=200, deadline=None)
     @given(
         Bc=st.sampled_from([0.0, 1e3, 2e6, 5e7, math.inf]),
