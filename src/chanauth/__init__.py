@@ -1,18 +1,16 @@
 """Physical-layer transmitter authentication: channel simulation, chi-square
-spoofing detection, and Monte Carlo miss-rate experiments."""
+spoofing detection, and room-averaged miss-rate sweeps."""
 
 from .channel import ChannelParams, SpatialMode, TapState
-from .detect import Decision, Regime, TestConfig, TestOutcome
+from .detect import Regime, TestConfig
 from .harness import ErrorRates, LinkBudget, SweepAxis, SweepResult
-from .numerics import HermitianMatrix, NotPositiveDefiniteError, RngStream
+from .numerics import NotPositiveDefiniteError, RngStream
 from .raytrace import GridSpec, RoomScene
 
 __all__ = [
     "ChannelParams",
-    "Decision",
     "ErrorRates",
     "GridSpec",
-    "HermitianMatrix",
     "LinkBudget",
     "NotPositiveDefiniteError",
     "Regime",
@@ -23,5 +21,4 @@ __all__ = [
     "SweepResult",
     "TapState",
     "TestConfig",
-    "TestOutcome",
 ]

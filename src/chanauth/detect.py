@@ -1,11 +1,13 @@
-"""Hypothesis tests deciding whether the current transmitter is the stored one.
+"""The detector: the whitened-difference statistic and its threshold.
 
 The receiver compares the freshly probed response against its stored
-reference.  Under the null hypothesis (same transmitter) the whitened
-difference statistic is chi-square with 2M degrees of freedom, which fixes
-the threshold for a target false-alarm rate.  The closed-form miss rates
-here cover the channels that admit one; harness.miss_rates evaluates every
-channel exactly, and the Monte Carlo evaluator here cross-checks it.
+reference and accepts the stored transmitter iff Z <= t.  Under the null
+hypothesis (same transmitter) the whitened difference statistic is
+chi-square with 2M degrees of freedom, which fixes the threshold for a
+target false-alarm rate.  harness.miss_rates evaluates every channel's miss
+rate exactly; the closed forms here (for the channels that admit one), the
+dense statistic and the Monte Carlo evaluator are the references it is
+checked against.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from enum import Enum
 import numpy as np
 import numpy.fft  # every run transforms through it (here and in harness); numpy would otherwise load it on first use
 
-from . import channel
 from .channel import ChannelParams
 from .numerics import HermitianMatrix, RngStream, block_rows, chi2_cdf, chi2_inv, noncentral_chi2_cdf
 
@@ -27,11 +28,6 @@ class Regime(Enum):
 
     GENERAL = "general"
     UNKNOWN = "unknown"
-
-
-class Decision(Enum):
-    ACCEPT_H0 = "accept"
-    REJECT_H0 = "reject"
 
 
 @dataclass(frozen=True)
@@ -45,13 +41,6 @@ class TestConfig:
             raise ValueError("alpha must lie in (0, 1) unless threshold_override is set")
         if self.threshold_override is not None and not self.threshold_override >= 0:
             raise ValueError("threshold_override must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TestOutcome:
-    Z: float
-    threshold: float
-    decision: Decision
 
 
 def statistic_general(h_now, h_ref, R: HermitianMatrix) -> float:
@@ -91,29 +80,6 @@ def threshold_for(cfg: TestConfig, M: int) -> float:
     if cfg.threshold_override is not None:
         return float(cfg.threshold_override)
     return chi2_inv(1.0 - cfg.alpha, 2 * M)
-
-
-def decide(Z: float, cfg: TestConfig, M: int) -> TestOutcome:
-    """Accept the stored-transmitter hypothesis iff Z <= threshold.
-
-    Rejection is strict (Z > threshold); equality accepts, fixing the
-    measure-zero boundary deterministically.
-    """
-    t = threshold_for(cfg, M)
-    decision = Decision.REJECT_H0 if Z > t else Decision.ACCEPT_H0
-    return TestOutcome(Z=float(Z), threshold=t, decision=decision)
-
-
-def calibrate_threshold(h0_statistics: np.ndarray, alpha: float) -> float:
-    """Empirical (1-alpha) quantile of null-hypothesis statistics.
-
-    A pragmatic threshold rule for the unknown-parameters test, which has
-    no tractable null distribution; feed it a training window of statistics
-    observed while the legitimate transmitter is known to be present.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    return float(np.quantile(np.asarray(h0_statistics, dtype=float), 1.0 - alpha))
 
 
 def _fixed_gap_energy(hbar_A, hbar_E) -> float:
@@ -202,43 +168,6 @@ def miss_rate_general_numerical(
     diffs = delta + g.sample_offset(w)
     z = np.sum(np.abs(R.factored().half_whiten(diffs)) ** 2, axis=-1)  # dense, so it cross-checks the spectral path
     t = chi2_inv(1.0 - alpha, 2 * m)
-    beta = float(np.mean(z <= t))  # accept on Z <= t, as decide() does
+    beta = float(np.mean(z <= t))  # accept on Z <= t, as the sweeps do
     se = math.sqrt(max(beta * (1.0 - beta), 1.0 / trials) / trials)
     return beta, se
-
-
-def roc_unknown_params(
-    params: ChannelParams,
-    hbar_A,
-    hbar_E,
-    thresholds,
-    trials: int,
-    rng: RngStream,
-) -> list[tuple[float, float]]:
-    """Empirical (alpha, beta) pairs for the parameter-free statistic |d|^2 / sigma_N^2.
-
-    Both hypotheses' sample paths go through the full channel generator,
-    and every threshold is scored against the same paths, so the returned
-    staircase is exactly monotone: alpha nonincreasing and beta
-    nondecreasing in the threshold.
-    """
-    thresholds = [float(t) for t in thresholds]
-    if not thresholds:
-        raise ValueError("thresholds must be nonempty")
-    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be ascending")
-    if params.sigma_N2 <= 0:
-        raise ValueError("the unknown-parameters statistic needs sigma_N2 > 0")
-
-    state = channel.build_delay_profile(params)
-    state = channel.init_taps(state, rng, batch=trials)
-    ref = channel.sample_response(hbar_A, state, params, rng)
-    state = channel.step_taps(state, params.a, rng)
-    probe_alice = channel.sample_response(hbar_A, state, params, rng)
-    eve_state = channel.eve_variation(state, rng, params)
-    probe_eve = channel.sample_response(hbar_E, eve_state, params, rng)
-
-    noise = np.full(params.M, 2.0 * params.sigma_N2)  # whitening by the noise alone: |d|^2 / sigma_N^2
-    z0 = statistic_batch(probe_alice - ref, noise)
-    z1 = statistic_batch(probe_eve - ref, noise)
-    return [(float(np.mean(z0 > t)), float(np.mean(z1 <= t))) for t in thresholds]

@@ -25,7 +25,6 @@ from . import detect, raytrace, stats
 from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
 from .numerics import NotPositiveDefiniteError, RngStream, generalized_chi2_cdf
-from .raytrace import RoomScene
 
 BOLTZMANN_NOISE_DENSITY = 10.0 ** (-17.4)  # thermal noise density kT in mW/Hz
 
@@ -145,32 +144,9 @@ def miss_rates(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelParams, cf
     return generalized_chi2_cdf(t, g / r, 2.0 * params.M * np.abs(gaps) ** 2 / r)
 
 
-def pair_miss_rate(scene: RoomScene, alice, eve, bob, params: ChannelParams, cfg: TestConfig) -> float:
-    """Miss rate for one spoofer/legitimate position pair (see miss_rates)."""
-    hbar_a = raytrace.fixed_response(scene, alice, bob, params)
-    hbar_e = raytrace.fixed_response(scene, eve, bob, params)
-    return miss_rate_for_pair(hbar_a, hbar_e, params, cfg)
-
-
 def miss_rate_for_pair(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelParams, cfg: TestConfig) -> float:
     """Miss rate from precomputed fixed responses: miss_rates for one pair."""
     return float(miss_rates(np.atleast_2d(hbar_a), np.atleast_2d(hbar_e), params, cfg)[0])
-
-
-def empirical_error_rates(
-    scene: RoomScene,
-    alice,
-    eve,
-    bob,
-    params: ChannelParams,
-    cfg: TestConfig,
-    trials: int,
-    rng: RngStream,
-) -> ErrorRates:
-    """Full time-series simulation of both error rates for one pair."""
-    hbar_a = raytrace.fixed_response(scene, alice, bob, params)
-    hbar_e = raytrace.fixed_response(scene, eve, bob, params)
-    return simulate_error_rates(hbar_a, hbar_e, params, cfg, trials, rng)
 
 
 def simulate_error_rates(

@@ -29,12 +29,10 @@ from chanauth.harness import (
     _select_pairs,
     _unrank_pairs,
     apply_sweep_value,
-    empirical_error_rates,
     false_alarm_rate,
     miss_rate_for_pair,
     miss_rates,
     noise_variance,
-    pair_miss_rate,
     regime_forms,
     resolve_variances,
     room_sweep,
@@ -124,15 +122,17 @@ class TestPairMissRate:
         # Same position, no variation, equal weights: miss rate is 1 - alpha.
         p = make_params(sigma_T=0.0, sigma_N2=1e-11)
         cfg = TestConfig(alpha=0.01)
-        alice = (2.0, 2.0, 1.0)
-        beta = pair_miss_rate(SCENE, alice, alice, BOB, p, cfg)
+        ha = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
+        beta = miss_rate_for_pair(ha, ha, p, cfg)
         assert beta == pytest.approx(0.99, abs=1e-9)
 
     def test_huge_power_far_pair(self):
         budget = LinkBudget(P_T=1e6)
         p = make_params(sigma_T=0.0, sigma_N2=noise_variance(budget, 10))
         cfg = TestConfig(alpha=0.01)
-        beta = pair_miss_rate(SCENE, (2.0, 2.0, 1.0), (7.0, 5.5, 1.0), BOB, p, cfg)
+        ha = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
+        he = fixed_response(SCENE, (7.0, 5.5, 1.0), BOB, p)
+        beta = miss_rate_for_pair(ha, he, p, cfg)
         assert beta < 1e-6
 
     def test_time_invariant_reduction(self):
@@ -141,10 +141,10 @@ class TestPairMissRate:
         p = make_params(sigma_T=0.0, sigma_N2=1e-11)
         alice, eve = (2.0, 2.0, 1.0), (2.4, 2.0, 1.0)
         cfg = TestConfig(alpha=0.01)
-        b1 = pair_miss_rate(SCENE, alice, eve, BOB, p, cfg)
-        b2 = pair_miss_rate(SCENE, alice, eve, BOB, replace(p, Bc=0.0), cfg)
-        assert b1 == b2
         ha, he = fixed_response(SCENE, alice, BOB, p), fixed_response(SCENE, eve, BOB, p)
+        b1 = miss_rate_for_pair(ha, he, p, cfg)
+        b2 = miss_rate_for_pair(ha, he, replace(p, Bc=0.0), cfg)
+        assert b1 == b2
         assert b1 == pytest.approx(miss_rate_time_invariant(0.01, p.sigma_N2, ha, he, p.M), abs=1e-12)
 
     def test_general_regime_is_exact(self):
@@ -331,9 +331,12 @@ class TestSimulateErrorRates:
         assert abs(rates.beta_hat - miss_rate_low_bc(0.01, p, ha, he)) < 0.01
 
     def test_empirical_wrapper(self):
+        # One room pair end to end: traced fixed responses, then the simulation.
         p = make_params(sigma_T=1e-6, sigma_N2=1e-11)
         cfg = TestConfig(alpha=0.05, regime=Regime.GENERAL)
-        rates = empirical_error_rates(SCENE, (2.0, 2.0, 1.0), (3.0, 3.0, 1.0), BOB, p, cfg, 5000, RngStream(73))
+        ha = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
+        he = fixed_response(SCENE, (3.0, 3.0, 1.0), BOB, p)
+        rates = simulate_error_rates(ha, he, p, cfg, 5000, RngStream(73))
         assert 0.0 <= rates.alpha_hat <= 1.0
         assert 0.0 <= rates.beta_hat <= 1.0
 
