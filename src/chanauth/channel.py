@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import RngStream, add_complex_gaussian, block_rows
+from .numerics import RngStream, sample_complex_gaussian
 
 
 class SpatialMode(Enum):
@@ -114,104 +114,66 @@ def build_delay_profile(params: ChannelParams) -> TapState:
     return TapState(amps=np.zeros_like(profile, dtype=complex), profile=profile)
 
 
-def init_taps(
-    state: TapState, rng: RngStream, batch: int | None = None, out: np.ndarray | None = None
-) -> TapState:
+def init_taps(state: TapState, rng: RngStream, batch: int | None = None) -> TapState:
     """Draw tap amplitudes from the AR(1) stationary law CN(0, profile[l]).
 
     Starting from stationarity means no burn-in is needed.  ``batch``
     produces shape (batch, L) for vectorized independent realizations.
-    ``out``, a C-contiguous complex array of that shape, receives the
-    amplitudes instead of a new array.
     """
-    if out is None:
-        out = np.empty(state.profile.shape if batch is None else (batch, len(state.profile)), dtype=complex)
-    out.fill(0.0)
-    add_complex_gaussian(rng, out, np.sqrt(state.profile / 2.0))
-    return TapState(amps=out, profile=state.profile)
+    size = state.profile.shape if batch is None else (batch, len(state.profile))
+    return TapState(amps=sample_complex_gaussian(rng, state.profile, size=size), profile=state.profile)
 
 
-def step_taps(state: TapState, a: float, rng: RngStream, out: np.ndarray | None = None) -> TapState:
+def step_taps(state: TapState, a: float, rng: RngStream) -> TapState:
     """Advance every tap one probe interval: A <- a A + sqrt((1-a^2) P) u.
 
     Innovations u are i.i.d. CN(0, 1), so the marginal variance stays at
-    the profile value.  ``out`` (state.amps itself, to step in place)
-    receives the new amplitudes instead of a new array.
+    the profile value.
     """
-    amps = np.multiply(state.amps, a, out=out, dtype=complex)
-    add_complex_gaussian(rng, amps, math.sqrt(0.5), np.sqrt((1.0 - a**2) * state.profile))
+    u = sample_complex_gaussian(rng, 1.0, size=state.amps.shape)
+    amps = a * state.amps + np.sqrt((1.0 - a**2) * state.profile) * u
     return replace(state, amps=amps)
 
 
-def taps_to_frequency(
-    state: TapState, params: ChannelParams, out: np.ndarray | None = None, subtract: bool = False
-) -> np.ndarray:
+def taps_to_frequency(state: TapState, params: ChannelParams) -> np.ndarray:
     """Variable part over the M tones: eps_m = sum_l A_l e^{-j2pi f_m l/W}.
 
     Taken as one real product of the amplitudes' (re, im) pairs with the
     2L x 2M real form of the tone phasors: after a complex product (zgemm)
     OpenBLAS leaves every later complex exp and log in the process several
-    times slower.  ``out``, a C-contiguous complex array of the result's
-    shape, receives eps instead of a new array.  With ``subtract`` it holds
-    an array on entry and receives eps minus it; eps is then formed a block
-    of rows at a time (numerics.block_rows), so it is never held whole.
+    times slower.
     """
     amps = np.ascontiguousarray(state.amps, dtype=complex)
     phasors = np.exp(-2j * np.pi * np.outer(np.arange(len(state.profile)) / params.W, params.tones))
     # Rows 2l and 2l + 1: tap l's phasors and j times them, as (re, im) pairs.
     basis = np.stack([phasors, 1j * phasors], axis=1).view(float).reshape(2 * len(state.profile), 2 * params.M)
-    if not subtract:
-        if out is None:
-            out = np.empty(amps.shape[:-1] + (params.M,), dtype=complex)
-        np.matmul(amps.view(float), basis, out=out.view(float))
-        return out
-    if out is None:
-        raise ValueError("subtract needs the array to subtract in out")
-    rows, amps = out.reshape(-1, params.M), amps.reshape(-1, len(state.profile)).view(float)
-    step = block_rows(params.M)
-    block = np.empty((min(step, len(rows)), params.M), dtype=complex)
-    for i in range(0, len(rows), step):
-        b = block[: len(rows) - i]
-        np.matmul(amps[i : i + len(b)], basis, out=b.view(float))
-        np.subtract(b, rows[i : i + len(b)], out=rows[i : i + len(b)])
-    return out
+    return np.matmul(amps.view(float), basis).view(complex)
 
 
-def sample_response(
-    fixed: np.ndarray,
-    state: TapState,
-    params: ChannelParams,
-    rng: RngStream,
-    out: np.ndarray | None = None,
-    subtract: bool = False,
-) -> np.ndarray:
+def sample_response(fixed: np.ndarray, state: TapState, params: ChannelParams, rng: RngStream) -> np.ndarray:
     """One noisy probe: fixed part + variable part + fresh CN(0, sigma_N^2) noise.
 
     ``fixed`` is the length-M fixed response; the probe has shape
-    state.amps.shape[:-1] + (M,), and ``out``, a C-contiguous complex array
-    of that shape, receives it instead of a new array.  With ``subtract``,
-    ``out`` holds an earlier probe (the stored reference) on entry and
-    receives this probe minus it, and the new probe is never held whole
-    (see taps_to_frequency).  Noise is drawn anew on every call; a stored
-    reference is always a noisy observation, never the clean response.
+    state.amps.shape[:-1] + (M,).  Noise is drawn anew on every call; a
+    stored reference is always a noisy observation, never the clean response.
     """
     fixed = np.asarray(fixed, dtype=complex)
     if fixed.shape[-1] != params.M:
         raise ValueError(f"fixed response has length {fixed.shape[-1]}, expected M={params.M}")
-    probe = taps_to_frequency(state, params, out=out, subtract=subtract)
+    probe = taps_to_frequency(state, params)
     probe += fixed
-    return add_complex_gaussian(rng, probe, math.sqrt(params.sigma_N2 / 2.0))
+    probe += sample_complex_gaussian(rng, params.sigma_N2, size=probe.shape)
+    return probe
 
 
-def eve_variation(alice_state: TapState, rng: RngStream, params: ChannelParams, out: np.ndarray | None = None) -> TapState:
+def eve_variation(alice_state: TapState, rng: RngStream, params: ChannelParams) -> TapState:
     """The spoofer's tap state under ``params.spatial_mode``.
 
-    INDEPENDENT draws a fresh stationary realization with the same profile,
-    into ``out`` if given (see init_taps); FULLY_CORRELATED shares the
-    identical amplitudes, so the two variable parts coincide
-    sample-for-sample.
+    INDEPENDENT draws a fresh stationary realization with the same profile;
+    FULLY_CORRELATED shares the identical amplitudes, so the two variable
+    parts coincide sample-for-sample.
     """
     if params.spatial_mode is SpatialMode.FULLY_CORRELATED:
         return alice_state
     batch = None if alice_state.amps.ndim == 1 else alice_state.amps.shape[0]
-    return init_taps(alice_state, rng, batch=batch, out=out)
+    return init_taps(alice_state, rng, batch=batch)

@@ -20,7 +20,7 @@ import numpy as np
 import numpy.fft  # every run transforms through it (here and in harness); numpy would otherwise load it on first use
 
 from .channel import ChannelParams
-from .numerics import HermitianMatrix, RngStream, block_rows, chi2_cdf, chi2_inv, noncentral_chi2_cdf
+from .numerics import HermitianMatrix, RngStream, chi2_cdf, chi2_inv, noncentral_chi2_cdf
 
 
 class Regime(Enum):
@@ -60,19 +60,10 @@ def statistic_batch(diffs: np.ndarray, r_hat: np.ndarray) -> np.ndarray:
     """statistic_general over difference rows of shape (n, M) for a circulant R.
 
     R is given by its spectrum r_hat (stats.covariance_R), so the whitening
-    is diagonal in DFT coordinates: Z = 2M sum |ifft(d)|^2 / r_hat.  The
-    rows go a block at a time (numerics.block_rows), so the transforms'
-    scratch stays small however many rows are scored.
+    is diagonal in DFT coordinates: Z = 2M sum |ifft(d)|^2 / r_hat.
     """
-    diffs = np.asarray(diffs)
-    rows = diffs.reshape(-1, diffs.shape[-1])
-    out = np.empty(len(rows))
-    step = block_rows(rows.shape[1])
-    for i in range(0, len(rows), step):
-        z = np.fft.ifft(rows[i : i + step], axis=-1)
-        out[i : i + len(z)] = np.sum(np.abs(z) ** 2 / r_hat, axis=-1)
-    out *= 2.0 * len(r_hat)
-    return out.reshape(diffs.shape[:-1])[()]
+    z = np.fft.ifft(diffs, axis=-1)
+    return 2.0 * len(r_hat) * np.sum(np.abs(z) ** 2 / r_hat, axis=-1)
 
 
 def threshold_for(cfg: TestConfig, M: int) -> float:

@@ -28,10 +28,10 @@ from .numerics import NotPositiveDefiniteError, RngStream, generalized_chi2_cdf
 
 BOLTZMANN_NOISE_DENSITY = 10.0 ** (-17.4)  # thermal noise density kT in mW/Hz
 
-# Trials simulated together by simulate_error_rates; bounds its memory.  The
-# batch size also fixes the order of the draws (each batch draws its taps,
-# then its noise), so changing it moves calibration.csv.
-_TRIAL_BATCH = 4000
+# Elements (trials x M) in one block of simulate_error_rates; bounds its
+# memory.  The block size also fixes the order of the draws (each block
+# draws its taps, then its noise), so changing it moves calibration.csv.
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,11 @@ def simulate_error_rates(
 
     Every trial probes the channel at k-1 (the stored reference), steps the
     taps once, and scores both the legitimate probe and the spoofed probe
-    at k with the configured statistic.  Trials run in batches of
-    _TRIAL_BATCH, and their arrays are allocated once per call: the taps
-    and the reference, which each scored probe overwrites with its
-    difference from it (channel.sample_response with ``subtract``), plus a
-    copy of the reference when both hypotheses are scored.  So memory stays
-    bounded however many trials are asked for.  A skipped hypothesis
-    (include_h0/include_h1) reports nan for its rate.
+    at k with the configured statistic.  Trials run in blocks of
+    _BLOCK_ELEMENTS / M, each through the plain generator stages on
+    block-sized arrays, so memory stays bounded however many trials are
+    asked for.  A skipped hypothesis (include_h0/include_h1) reports nan
+    for its rate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -183,33 +181,21 @@ def simulate_error_rates(
     # or when the spoofer shares the variation.
     need_step = include_h0 or params.spatial_mode is SpatialMode.FULLY_CORRELATED
 
-    batch = min(_TRIAL_BATCH, trials)
-    amps = np.empty((batch, len(profile.profile)), dtype=complex)
-    ref = np.empty((batch, params.M), dtype=complex)
-    # Each hypothesis overwrites a reference with its probe minus it; scoring
-    # both takes a copy for the first.
-    copy = np.empty_like(ref) if include_h0 and include_h1 else None
+    block = max(1, _BLOCK_ELEMENTS // params.M)
     false_alarms = 0
     misses = 0
-    done = 0
-    while done < trials:
-        n = min(batch, trials - done)
-        state = chan.init_taps(profile, rng, batch=n, out=amps[:n])
-        chan.sample_response(hbar_a, state, params, rng, out=ref[:n])
+    for start in range(0, trials, block):
+        state = chan.init_taps(profile, rng, batch=min(block, trials - start))
+        ref = chan.sample_response(hbar_a, state, params, rng)
         if need_step:
-            state = chan.step_taps(state, params.a, rng, out=state.amps)
+            state = chan.step_taps(state, params.a, rng)
         if include_h0:
-            diffs = ref[:n]
-            if copy is not None:
-                diffs = copy[:n]
-                diffs[...] = ref[:n]
-            chan.sample_response(hbar_a, state, params, rng, out=diffs, subtract=True)
-            false_alarms += int(np.count_nonzero(detect.statistic_batch(diffs, r) > threshold))
+            z0 = detect.statistic_batch(chan.sample_response(hbar_a, state, params, rng) - ref, r)
+            false_alarms += int(np.count_nonzero(z0 > threshold))
         if include_h1:
-            eve_state = chan.eve_variation(state, rng, params, out=state.amps)
-            chan.sample_response(hbar_e, eve_state, params, rng, out=ref[:n], subtract=True)
-            misses += int(np.count_nonzero(detect.statistic_batch(ref[:n], r) <= threshold))
-        done += n
+            eve_state = chan.eve_variation(state, rng, params)
+            z1 = detect.statistic_batch(chan.sample_response(hbar_e, eve_state, params, rng) - ref, r)
+            misses += int(np.count_nonzero(z1 <= threshold))
 
     a_hat = false_alarms / trials if include_h0 else math.nan
     b_hat = misses / trials if include_h1 else math.nan

@@ -784,7 +784,7 @@ def sample_complex_gaussian(rng: RngStream, variance, size=None) -> np.ndarray |
     negative, NaN or infinite variance raises ValueError.
     """
     variance = np.asarray(variance, dtype=float)
-    if not np.all((variance >= 0) & (variance < np.inf)):  # NaN fails too
+    if np.count_nonzero((variance >= 0) & (variance < np.inf)) < variance.size:  # NaN fails too
         raise ValueError("variance must be nonnegative and finite")
     if size is None:
         size = ()
@@ -798,36 +798,3 @@ def sample_complex_gaussian(rng: RngStream, variance, size=None) -> np.ndarray |
     x *= np.sqrt(variance / 2.0)
     return x if shape else complex(x)
 
-
-_BLOCK_ELEMENTS = 2**12  # elements in one block of the scratch arrays that batch kernels reuse
-
-
-def block_rows(row_length: int) -> int:
-    """Rows per block of a batch kernel's scratch: about 4096 elements, at least one row."""
-    return max(1, _BLOCK_ELEMENTS // row_length)
-
-
-def add_complex_gaussian(rng: RngStream, out: np.ndarray, *scales) -> np.ndarray:
-    """Add (u + iv) * scales[0] * scales[1] * ... to the complex array ``out`` in place; return it.
-
-    u and v are standard normals drawn in sample_complex_gaussian's order:
-    every real part of ``out`` in C order, then every imaginary part.  The
-    products are rounded in the order given, so with the one scale
-    sqrt(variance / 2) the result equals out + sample_complex_gaussian(rng,
-    variance, out.shape) bit for bit.  Each scale is a scalar or broadcasts
-    against one row.  The draws pass a block of rows at a time (block_rows)
-    through one small scratch array, so nothing of out's size is allocated.
-    """
-    if out.dtype != complex or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous complex array")
-    rows = out.reshape(-1, out.shape[-1])
-    step = block_rows(rows.shape[1])
-    block = np.empty((min(step, len(rows)), rows.shape[1]))
-    for part in (rows.real, rows.imag):
-        for i in range(0, len(rows), step):
-            b = block[: len(rows) - i]
-            rng.generator.standard_normal(out=b)
-            for scale in scales:
-                b *= scale
-            part[i : i + len(b)] += b
-    return out

@@ -227,44 +227,6 @@ class TestTapsToFrequency:
         assert np.all(np.abs(got - want) <= bound)
 
 
-class TestOutArrays:
-    """Each generator stage writes into a caller's array exactly what it
-    returns without one, and returns that array."""
-
-    def test_same_draws_same_values(self):
-        p = make_params(M=6, Bc=2e6)
-        fixed = np.arange(p.M) * (1 + 2j)
-        runs = []
-        for in_place in (False, True):
-            rng = RngStream(27)
-            taps = np.empty((300, p.M), dtype=complex) if in_place else None
-            probe = np.empty((300, p.M), dtype=complex) if in_place else None
-            state = init_taps(build_delay_profile(p), rng, batch=300, out=taps)
-            first = sample_response(fixed, state, p, rng, out=probe).copy()
-            state = step_taps(state, p.a, rng, out=taps)
-            second = sample_response(fixed, state, p, rng, out=probe)
-            eve = eve_variation(state, rng, p, out=taps)
-            if in_place:
-                assert state.amps is taps and eve.amps is taps and second is probe
-            runs.append((first, second.copy(), eve.amps.copy()))
-        for fresh, reused in zip(*runs):
-            assert np.array_equal(fresh, reused)
-
-    def test_subtract_leaves_the_difference(self):
-        # Same draws as the probe on its own; only the order of the sums
-        # moves, by rounding.  3000 rows take several row blocks.
-        p = make_params(M=6, Bc=2e6)
-        fixed = np.arange(p.M) * (1 + 2j)
-        state = init_taps(build_delay_profile(p), RngStream(28), batch=3000)
-        ref = sample_response(fixed, state, p, RngStream(29))
-        probe = sample_response(fixed, state, p, RngStream(30))
-        diffs = ref.copy()
-        assert sample_response(fixed, state, p, RngStream(30), out=diffs, subtract=True) is diffs
-        assert np.abs(diffs - (probe - ref)).max() <= 8 * 2.0**-53 * np.abs(ref).max()
-        with pytest.raises(ValueError):
-            sample_response(fixed, state, p, RngStream(30), subtract=True)
-
-
 class TestSampleResponse:
     def test_noiseless_static_equals_fixed(self):
         p = make_params(sigma_T=0.0, sigma_N2=0.0)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanauth import channel as chan
 from chanauth import raytrace
 from chanauth.channel import ChannelParams, SpatialMode
 from chanauth.cli import PRESETS, REGIME_NAMES, load_config
@@ -21,7 +20,6 @@ from chanauth.detect import (
     miss_rate_general_numerical,
     miss_rate_low_bc,
     miss_rate_time_invariant,
-    statistic_batch,
 )
 from chanauth.harness import (
     LinkBudget,
@@ -340,54 +338,29 @@ class TestSimulateErrorRates:
         assert 0.0 <= rates.alpha_hat <= 1.0
         assert 0.0 <= rates.beta_hat <= 1.0
 
-    @pytest.mark.parametrize("name", ["general", "full_spatial"], ids=NAME_IDS.get)
-    def test_matches_fresh_arrays_every_batch(self, name):
-        # The batch loop with fresh arrays for every stage, as the generator
-        # is called without out=: the same draws, and differences equal to
-        # rounding, give the same decisions.  5000 trials take one full
-        # batch and one partial one.
-        detector, p = resolve_name(make_params(M=6, sigma_T=0.3, sigma_N2=0.05), name)
-        ha = np.linspace(0.0, 0.2, p.M) + 0.1j
-        he = ha[::-1]
-        cfg = TestConfig(alpha=0.05, regime=detector)
-        r, _, t = regime_forms(p, cfg)
-        rng, false_alarms, misses, done = RngStream(74), 0, 0, 0
-        while done < 5000:
-            n = min(4000, 5000 - done)
-            state = chan.init_taps(chan.build_delay_profile(p), rng, batch=n)
-            ref = chan.sample_response(ha, state, p, rng)
-            state = chan.step_taps(state, p.a, rng)
-            z0 = statistic_batch(chan.sample_response(ha, state, p, rng) - ref, r)
-            eve = chan.eve_variation(state, rng, p)
-            z1 = statistic_batch(chan.sample_response(he, eve, p, rng) - ref, r)
-            false_alarms += int(np.count_nonzero(z0 > t))
-            misses += int(np.count_nonzero(z1 <= t))
-            done += n
-        rates = simulate_error_rates(ha, he, p, cfg, trials=5000, rng=RngStream(74))
-        assert (rates.alpha_hat, rates.beta_hat) == (false_alarms / 5000, misses / 5000)
-        assert 0 < false_alarms < 5000 and 0 < misses < 5000
-
     def test_working_memory_is_bounded(self):
-        # room_grid's calibration (M = 20, one tap): the reference, which the
-        # probe overwrites with its difference, is most of what it holds at
-        # its peak, and it is allocated once per call.
+        # room_grid's calibration (M = 20, one tap): every array it holds is
+        # one trial block's, whether it scores H0 alone or both hypotheses,
+        # so the peak stays under one and a half (4000 x M) complex arrays
+        # and does not grow with the trial count.
         budget = LinkBudget(P_T=100.0)
         p = make_params(W=2e7, M=20, Bc=math.inf, sigma_T=0.0, sigma_N2=noise_variance(budget, 20))
         cfg = TestConfig(alpha=0.01)
         h = np.linspace(0.0, 1.0, p.M) + 0.5j
 
-        def peak(trials: int) -> int:
+        def peak(trials: int, include_h1: bool) -> int:
             tracemalloc.start()
             try:
-                simulate_error_rates(h, h[::-1], p, cfg, trials, RngStream(75), include_h1=False)
+                simulate_error_rates(h, h[::-1], p, cfg, trials, RngStream(75), include_h1=include_h1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(100)  # first-call caches (FFT plans) out of the measurement
-        small, large = peak(4000), peak(40_000)
-        assert small < 1.5 * 4000 * p.M * 16  # 1.92 MB; one (4000 x M) complex array is 1.28 MB
-        assert large <= small + 4000  # no growth with the trial count
+        peak(100, True)  # first-call caches (FFT plans) out of the measurement
+        for include_h1 in (False, True):
+            small, large = peak(4000, include_h1), peak(40_000, include_h1)
+            assert small < 1.5 * 4000 * p.M * 16, include_h1  # 1.92 MB; one (4000 x M) complex array is 1.28 MB
+            assert large <= small + 4000, include_h1  # no growth with the trial count
 
     def test_input_validation(self):
         p = make_params()

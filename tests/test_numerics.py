@@ -14,7 +14,6 @@ from chanauth.numerics import (
     HermitianMatrix,
     NotPositiveDefiniteError,
     RngStream,
-    add_complex_gaussian,
     chi2_cdf,
     chi2_inv,
     cholesky,
@@ -244,29 +243,6 @@ class TestSampling:
     def test_non_finite_variance_rejected(self, variance):
         with pytest.raises(ValueError, match="finite"):
             sample_complex_gaussian(RngStream(1), variance, size=2)
-
-    @pytest.mark.parametrize("shape", [(3,), (1, 4), (1000, 7), (5000, 3)])
-    def test_in_place_draws_match_sample(self, shape):
-        # Same draws in the same order, a row block at a time: bit for bit
-        # the out-of-place sum, whatever the split of the rows into blocks.
-        variance = np.linspace(0.5, 2.0, shape[-1])
-        base = np.arange(math.prod(shape)).reshape(shape) * (1.0 - 0.5j)
-        want = base + sample_complex_gaussian(RngStream(4, 2), variance, size=shape)
-        got = base.copy()
-        assert add_complex_gaussian(RngStream(4, 2), got, np.sqrt(variance / 2.0)) is got
-        assert np.array_equal(got, want)
-
-    def test_in_place_scales_round_in_order(self):
-        a, b = np.full((300, 3), 1.5 + 0j), np.full((300, 3), 1.5 + 0j)
-        add_complex_gaussian(RngStream(6), a, math.sqrt(0.5), np.array([0.3, 0.7, 1.1]))
-        b += sample_complex_gaussian(RngStream(6), 1.0, size=b.shape) * np.array([0.3, 0.7, 1.1])
-        assert np.array_equal(a, b)
-
-    def test_in_place_needs_contiguous_complex(self):
-        with pytest.raises(ValueError):
-            add_complex_gaussian(RngStream(1), np.zeros((4, 4), dtype=complex)[:, ::2], 1.0)
-        with pytest.raises(ValueError):
-            add_complex_gaussian(RngStream(1), np.zeros((4, 4)), 1.0)
 
 
 class TestCis:
