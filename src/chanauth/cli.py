@@ -357,7 +357,9 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
         writer = csv.writer(fh)
         writer.writerow(["regime", "alpha_target", "alpha_hat", "std_err", "trials"])
         rates, exact_alpha = calibration
-        writer.writerow([config.regime, _fmt(config.test.alpha), _fmt(rates.alpha_hat), _fmt(rates.alpha_se), rates.trials])
+        # A threshold override sets the size, so alpha_hat estimates exact_alpha, not test.alpha.
+        target = config.test.alpha if config.test.threshold_override is None else exact_alpha
+        writer.writerow([config.regime, _fmt(target), _fmt(rates.alpha_hat), _fmt(rates.alpha_se), rates.trials])
     digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
     with open(out_dir / "summary.txt", "w") as fh:
         fh.write("chanauth sweep summary\n")

@@ -197,6 +197,19 @@ class TestRun:
         assert calib[1].startswith("low_bc,0.01,")
         assert "config_sha256:" in (out / "summary.txt").read_text()
 
+    @pytest.mark.parametrize("regime", ["general", "unknown"])
+    def test_threshold_override_targets_exact_alpha(self, tmp_path, regime):
+        # The override, not test.alpha, sets the size, so alpha_target is the
+        # exact size that alpha_hat estimates; summary.txt keeps test.alpha.
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, **{"test.regime": regime, "test.threshold_override": "14"})
+        assert run(path, out) == EXIT_OK
+        _, calib = read_outputs(out)
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert calib["alpha_target"] == next(line.removeprefix("exact_alpha: ") for line in summary if line.startswith("exact_alpha: "))
+        assert float(calib["alpha_target"]) != 0.01 and "alpha: 0.01" in summary
+        assert abs(float(calib["alpha_hat"]) - float(calib["alpha_target"])) <= 4.0 * float(calib["std_err"])
+
     def test_config_error_exit(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(write_cfg(tmp_path, **{"test.alpha": "1.5"}), out) == EXIT_CONFIG
