@@ -295,12 +295,16 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     if grid.n_points < 2:
         diags.append(f"grid.counts: {grid.counts[0]} x {grid.counts[1]} has fewer than 2 points, so no pair")
     dims = scene.dimensions
-    if not all(0 < p < d for p, d in zip(values["bob"]["position"], dims)):
+    bob = values["bob"]["position"]
+    bob_inside = all(0 < p < d for p, d in zip(bob, dims))
+    if not bob_inside:
         diags.append(f"bob.position: must be strictly inside the room (scene.dimensions = {dims})")
     gx = grid.origin[0] + grid.spacing * (grid.counts[0] - 1)
     gy = grid.origin[1] + grid.spacing * (grid.counts[1] - 1)
     if not (0 < grid.origin[0] and 0 < grid.origin[1] and gx < dims[0] and gy < dims[1] and 0 < grid.height < dims[2]):
         diags.append(f"[grid]: grid points must lie strictly inside the room (scene.dimensions = {dims})")
+    elif bob_inside and _on_grid(grid, bob):
+        diags.append("bob.position: coincides with a grid point, so that transmitter would sit on the receiver")
     if diags:
         return None, diags
 
@@ -322,6 +326,23 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         ),
         [],
     )
+
+
+def _on_grid(grid: GridSpec, point) -> bool:
+    """Whether ``point`` is a grid point by response_matrix's test, a squared distance of 0.
+
+    Grid coordinates are computed as grid_positions does.  Only the one
+    nearest to ``point`` on each axis is read, so the grid is not listed.
+    """
+
+    def nearest_square(origin: float, count: int, coord: float) -> float:
+        k = min(max(round((coord - origin) / grid.spacing), 0), count - 1)
+        return (origin + grid.spacing * k - coord) ** 2
+
+    x, y, z = point
+    dx2 = nearest_square(grid.origin[0], grid.counts[0], x)
+    dy2 = nearest_square(grid.origin[1], grid.counts[1], y)
+    return dx2 + dy2 + (grid.height - z) ** 2 == 0
 
 
 def validate(config_path: str | Path) -> list[str]:
@@ -380,17 +401,16 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
 def _calibrate(config: ExperimentConfig, trace: RoomTrace, rng: RngStream):
     """Empirical false-alarm rate of the configured detector at mid-grid, and the exact one.
 
-    The room gain and alice's fixed response (the middle grid point) come
-    from the grid ``trace`` already holds for the base tones, so nothing is
-    traced again after a sweep that kept them.  Only alpha_hat is reported,
-    so the spoofer (eve, the first grid point) is not simulated.  The exact
-    size (harness.false_alarm_rate) is what alpha_hat estimates; it differs
+    The room gain (at b_T > 0) and the two rows it reads, alice (the middle
+    grid point) and eve (the first), come from ``trace`` at the base tones,
+    so only what the sweep did not already trace is traced.  Only alpha_hat
+    is reported, so eve is not simulated.  The exact size
+    (harness.false_alarm_rate) is what alpha_hat estimates; it differs
     from the configured alpha only for the unknown detector or a
     threshold_override.
     """
-    params, responses = resolve_variances(trace, config.channel, config.budget, config.b_T)
-    hbar_a = responses[len(responses) // 2]
-    hbar_e = responses[0]
+    alice = len(trace.positions) // 2
+    params, (hbar_a, hbar_e) = resolve_variances(trace, config.channel, config.budget, config.b_T, rows=[alice, 0])
     rates = simulate_error_rates(hbar_a, hbar_e, params, config.test, config.trials, rng, include_h1=False)
     return rates, false_alarm_rate(params, config.test)
 

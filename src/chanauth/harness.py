@@ -265,21 +265,20 @@ def apply_sweep_value(
 
 
 def resolve_variances(
-    trace: raytrace.RoomTrace, params: ChannelParams, budget: LinkBudget, b_T: float
+    trace: raytrace.RoomTrace, params: ChannelParams, budget: LinkBudget, b_T: float, rows=None
 ) -> tuple[ChannelParams, np.ndarray]:
-    """``params`` with sigma_T and sigma_N2 set for the room, and the grid's fixed responses.
+    """``params`` with sigma_T and sigma_N2 set for the room, and the fixed responses of ``rows``.
 
-    The fixed responses do not depend on sigma_T or sigma_N2, so the grid
-    ``trace`` holds for the tones of ``params`` also gives the room gain:
-    sigma_T = b_T * rms_gain(responses) and sigma_N2 = noise_variance(budget, M).
+    The fixed responses do not depend on sigma_T or sigma_N2.  sigma_T =
+    b_T * rms_gain of the whole grid ``trace`` holds for the tones of
+    ``params``, and sigma_N2 = noise_variance(budget, M).  Only b_T > 0
+    reads the room gain, so only then is the whole grid traced; at b_T = 0
+    sigma_T is 0.0 and just ``rows`` are traced (None: the whole grid, as
+    in RoomTrace.responses).
     """
-    responses = trace.responses(params)
-    params = replace(
-        params,
-        sigma_T=sigma_T_from_bT(b_T, raytrace.rms_gain(responses)),
-        sigma_N2=noise_variance(budget, params.M),
-    )
-    return params, responses
+    gain = raytrace.rms_gain(trace.responses(params)) if b_T > 0 else 0.0
+    params = replace(params, sigma_T=sigma_T_from_bT(b_T, gain), sigma_N2=noise_variance(budget, params.M))
+    return params, trace.responses(params, rows)
 
 
 def room_sweep(
@@ -300,16 +299,17 @@ def room_sweep(
     the swept parameter; see resolve_variances).  The fixed responses and
     the room gain come from ``trace``, which is told every tone set of the
     sweep and of ``base_params`` (the calibration's) before the first value
-    is evaluated: it traces the grid once in all for b_T, P_T, B_c and
-    spatial_mode sweeps, once for an M sweep whose tone counts share a small
-    common multiple (RoomTrace.prepare), and once per distinct value
-    otherwise.  The pair subsample is drawn once from ``rng``, so every
-    sweep value sees the same pairs; each value's miss rates come from one
-    batched miss_rates call.  ``std_err`` is the standard error of the
-    room average over the sampled pairs.  When ``pair_budget`` covers all
-    n (n - 1) / 2 pairs the average is exact, and ``std_err`` is then the
-    spread of the per-pair miss rates over sqrt(pairs), not a sampling
-    error.
+    is evaluated: each grid point is traced at most once in all for b_T,
+    P_T, B_c and spatial_mode sweeps, once for an M sweep whose tone counts
+    share a small common multiple (RoomTrace.prepare), and once per
+    distinct value otherwise.  A value asks the trace for the rows of its
+    sampled pairs, so at b_T = 0 only those are traced.  The pair subsample
+    is drawn once from ``rng``, so every sweep value sees the same pairs;
+    each value's miss rates come from one batched miss_rates call.
+    ``std_err`` is the standard error of the room average over the sampled
+    pairs.  When ``pair_budget`` covers all n (n - 1) / 2 pairs the average
+    is exact, and ``std_err`` is then the spread of the per-pair miss rates
+    over sqrt(pairs), not a sampling error.
     """
     axis = SweepAxis(sweep_param) if not isinstance(sweep_param, SweepAxis) else sweep_param
     sweep_values = list(sweep_values)
@@ -325,8 +325,8 @@ def room_sweep(
     beta_bar, std_err = [], []
     for value, (params, val_budget) in zip(sweep_values, applied):
         bt = float(value) if axis is SweepAxis.B_T else b_T
-        params, responses = resolve_variances(trace, params, val_budget, bt)
-        betas = miss_rates(responses[ii], responses[jj], params, cfg)
+        params, pairs = resolve_variances(trace, params, val_budget, bt, rows=np.concatenate([ii, jj]))
+        betas = miss_rates(pairs[: len(ii)], pairs[len(ii) :], params, cfg)
         beta_bar.append(float(betas.mean()))
         std_err.append(float(betas.std(ddof=1) / math.sqrt(len(betas))) if len(betas) > 1 else 0.0)
 

@@ -195,55 +195,74 @@ def fixed_response(scene: RoomScene, tx, rx, params: ChannelParams) -> np.ndarra
 
 
 class RoomTrace:
-    """Fixed responses of every grid point to one receiver, for one run.
+    """Fixed responses of grid points to one receiver, traced as a run reads them.
 
     A response depends on the channel only through its tones, and
-    ChannelParams.tones only on (f0, W, M), so the grid is traced at most
-    once per distinct tone set and the stored (n_points, M) array is
-    returned after that.  Tone sets that share (f0, W) all lie on the tones
-    of one grid of L = lcm of their M values: tone m of set M is grid tone
-    m L / M.  prepare() traces that grid once when L is at most the sum of
-    the M values, so it costs no more tone steps than the separate traces
-    and fewer paths' unit phasors.  The arrays are read-only because every
-    caller shares them.
+    ChannelParams.tones only on (f0, W, M), so each grid point is traced at
+    most once per distinct tone set and its stored row is returned after
+    that.  Tone sets that share (f0, W) all lie on the tones of one grid of
+    L = lcm of their M values: tone m of set M is grid tone m L / M.
+    prepare() plans that grid when L is at most the sum of the M values, so
+    a traced row costs no more tone steps than the separate traces and
+    fewer paths' unit phasors.  Rows are traced only when responses() asks
+    for them, so a run at b_T = 0 traces just the points it reads.
+    response_matrix computes each row alone, so a row traced with a few
+    others has the same bits as one traced with the whole grid.
     """
 
     def __init__(self, scene: RoomScene, grid: GridSpec, rx):
         self.scene = scene
         self.rx = tuple(float(v) for v in rx)
         self.positions = grid_positions(grid)
-        self._responses: dict[tuple[float, float, int], np.ndarray] = {}
+        # (f0, W, M) -> (traced tone grid, its rows (NaN until traced), column stride of set M)
+        self._grids: dict[tuple[float, float, int], tuple[ChannelParams, np.ndarray, int]] = {}
 
     def prepare(self, params_seq) -> None:
-        """Trace the tone sets of every ChannelParams in ``params_seq`` not yet held.
+        """Plan the tone grids of every ChannelParams in ``params_seq`` not yet held.
 
-        Per (f0, W), the new sets come from one trace of their common grid
-        if it has no more tones than they have together, and each from its
-        own trace otherwise.
+        Per (f0, W), the new sets share one grid of their common tones if it
+        has no more tones than they have together, and each has its own grid
+        otherwise.  This only allocates; responses() traces the rows.
         """
         groups: dict[tuple[float, float], dict[int, ChannelParams]] = {}
         for params in params_seq:
-            if (params.f0, params.W, params.M) not in self._responses:
+            if (params.f0, params.W, params.M) not in self._grids:
                 groups.setdefault((params.f0, params.W), {})[int(params.M)] = params
         for (f0, W), sets in groups.items():
             n_tones = math.lcm(*sets)
             if n_tones <= sum(sets):
-                full = self._trace(replace(next(iter(sets.values())), M=n_tones))
+                grid = replace(next(iter(sets.values())), M=n_tones)
+                unfilled = np.full((len(self.positions), n_tones), np.nan, dtype=complex)
                 for M in sets:
-                    self._responses[(f0, W, M)] = full[:, n_tones // M - 1 :: n_tones // M]
+                    self._grids[(f0, W, M)] = (grid, unfilled, n_tones // M)
             else:
                 for M, params in sets.items():
-                    self._responses[(f0, W, M)] = self._trace(params)
+                    unfilled = np.full((len(self.positions), M), np.nan, dtype=complex)
+                    self._grids[(f0, W, M)] = (params, unfilled, 1)
 
-    def responses(self, params: ChannelParams) -> np.ndarray:
-        """The grid's (n_points, M) fixed responses at the tones of ``params``."""
+    def responses(self, params: ChannelParams, rows=None) -> np.ndarray:
+        """Fixed responses at the tones of ``params``, shape (len(rows), M).
+
+        ``rows`` indexes the grid points (any order, repeats allowed); None
+        asks for the whole grid, returned as a read-only (n_points, M) view
+        that every caller shares.  Only the rows of the tone grid not traced
+        yet are traced, in one response_matrix call.
+        """
         self.prepare([params])
-        return self._responses[(params.f0, params.W, params.M)]
-
-    def _trace(self, params: ChannelParams) -> np.ndarray:
-        traced = response_matrix(self.scene, self.positions, self.rx, params)
-        traced.flags.writeable = False
-        return traced
+        grid, traced, stride = self._grids[(params.f0, params.W, params.M)]
+        # A boolean mask, not np.unique, which would import numpy.ma into every run.
+        missing = np.isnan(traced[:, 0])
+        if rows is not None:
+            wanted = np.zeros(len(missing), dtype=bool)
+            wanted[rows] = True
+            missing &= wanted
+        if missing.any():
+            traced[missing] = response_matrix(self.scene, self.positions[missing], self.rx, grid)
+        view = traced[:, stride - 1 :: stride]
+        if rows is not None:
+            return view[rows]
+        view.flags.writeable = False
+        return view
 
 
 def rms_gain(responses: np.ndarray) -> float:

@@ -54,10 +54,21 @@ def adaptive_simpson(f, a, b, tol=1e-12, depth=60):
 
 
 def chi2_cdf_by_integration(x: float, k: int) -> float:
-    """P(X <= x) for chi-square(k), by direct quadrature of the density."""
+    """P(X <= x) for chi-square(k), by quadrature of the density in s = sqrt(t).
+
+    With t = s^2 the integrand is 2 s pdf(s^2), which is smooth at 0 even
+    for k = 1, whose density has a t^(-1/2) singularity there; its limit at
+    s = 0 is sqrt(2 / pi) for k = 1 and 0 for k > 1.
+    """
     if x <= 0:
         return 0.0
-    return adaptive_simpson(lambda t: chi2_pdf(t, k), 0.0, x)
+
+    def integrand(s: float) -> float:
+        if s == 0:
+            return math.sqrt(2 / math.pi) if k == 1 else 0.0
+        return 2.0 * s * chi2_pdf(s * s, k)
+
+    return adaptive_simpson(integrand, 0.0, math.sqrt(x))
 
 
 def empirical_difference_covariances(

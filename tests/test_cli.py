@@ -9,8 +9,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanauth import cli, raytrace
@@ -60,6 +61,7 @@ seed = 3
 # BASE sweeps b_T, the setting time_invariant fixes; under that name a test
 # sweeps W instead.
 OFF_AXIS = {"time_invariant": {"sweep.param": "W", "sweep.values": "5e6 1e7"}}
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_cfg(tmp_path, text=BASE, name="exp.cfg", **overrides):
@@ -314,6 +316,42 @@ class TestValidateMatchesRun:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, position",
+        [(BASE, "2.0 2.0 1.0"), ((GOLDEN / "room_grid.cfg").read_text(), "3.5 3.5 1.0")],
+        ids=["exp", "room_grid"],
+    )
+    def test_receiver_on_a_grid_point(self, tmp_path, capsys, text, position):
+        # A transmitter on the receiver has no path length.  room_grid runs at
+        # b_T = 0 and traces only its sampled pairs' rows, so a run alone
+        # would fail or not depending on the pair sample.
+        path = write_cfg(tmp_path, text, **{"bob.position": position})
+        assert any("bob.position" in d for d in validate(path))
+        assert run(path, tmp_path / "out") == EXIT_CONFIG
+        assert "bob.position" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        origin=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        spacing=st.sampled_from([0.1, 0.3, 0.4, 1 / 3, 0.7, 3e-16, 1e-17]),
+        counts=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        pick=st.integers(0, 143),
+        nudge=st.sampled_from([None, 0, 1, 2]),
+        direction=st.sampled_from([-np.inf, np.inf]),
+    )
+    def test_on_grid_is_the_traced_distance_test(self, origin, spacing, counts, pick, nudge, direction):
+        # validate's check reads one coordinate per axis; it must agree with
+        # response_matrix's test over the whole grid at a grid point and one
+        # step off it on any axis, also where the spacing is below a
+        # coordinate's rounding step.
+        grid = raytrace.GridSpec(origin=origin, spacing=spacing, counts=counts, height=1.0)
+        positions = raytrace.grid_positions(grid)
+        point = positions[pick % len(positions)].copy()
+        if nudge is not None:
+            point[nudge] = np.nextafter(point[nudge], direction)
+        expected = bool(np.any(np.sum(np.square(positions - point), axis=1) == 0))
+        assert cli._on_grid(grid, tuple(point)) == expected
+
+    @pytest.mark.parametrize(
         "regime, param, values",
         [
             ("low_bc", "B_c", "0 2e6 inf"),
@@ -439,6 +477,10 @@ class TestMutatedConfig:
 
     @settings(max_examples=200, deadline=None)
     @given(base=st.sampled_from(["low_bc", "general"]), target=st.sampled_from(_KEYS), raw=_RAW_VALUES)
+    # The receiver on one of two grid points, and one step above the first.
+    @example(base="low_bc", target=("bob", "position"), raw="2.0 2.0 1.0")
+    @example(base="general", target=("bob", "position"), raw="2.8 2.4 1.0")
+    @example(base="general", target=("bob", "position"), raw="2.0 2.0 1.0000000000000002")
     def test_one_key_mutation(self, base, target, raw):
         # A general base sends every threshold through the contour evaluator,
         # a low_bc one through the equal-weight noncentral CDF.
@@ -476,7 +518,8 @@ def test_shipped_config_runs(config_run, name):
 
 def test_run_imports_no_scipy(tmp_path):
     # scipy is a test-only oracle: a run in a fresh interpreter must not load it, whatever the regime.
-    # Nor numpy.polynomial (~1.5 MB of every process), whose Gauss-Legendre rule numerics keeps as constants.
+    # Nor numpy.polynomial (~1.5 MB of every process), whose Gauss-Legendre rule numerics keeps as constants,
+    # nor numpy.ma, which np.unique imports (~13 ms and ~0.5 MB of a run).
     configs = [
         write_cfg(tmp_path, name=f"{regime}.cfg", **{"test.regime": regime}, **OFF_AXIS.get(regime, {}))
         for regime in ("low_bc", "high_bc", "general", "full_spatial", "time_invariant")
@@ -487,7 +530,7 @@ def test_run_imports_no_scipy(tmp_path):
         "from chanauth import cli\n"
         "for config in sys.argv[2:]:\n"
         "    assert cli.main(['run', config, '--out', sys.argv[1]]) == 0, config\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy' or name.startswith('numpy.polynomial')))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy' or name.split('.')[:2] in (['numpy', 'polynomial'], ['numpy', 'ma'])))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanauth import raytrace
+from chanauth import cli, raytrace
 from chanauth.channel import ChannelParams, SpatialMode
 from chanauth.cli import PRESETS, REGIME_NAMES, load_config
 from chanauth.detect import (
@@ -84,6 +85,20 @@ NAME_IDS = {
 SCENE = RoomScene()
 BOB = (8.0, 6.0, 2.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def count_traced_rows(monkeypatch) -> Counter:
+    """Count the rows response_matrix traces, keyed by (f0, W, M, grid point)."""
+    traced = Counter()
+    real = raytrace.response_matrix
+
+    def counting(scene, txs, rx, params):
+        traced.update((params.f0, params.W, params.M, tuple(tx)) for tx in txs)
+        return real(scene, txs, rx, params)
+
+    monkeypatch.setattr(raytrace, "response_matrix", counting)
+    return traced
 
 
 class TestLinkBudget:
@@ -487,6 +502,35 @@ class TestRoomSweep:
             calls.clear()
             self.sweep(sweep_param=axis, sweep_values=values)
             assert len(calls) == traces, axis
+
+    def test_time_invariant_run_traces_only_the_rows_it_reads(self, monkeypatch, tmp_path):
+        # At b_T = 0 the room gain goes unread, so a run traces the rows of
+        # its sampled pairs and the calibration's two (alice and eve), not
+        # the whole 2400-point grid.
+        traced = count_traced_rows(monkeypatch)
+        config, _ = load_config(GOLDEN / "room_grid.cfg")
+        assert config.b_T == 0.0
+        assert cli.run(GOLDEN / "room_grid.cfg", tmp_path) == cli.EXIT_OK
+        ii, jj = _select_pairs(config.grid.n_points, config.pair_budget, RngStream(config.seed).substream(1))
+        assert sum(traced.values()) <= len(np.unique(np.concatenate([ii, jj]))) + 2 < config.grid.n_points
+
+    @pytest.mark.parametrize("path", [CONFIGS / "fig5.cfg", GOLDEN / "general_Bc.cfg"], ids=["fig5", "general_Bc"])
+    def test_run_traces_each_tone_grid_row_once(self, monkeypatch, tmp_path, path):
+        # At b_T > 0 the room gain reads the whole grid, so each grid point is
+        # traced exactly once per tone grid; fig5's M = 5 ... 30 share one.
+        traced = count_traced_rows(monkeypatch)
+        config, _ = load_config(path)
+        assert config.b_T > 0
+        assert cli.run(path, tmp_path) == cli.EXIT_OK
+        assert set(traced.values()) == {1}
+        assert set(Counter(key[:3] for key in traced).values()) == {config.grid.n_points}
+
+    def test_b_T_sweep_from_zero_traces_each_row_once(self, monkeypatch):
+        # b_T = 0 traces the sampled pairs' rows; 0.1 then reads the room
+        # gain and traces only the rest.
+        traced = count_traced_rows(monkeypatch)
+        self.sweep(sweep_values=[0.0, 0.1], pair_budget=2)
+        assert set(traced.values()) == {1} and len(traced) == self.GRID.n_points
 
     def test_shared_trace_matches_fresh_one(self):
         # A trace that already holds the tones (as after an earlier sweep) gives the same result.

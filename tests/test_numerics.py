@@ -45,6 +45,18 @@ class TestChi2Cdf:
         for x, k in ((37.5662, 20), (5.0, 4), (120.0, 100), (1.0, 1)):
             assert chi2_cdf(x, k) == pytest.approx(chi2_cdf_by_integration(x, k), abs=1e-9)
 
+    def test_quadrature_oracle_against_exact_values(self):
+        # The oracle itself, against the regularized lower incomplete gamma
+        # P(k/2, x/2) evaluated in 40-digit arithmetic (mpmath.gammainc).
+        exact = {
+            (37.5662, 20): 0.98999990292083027,
+            (5.0, 4): 0.71270250481635422,
+            (120.0, 100): 0.91559331890630817,
+            (1.0, 1): 0.68268949213708590,
+        }
+        for (x, k), value in exact.items():
+            assert chi2_cdf_by_integration(x, k) == pytest.approx(value, abs=1e-11)
+
     def test_monotone_and_bounded(self):
         xs = np.linspace(0.0, 200.0, 400)
         vals = chi2_cdf(xs, 12)

@@ -6,8 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import image_source_sum_longdouble
+from chanauth import raytrace
 from chanauth.channel import ChannelParams
 from chanauth.numerics import RngStream
 from chanauth.raytrace import (
@@ -264,6 +267,60 @@ class TestRoomTrace:
             rms = np.sqrt(np.mean(np.abs(expected) ** 2))
             assert np.abs(got - own).max() <= 1e-12 * rms
             assert np.abs(got - expected).max() <= 1e-12 * rms
+
+
+class TestRowsOnDemand:
+    # M = 5, 10, 20 and 30 share one 60-tone grid when they are planned
+    # together (lcm views), and each has its own grid otherwise (plain).
+    SCENE = RoomScene(max_order=3)
+    GRID = GridSpec(origin=(1.5, 1.5), spacing=0.7, counts=(4, 3), height=1.0)
+    RX = (8.0, 6.0, 2.0)
+    SETS = {M: make_params(M=M) for M in (5, 10, 20, 30)}
+
+    def trace(self, shared: bool) -> RoomTrace:
+        trace = RoomTrace(self.SCENE, self.GRID, self.RX)
+        if shared:
+            trace.prepare(self.SETS.values())
+        return trace
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shared=st.booleans(),
+        requests=st.lists(
+            st.tuples(st.sampled_from([5, 10, 20, 30]), st.lists(st.integers(0, 11), max_size=16)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_any_rows_match_the_full_trace(self, shared, requests):
+        # Rows asked for in any order, with repeats, and in any sequence of
+        # tone sets have the bits of a whole-grid trace and are never NaN.
+        fresh = self.trace(shared)
+        full = {M: fresh.responses(params) for M, params in self.SETS.items()}
+        trace = self.trace(shared)
+        for M, rows in requests:
+            rows = np.array(rows, dtype=np.intp)
+            got = trace.responses(self.SETS[M], rows)
+            assert got.shape == (len(rows), M)
+            assert not np.isnan(got).any()
+            assert np.array_equal(got, full[M][rows])
+        for M in self.SETS:
+            whole = trace.responses(self.SETS[M])
+            assert not whole.flags.writeable and not np.isnan(whole).any()
+            assert np.array_equal(whole, full[M])
+
+    def test_traces_only_the_rows_not_held(self, monkeypatch):
+        traced = []
+        real = response_matrix
+        monkeypatch.setattr(
+            raytrace, "response_matrix", lambda scene, txs, rx, params: traced.append(len(txs)) or real(scene, txs, rx, params)
+        )
+        trace = self.trace(shared=True)
+        trace.responses(self.SETS[5], [3, 1, 3])
+        trace.responses(self.SETS[30], [1, 3])  # held: the same 60-tone grid
+        trace.responses(self.SETS[10], [0, 3, 11])
+        trace.responses(self.SETS[20])
+        assert traced == [2, 2, 8]
 
 
 class TestPhysicalPremises:
