@@ -547,7 +547,7 @@ _GL_HALF_WEIGHTS = (
 _GL_NODES = np.concatenate([-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES])
 _GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 _GCHI2_EPS = 1e-13  # truncation and screening level, absolute in probability
-_GIL_PELAEZ_CHUNK = 2**14  # (rows x nodes) elements per chunk: its ~10 work arrays stay in cache
+_WORK_BUDGET = 2**14  # (rows x points) elements per chunk of the screen, cutoff and contour: they stay in cache
 # Radians the integrand may turn through in one 16-node panel, on the real
 # axis and on the ray.  On random cases (M 2-30, weight spread 1-1e4,
 # offsets up to 1e3 weights, x within 3 sd of the mean), real-axis panels of
@@ -616,10 +616,17 @@ def _chernoff_screen(x: float, lam: np.ndarray, m: np.ndarray, points: np.ndarra
 
     log E[e^{sQ}] - s x bounds log P(Q <= x) for s < 0 and log P(Q >= x)
     for 0 < s < 1/(2 max weight); ``points`` are s in units of that limit.
+    Rows go through in chunks of _WORK_BUDGET (rows x points) elements, each
+    reduced to its rows' least bound, so the work does not grow with the rows.
     """
     s = points / (2.0 * lam.max())
     d = 1.0 - 2.0 * np.outer(lam, s)
-    return (m @ (s / d) - np.log(d).sum(axis=0) - s * x).min(axis=1) < math.log(_GCHI2_EPS)
+    slope, free, tilt = s / d, np.log(d).sum(axis=0), s * x
+    bound = np.empty(len(m))
+    step = max(1, _WORK_BUDGET // len(s))
+    for i in range(0, len(m), step):
+        bound[i : i + step] = (m[i : i + step] @ slope - free - tilt).min(axis=1)
+    return bound < math.log(_GCHI2_EPS)
 
 
 def _gil_pelaez(x: float, lam: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -653,7 +660,7 @@ def _gil_pelaez(x: float, lam: np.ndarray, m: np.ndarray) -> np.ndarray:
         nodes, weights = _gil_pelaez_contour(x, lam, m[rows], j, light_mean[rows, j].max())
         offsets = m[rows]
         total = np.zeros(len(offsets))
-        step = max(1, _GIL_PELAEZ_CHUNK // len(offsets))
+        step = max(1, _WORK_BUDGET // len(offsets))
         work = np.empty((4 + _CIS_WORK, len(offsets) * min(step, len(nodes))))  # reused by every chunk
         for i in range(0, len(nodes), step):
             u = nodes[i : i + step]
@@ -715,16 +722,20 @@ def _real_axis_cutoff(lam: np.ndarray, m: np.ndarray) -> float:
     with z_k = 2 lam_k u.  Its log-slope in log u is at most -(1 + q(U))
     beyond U, with q(U) = sum_k z_k^2 / (1 + z_k^2), so the tail past U is
     at most U env(U) / q(U) (Davies-style bound).  Infinite if no grid
-    point qualifies.
+    point qualifies.  Only the row with the least offset term sets the
+    largest bound at each grid point, so rows go through in chunks of
+    _WORK_BUDGET (rows x grid) elements that keep a running minimum of
+    that term; the work does not grow with the rows.
     """
     u = np.logspace(math.log10(1e-3 / lam.max()), math.log10(1e3 / lam.min()), 240)
     z2 = (2.0 * np.outer(lam, u)) ** 2
-    log_tail = (
-        -0.5 * np.log1p(z2).sum(axis=0)
-        - m @ (0.5 * z2 / ((1.0 + z2) * lam[:, None]))
-        - np.log((z2 / (1.0 + z2)).sum(axis=0))
-    )
-    ok = np.nonzero(log_tail.max(axis=0) < math.log(math.pi * _GCHI2_EPS))[0]
+    rate = 0.5 * z2 / ((1.0 + z2) * lam[:, None])
+    least = np.full(len(u), math.inf)
+    step = max(1, _WORK_BUDGET // len(u))
+    for i in range(0, len(m), step):
+        np.minimum(least, (m[i : i + step] @ rate).min(axis=0), out=least)
+    log_tail = -0.5 * np.log1p(z2).sum(axis=0) - least - np.log((z2 / (1.0 + z2)).sum(axis=0))
+    ok = np.nonzero(log_tail < math.log(math.pi * _GCHI2_EPS))[0]
     return float(u[ok[0]]) if len(ok) else math.inf
 
 

@@ -8,7 +8,9 @@ probe-difference vectors, and the dense Toeplitz covariances with the
 Cholesky/eigh miss-rate path that the library's spectral core replaced.
 The dense path feeds its weights and offsets to the library's
 generalized_chi2_cdf (checked on its own against the Simpson oracle here),
-so it checks the spectral representation, not the CDF.
+so it checks the spectral representation, not the CDF.  That evaluator's
+Chernoff screen and real-axis cutoff are also kept here as single
+expressions over all rows, the reference for their row-chunked versions.
 """
 
 import itertools
@@ -334,3 +336,23 @@ def image_source_sum_longdouble(scene, txs, rx, params: ChannelParams) -> np.nda
         phasor = np.cos(phase) + 1j * np.sin(phase)
         out[i] = ((gain / d) @ phasor).astype(complex)
     return out
+
+
+def chernoff_screen_one_shot(x: float, lam: np.ndarray, m: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """numerics._chernoff_screen as one (rows x points) array: the row-chunked screen must return the same mask."""
+    s = points / (2.0 * lam.max())
+    d = 1.0 - 2.0 * np.outer(lam, s)
+    return (m @ (s / d) - np.log(d).sum(axis=0) - s * x).min(axis=1) < math.log(1e-13)
+
+
+def real_axis_cutoff_one_shot(lam: np.ndarray, m: np.ndarray) -> float:
+    """numerics._real_axis_cutoff as one (rows x grid) array: the row-chunked cutoff must return the same point."""
+    u = np.logspace(math.log10(1e-3 / lam.max()), math.log10(1e3 / lam.min()), 240)
+    z2 = (2.0 * np.outer(lam, u)) ** 2
+    log_tail = (
+        -0.5 * np.log1p(z2).sum(axis=0)
+        - m @ (0.5 * z2 / ((1.0 + z2) * lam[:, None]))
+        - np.log((z2 / (1.0 + z2)).sum(axis=0))
+    )
+    ok = np.nonzero(log_tail.max(axis=0) < math.log(math.pi * 1e-13))[0]
+    return float(u[ok[0]]) if len(ok) else math.inf

@@ -1,6 +1,7 @@
 """Special functions, Cholesky whitening, and sampling primitives."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -25,9 +26,11 @@ from chanauth.numerics import (
 from _oracles import (
     adaptive_simpson,
     central_gchi2_cdf,
+    chernoff_screen_one_shot,
     chi2_cdf_by_integration,
     chi2_pdf,
     gchi2_cdf_by_simpson,
+    real_axis_cutoff_one_shot,
 )
 
 
@@ -360,6 +363,19 @@ def panel_budget_cases(draw):
     return weights, offsets, max(0.0, mean + draw(st.floats(-3.0, 3.0)) * sd)
 
 
+@st.composite
+def chunked_rows_cases(draw, points: int, least_rows: int = 0):
+    """Weights, offsets and x, with row counts at and around the chunk of ``points`` columns."""
+    step = max(1, numerics._WORK_BUDGET // points)
+    edges = [r for r in (0, 1, step - 1, step, step + 1) if r >= least_rows]
+    rows = draw(st.sampled_from(edges) | st.integers(2 * step, 4 * step + 1))
+    m = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = 10.0 ** rng.uniform(0.0, draw(st.floats(0.0, 4.0)), m)
+    offsets = rng.exponential(1.0, (rows, m)) * weights * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    return weights, offsets, float(np.sum(2.0 * weights)) * 10.0 ** draw(st.floats(-1.0, 3.0))
+
+
 class TestGeneralizedChi2Cdf:
     def test_equal_weights_are_noncentral_chi2(self):
         offsets = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [40.0, 0.0, 3.0]])
@@ -402,6 +418,46 @@ class TestGeneralizedChi2Cdf:
         single = np.array([generalized_chi2_cdf(x, weights, row) for row in offsets])
         assert batch.shape == (25,)
         assert np.max(np.abs(batch - single)) <= 1e-11
+
+    @pytest.mark.parametrize("weights", [[2.0, 2.0, 2.0], [1.0, 4.0, 30.0]])
+    def test_zero_rows(self, weights):
+        # Both paths, the noncentral one and the screened contour.
+        assert generalized_chi2_cdf(5.0, weights, np.zeros((0, 3))).shape == (0,)
+
+    def test_working_memory_is_bounded(self):
+        # The Chernoff screen and the real-axis cutoff stream rows through a
+        # fixed work budget, so ten times the rows adds a few (rows x M)
+        # arrays to the peak, not (rows x 240) ones; x keeps about 2/3 of
+        # the rows live for the contour.
+        weights = np.array([3.0, 1.5, 0.7, 0.3, 0.1])
+        x = 2.5 * float(np.sum(2.0 * weights))
+
+        def peak(rows: int) -> int:
+            offsets = np.random.default_rng(11).exponential(20.0, (rows, weights.size))
+            tracemalloc.start()
+            try:
+                generalized_chi2_cdf(x, weights, offsets)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call allocations out of the measurement
+        small, large = peak(2000), peak(20_000)
+        assert large - small <= 4 * 18_000 * weights.size * 8  # four (18 000 x M) arrays, 2.9 MB
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), points=st.sampled_from([numerics._CHERNOFF_LOWER, numerics._CHERNOFF_UPPER]))
+    def test_chunked_screen_is_one_shot(self, data, points):
+        weights, offsets, x = data.draw(chunked_rows_cases(len(points)))
+        got = numerics._chernoff_screen(x, weights, offsets, points)
+        assert np.array_equal(got, chernoff_screen_one_shot(x, weights, offsets, points))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=chunked_rows_cases(240, least_rows=1))
+    def test_chunked_cutoff_is_one_shot(self, case):
+        # The contour asks for a cutoff only over live rows, so at least one.
+        weights, offsets, _ = case
+        assert numerics._real_axis_cutoff(weights, offsets) == real_axis_cutoff_one_shot(weights, offsets)
 
     def test_far_lower_tail_is_zero(self):
         assert generalized_chi2_cdf(10.0, [1.0, 2.0, 3.0], [1e6, 0.0, 0.0]) == 0.0
