@@ -55,7 +55,7 @@ class ChannelParams:
             raise ValueError("f0 must be positive and finite")
         if not 0 < self.W < math.inf:
             raise ValueError("W must be positive and finite")
-        if int(self.M) != self.M or self.M < 1:
+        if not isinstance(self.M, (int, np.integer)) or self.M < 1:
             raise ValueError("M must be a positive integer")
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("a must lie in [0, 1]")

@@ -20,7 +20,7 @@ import numpy as np
 import numpy.fft  # every run transforms through it (here and in harness); numpy would otherwise load it on first use
 
 from .channel import ChannelParams
-from .numerics import HermitianMatrix, RngStream, chi2_cdf, chi2_inv, noncentral_chi2_cdf
+from .numerics import RngStream, chi2_cdf, chi2_inv, cholesky, half_whiten, noncentral_chi2_cdf
 
 
 class Regime(Enum):
@@ -43,16 +43,17 @@ class TestConfig:
             raise ValueError("threshold_override must be nonnegative")
 
 
-def statistic_general(h_now, h_ref, R: HermitianMatrix) -> float:
+def statistic_general(h_now, h_ref, R) -> float:
     """Whitened-difference statistic Z = 2 d^H R^-1 d, d = h_now - h_ref.
 
-    Computed as |sqrt(2) (R_d^H)^-1 d|^2 via a triangular solve.  Under the
-    null hypothesis with the correct R this is chi-square with 2M dof.
+    R is a dense M x M covariance.  Z is |sqrt(2) (R_d^H)^-1 d|^2 with R_d
+    its Cholesky factor.  Under the null hypothesis with the correct R this
+    is chi-square with 2M dof.
     """
     d = np.asarray(h_now, dtype=complex) - np.asarray(h_ref, dtype=complex)
-    if d.shape[-1] != R.dim:
-        raise ValueError(f"difference length {d.shape[-1]} does not match R dim {R.dim}")
-    z = R.half_whiten(d)
+    if d.shape[-1] != len(R):
+        raise ValueError(f"difference length {d.shape[-1]} does not match R dim {len(R)}")
+    z = half_whiten(cholesky(R), d)
     return float(np.real(np.vdot(z, z)))
 
 
@@ -105,15 +106,16 @@ def miss_rate_time_invariant(alpha: float, sigma_N2: float, hbar_A, hbar_E, M: i
     return float(noncentral_chi2_cdf(t, 2 * M, mu))
 
 
-def miss_rate_full_spatial(alpha: float, params: ChannelParams, hbar_A, hbar_E, R: HermitianMatrix) -> float:
+def miss_rate_full_spatial(alpha: float, params: ChannelParams, hbar_A, hbar_E, R) -> float:
     """Closed-form miss rate when the spoofer shares the variation exactly.
 
     The shared variable part cancels in the difference, so the alternative
     is noncentral chi-square with mu = |sqrt(2) (R_d^H)^-1 (hbar_E - hbar_A)|^2
-    against the unscaled chi-square threshold.
+    against the unscaled chi-square threshold; R_d is the Cholesky factor
+    of the dense covariance R.
     """
     d = np.asarray(hbar_E, dtype=complex) - np.asarray(hbar_A, dtype=complex)
-    w = R.factored().half_whiten(d)
+    w = half_whiten(cholesky(R), d)
     mu = float(np.real(np.vdot(w, w)))
     t = chi2_inv(1.0 - alpha, 2 * params.M)
     return float(noncentral_chi2_cdf(t, 2 * params.M, mu))
@@ -136,28 +138,28 @@ def miss_rate_general_numerical(
     params: ChannelParams,
     hbar_A,
     hbar_E,
-    R: HermitianMatrix,
-    G: HermitianMatrix,
+    R,
+    G,
     trials: int,
     rng: RngStream,
 ) -> tuple[float, float]:
     """Monte Carlo miss rate for arbitrary covariance structure.
 
-    Samples the cross-difference directly as CN(hbar_E - hbar_A, G), scores
-    it with the R-whitened statistic, and returns the acceptance fraction
-    (Z <= t) with its binomial standard error.  Equivalent to, and much
-    faster than, simulating full probe time series.  Sweeps use the exact
+    R and G are dense M x M covariances.  Samples the cross-difference
+    directly as CN(hbar_E - hbar_A, G), scores it with the R-whitened
+    statistic, and returns the acceptance fraction (Z <= t) with its
+    binomial standard error.  Equivalent to, and much faster than,
+    simulating full probe time series.  Sweeps use the exact
     harness.miss_rates; this stays as an independent cross-check.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     delta = np.asarray(hbar_E, dtype=complex) - np.asarray(hbar_A, dtype=complex)
     m = params.M
-    g = G.factored()
     gen = rng.generator
     w = (gen.standard_normal((trials, m)) + 1j * gen.standard_normal((trials, m))) / math.sqrt(2.0)
-    diffs = delta + g.sample_offset(w)
-    z = np.sum(np.abs(R.factored().half_whiten(diffs)) ** 2, axis=-1)  # dense, so it cross-checks the spectral path
+    diffs = delta + w @ cholesky(G).conj()  # w ~ CN(0, I) mapped to CN(0, G)
+    z = np.sum(np.abs(half_whiten(cholesky(R), diffs)) ** 2, axis=-1)  # dense, so it cross-checks the spectral path
     t = chi2_inv(1.0 - alpha, 2 * m)
     beta = float(np.mean(z <= t))  # accept on Z <= t, as the sweeps do
     se = math.sqrt(max(beta * (1.0 - beta), 1.0 / trials) / trials)

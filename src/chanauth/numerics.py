@@ -3,20 +3,18 @@
 Everything downstream (channel generation, detectors, miss rates) funnels
 its numerical needs through here: chi-square CDFs/quantiles, the
 noncentral and generalized chi-square CDFs, unit phasors e^{i theta} in
-real arithmetic (the ray trace's and the contour integral's), Hermitian
-Cholesky factorization with whitening solves for dense covariances (the
-Monte Carlo cross-check; the run path is spectral and factors nothing),
-and reproducible complex-Gaussian sampling.  Only numpy and the standard
-library are used: the incomplete gamma function is a series or a continued
-fraction around Loader's saddle-point Poisson pmf, and the whitening solves
-are forward substitutions.
+real arithmetic (the ray trace's and the contour integral's), the
+Cholesky factor of a dense Hermitian covariance and the whitening solve
+against it (the Monte Carlo cross-check; the run path is spectral and
+factors nothing), and reproducible complex-Gaussian sampling.  Only numpy
+and the standard library are used: the incomplete gamma function is a
+series or a continued fraction around Loader's saddle-point Poisson pmf.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # RngStream needs it in every run; numpy would otherwise load it on first use
@@ -32,78 +30,21 @@ class NotPositiveDefiniteError(ValueError):
 _PIVOT_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """An M x M complex Hermitian matrix, optionally with its Cholesky factor.
+def cholesky(a) -> np.ndarray:
+    """Factor a Hermitian positive-definite matrix as R_d^H R_d and return R_d.
 
-    ``chol`` is the upper-triangular factor R_d satisfying
-    ``entries = R_d^H @ R_d`` with positive real diagonal.
+    R_d is upper triangular with a positive real diagonal.  Raises
+    NotPositiveDefiniteError if any pivot falls at or below 1e-14 times the
+    largest diagonal entry.
     """
-
-    entries: np.ndarray
-    chol: np.ndarray | None = None
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def factored(self) -> "HermitianMatrix":
-        """Return a copy with the Cholesky factor populated."""
-        if self.chol is not None:
-            return self
-        return cholesky(self)
-
-    def half_whiten(self, d: np.ndarray) -> np.ndarray:
-        """Compute sqrt(2) * (R_d^H)^-1 @ d for vectors d of shape (..., M).
-
-        For d ~ CN(0, R) the result is CN(0, 2I), turning quadratic forms
-        2 d^H R^-1 d into plain squared norms.  Solved triangularly; R is
-        never inverted explicitly.
-        """
-        if self.chol is None:
-            raise ValueError("matrix is not factored; call factored() first")
-        d = np.asarray(d, dtype=complex)
-        # chol is upper triangular R_d, so R_d^H is lower triangular.
-        z = _solve_lower(self.chol.conj().T, d.reshape(-1, self.dim).T)
-        return np.sqrt(2.0) * z.T.reshape(d.shape)
-
-    def sample_offset(self, w: np.ndarray) -> np.ndarray:
-        """Map unit-variance draws w ~ CN(0, I), shape (..., M), to CN(0, R)."""
-        if self.chol is None:
-            raise ValueError("matrix is not factored; call factored() first")
-        w = np.asarray(w, dtype=complex)
-        return (w.reshape(-1, self.dim) @ self.chol.conj()).reshape(w.shape)
-
-
-def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve lower @ z = b for lower-triangular ``lower`` and b of shape (M, n).
-
-    Forward substitution: M row steps, each over all n right-hand sides.
-    """
-    z = np.empty(b.shape, dtype=complex)
-    for i in range(len(lower)):
-        z[i] = (b[i] - lower[i, :i] @ z[:i]) / lower[i, i]
-    return z
-
-
-def cholesky(a: HermitianMatrix | np.ndarray) -> HermitianMatrix:
-    """Factor a Hermitian positive-definite matrix as R_d^H R_d.
-
-    Raises NotPositiveDefiniteError if any pivot falls at or below
-    1e-14 times the largest diagonal entry.
-    """
-    entries = a.entries if isinstance(a, HermitianMatrix) else np.asarray(a, dtype=complex)
-    if not np.allclose(entries, entries.conj().T, rtol=0, atol=1e-10 * max(np.abs(entries).max(), 1.0)):
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.allclose(a, a.conj().T, rtol=0, atol=1e-10 * max(np.abs(a).max(), 1.0)):
         raise ValueError("matrix is not Hermitian")
-    max_diag = float(np.real(np.diag(entries)).max(initial=0.0))
+    max_diag = float(np.real(np.diag(a)).max(initial=0.0))
     try:
-        lower = np.linalg.cholesky(entries)
+        lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
     pivots = np.real(np.diag(lower)) ** 2
@@ -111,7 +52,18 @@ def cholesky(a: HermitianMatrix | np.ndarray) -> HermitianMatrix:
         raise NotPositiveDefiniteError(
             f"pivot {pivots.min():.3e} below {_PIVOT_RTOL:.0e} * max diagonal {max_diag:.3e}"
         )
-    return HermitianMatrix(entries=entries, chol=lower.conj().T)
+    return lower.conj().T
+
+
+def half_whiten(chol: np.ndarray, d) -> np.ndarray:
+    """Compute sqrt(2) (R_d^H)^-1 d for the factor R_d = cholesky(R) and d of shape (..., M).
+
+    For d ~ CN(0, R) the result is CN(0, 2I), turning quadratic forms
+    2 d^H R^-1 d into plain squared norms.  R is never inverted explicitly.
+    """
+    d = np.asarray(d, dtype=complex)
+    z = np.linalg.solve(chol.conj().T, d.reshape(-1, len(chol)).T)
+    return np.sqrt(2.0) * z.T.reshape(d.shape)
 
 
 _EPS = 2.0**-52  # double-precision machine epsilon

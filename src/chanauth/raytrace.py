@@ -71,10 +71,13 @@ class GridSpec:
     height: float
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("grid spacing must be positive")
-        if any(c < 1 for c in self.counts):
-            raise ValueError("grid counts must be >= 1")
+        # Comparisons are written so that NaN fails them.
+        if not 0 < self.spacing < math.inf:
+            raise ValueError("grid spacing must be positive and finite")
+        if not all(-math.inf < v < math.inf for v in (*self.origin, self.height)):
+            raise ValueError("grid origin and height must be finite")
+        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in self.counts):
+            raise ValueError("grid counts must be integers >= 1")
 
     @property
     def n_points(self) -> int:

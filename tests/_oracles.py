@@ -21,7 +21,7 @@ import numpy as np
 from chanauth import channel as chan
 from chanauth.channel import ChannelParams, SpatialMode
 from chanauth.detect import Regime, TestConfig, threshold_for
-from chanauth.numerics import HermitianMatrix, RngStream, cholesky, generalized_chi2_cdf
+from chanauth.numerics import RngStream, generalized_chi2_cdf
 
 
 def chi2_pdf(x: float, k: int) -> float:
@@ -160,13 +160,13 @@ def toeplitz(lags: np.ndarray) -> np.ndarray:
     return ladder[np.subtract.outer(np.arange(m), np.arange(m)) + m - 1]
 
 
-def dense_covariance_R(params: ChannelParams) -> HermitianMatrix:
-    """Toeplitz Hermitian covariance of H_A[k] - H_A[k-1], Cholesky-factored."""
+def dense_covariance_R(params: ChannelParams) -> np.ndarray:
+    """Toeplitz Hermitian covariance of H_A[k] - H_A[k-1]."""
     lags = np.array([r_lag(m, params) for m in range(params.M)])
-    return cholesky(toeplitz(lags))
+    return toeplitz(lags)
 
 
-def dense_covariance_G(params: ChannelParams) -> HermitianMatrix:
+def dense_covariance_G(params: ChannelParams) -> np.ndarray:
     """Covariance of H_E[k] - H_A[k-1] under independent variation.
 
     Diagonal is exactly 2 sigma_T^2 + 2 sigma_N^2; off-diagonals equal
@@ -175,21 +175,21 @@ def dense_covariance_G(params: ChannelParams) -> HermitianMatrix:
     """
     lags = np.array([_variation_lag(m, params) for m in range(params.M)], dtype=complex)
     lags[0] = 2.0 * params.sigma_T**2 + 2.0 * params.sigma_N2
-    return HermitianMatrix(entries=toeplitz(lags))
+    return toeplitz(lags)
 
 
-def asymptotic_R_high_bc(params: ChannelParams) -> HermitianMatrix:
+def asymptotic_R_high_bc(params: ChannelParams) -> np.ndarray:
     """High-Bc/W limit of R: 2 sigma_N^2 I + 2 (1-a) sigma_T^2 * ones."""
     m = params.M
     r = 2.0 * params.sigma_N2 * np.eye(m) + 2.0 * (1.0 - params.a) * params.sigma_T**2 * np.ones((m, m))
-    return HermitianMatrix(entries=r.astype(complex))
+    return r.astype(complex)
 
 
-def asymptotic_G_high_bc(params: ChannelParams) -> HermitianMatrix:
+def asymptotic_G_high_bc(params: ChannelParams) -> np.ndarray:
     """High-Bc/W limit of G: 2 sigma_N^2 I + 2 sigma_T^2 * ones."""
     m = params.M
     g = 2.0 * params.sigma_N2 * np.eye(m) + 2.0 * params.sigma_T**2 * np.ones((m, m))
-    return HermitianMatrix(entries=g.astype(complex))
+    return g.astype(complex)
 
 
 def dense_regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray, float]:
@@ -198,9 +198,9 @@ def dense_regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarr
     spectra: the general detector whitens with the channel's R, the unknown
     one with the noise alone, and a spoofer that shares the variation
     differs from the reference with covariance R instead of G."""
-    r_true = dense_covariance_R(params).entries
+    r_true = dense_covariance_R(params)
     r = 2.0 * params.sigma_N2 * np.eye(params.M, dtype=complex) if cfg.regime is Regime.UNKNOWN else r_true
-    g = r_true if params.spatial_mode is SpatialMode.FULLY_CORRELATED else dense_covariance_G(params).entries
+    g = r_true if params.spatial_mode is SpatialMode.FULLY_CORRELATED else dense_covariance_G(params)
     return r, g, threshold_for(cfg, params.M)
 
 

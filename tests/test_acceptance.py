@@ -32,6 +32,7 @@ from chanauth.numerics import (
     chi2_cdf,
     chi2_inv,
     cholesky,
+    half_whiten,
     noncentral_chi2_cdf,
     sample_complex_gaussian,
 )
@@ -99,8 +100,8 @@ def test_criterion_2_difference_covariance_oracle():
             sigma_N2=float(rng.uniform(0.05, 0.5)),
         )
         emp_R, emp_G = empirical_difference_covariances(params, 1_000_000, RngStream(900 + trial))
-        err_R = relative_frobenius(emp_R, dense_covariance_R(params).entries)
-        err_G = relative_frobenius(emp_G, dense_covariance_G(params).entries)
+        err_R = relative_frobenius(emp_R, dense_covariance_R(params))
+        err_G = relative_frobenius(emp_G, dense_covariance_G(params))
         assert err_R < 0.05, (trial, err_R)
         assert err_G < 0.05, (trial, err_G)
         print(f"criterion 2 set {trial}: M={M} frobenius R={err_R:.3f} G={err_G:.3f} (< 0.05)")
@@ -158,7 +159,7 @@ def test_criterion_4_reduction_identities():
         assert abs(noncentral_chi2_cdf(x, k, 0.0) - chi2_cdf(x, k)) < 1e-12
 
     frozen = ChannelParams(f0=5e9, W=1e7, M=6, a=1.0, Bc=1e4, sigma_T=2.0, sigma_N2=0.5)
-    R = dense_covariance_R(frozen).entries
+    R = dense_covariance_R(frozen)
     assert np.max(np.abs(R - 2.0 * frozen.sigma_N2 * np.eye(6))) < 1e-12
     print("criterion 4 PASS: all reduction identities hold to 1e-12")
 
@@ -266,11 +267,11 @@ def test_criterion_8_numerics_suite():
     gen = np.random.default_rng(12)
     A = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
     R = A.conj().T @ A + 6 * np.eye(6)
-    mat = cholesky(R)
-    assert np.max(np.abs(mat.chol.conj().T @ mat.chol - R)) < 1e-10 * np.abs(R).max()
+    chol = cholesky(R)
+    assert np.max(np.abs(chol.conj().T @ chol - R)) < 1e-10 * np.abs(R).max()
 
     w = sample_complex_gaussian(RngStream(13), 1.0, size=(100_000, 6))
-    z = mat.half_whiten(mat.sample_offset(w))
+    z = half_whiten(chol, w @ chol.conj())
     cov = z.T @ z.conj() / len(z)
     assert np.max(np.abs(cov - 2.0 * np.eye(6))) < 0.05 * 2.0
     print("criterion 8 PASS: quantile round-trip 1e-9, noncentral-vs-MC 2e-3, Cholesky 1e-10, whitening 5%")

@@ -60,12 +60,15 @@ class TestChannelParams:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("W", 0.0), ("M", 0), ("a", 1.5), ("a", -0.1), ("Bc", -1.0), ("sigma_T", -1.0), ("sigma_N2", -0.5),
-         ("spatial_mode", "fully_correlated")],
+        [("W", 0.0), ("M", 0), ("M", 5.0), ("M", 2.5), ("a", 1.5), ("a", -0.1), ("Bc", -1.0), ("sigma_T", -1.0),
+         ("sigma_N2", -0.5), ("spatial_mode", "fully_correlated")],
     )
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             make_params(**{field: value})
+
+    def test_numpy_integer_M(self):
+        assert make_params(M=np.int64(5)).tones.shape == (5,)
 
 
 FOLD_M = (1, 2, 5, 10, 30)
@@ -121,7 +124,7 @@ class TestDelayProfile:
         # Column 0 of G holds lags 0..M-1: 2 sigma_T^2 (1 - E)/(1 - E e^{-j2pi m/M})
         # off the diagonal, 2 sigma_T^2 + 2 sigma_N^2 on it.
         p = make_params(M=M, Bc=Bc, sigma_T=sigma_T, sigma_N2=0.5)
-        variation = dense_covariance_G(p).entries[:, 0] - 2 * p.sigma_N2 * (np.arange(M) == 0)
+        variation = dense_covariance_G(p)[:, 0] - 2 * p.sigma_N2 * (np.arange(M) == 0)
         dft = np.fft.fft(build_delay_profile(p).profile, n=M)  # zero taps dropped at the end
         assert np.abs(2 * dft - variation).max() <= 1e-10
 

@@ -108,6 +108,8 @@ class TestLoadConfig:
             ({"channel.M": "4.5"}, "channel.M"),
             ({"scene.dimensions": "10 8"}, "scene.dimensions"),
             ({"grid.origin": "-1 2"}, "[grid]"),
+            ({"grid.spacing": "nan"}, "[grid]"),
+            ({"grid.height": "inf"}, "[grid]"),
             ({"bob.position": "20 6 2"}, "bob.position"),
             ({"test.regime": "bogus"}, "test.regime"),
             ({"sweep.param": "bogus"}, "sweep.param"),

@@ -38,7 +38,7 @@ from chanauth.harness import (
     sigma_T_from_bT,
     simulate_error_rates,
 )
-from chanauth.numerics import NotPositiveDefiniteError, RngStream, chi2_inv, cholesky
+from chanauth.numerics import NotPositiveDefiniteError, RngStream, chi2_inv
 from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, fixed_response, grid_positions, response_matrix, rms_gain
 
 from _oracles import (
@@ -169,9 +169,9 @@ class TestPairMissRate:
         cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
         beta = miss_rate_for_pair(ha, he, p, cfg)
         assert beta == miss_rate_for_pair(ha, he, p, cfg)
-        lower = np.linalg.cholesky(dense_covariance_R(p).entries)
+        lower = np.linalg.cholesky(dense_covariance_R(p))
         whiten = np.linalg.inv(lower)
-        weights, basis = np.linalg.eigh(whiten @ dense_covariance_G(p).entries @ whiten.conj().T)
+        weights, basis = np.linalg.eigh(whiten @ dense_covariance_G(p) @ whiten.conj().T)
         offsets = 2.0 * np.abs(basis.conj().T @ whiten @ (he - ha)) ** 2
         assert beta == pytest.approx(gchi2_cdf_by_simpson(chi2_inv(0.99, 2 * p.M), weights, offsets), abs=1e-9)
 
@@ -250,9 +250,9 @@ class TestMissRates:
         if regime is Regime.UNKNOWN:
             # |d|^2 / sigma_N^2 <= t is the whitened score for R = 2 sigma_N^2 I,
             # rescaled so the chi-square threshold at alpha = 0.01 lands on t.
-            t = float(np.trace(g.entries).real) / p.sigma_N2
+            t = float(np.trace(g).real) / p.sigma_N2
             cfg = TestConfig(alpha=0.01, regime=regime, threshold_override=t)
-            r = cholesky(2.0 * p.sigma_N2 * t / chi2_inv(0.99, 2 * p.M) * np.eye(p.M, dtype=complex))
+            r = 2.0 * p.sigma_N2 * t / chi2_inv(0.99, 2 * p.M) * np.eye(p.M, dtype=complex)
         exact = miss_rates(ha, he, p, cfg)
         for i, (a, e) in enumerate(zip(ha, he)):
             mc, se = miss_rate_general_numerical(0.01, p, a, e, r, g, 200_000, RngStream(80, i))

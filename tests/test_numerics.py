@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from chanauth import numerics
 from chanauth.numerics import (
-    HermitianMatrix,
     NotPositiveDefiniteError,
     RngStream,
     chi2_cdf,
     chi2_inv,
     cholesky,
     generalized_chi2_cdf,
+    half_whiten,
     noncentral_chi2_cdf,
     sample_complex_gaussian,
 )
@@ -169,12 +169,12 @@ class TestNoncentralChi2Cdf:
 class TestCholesky:
     def test_identity(self):
         f = cholesky(np.eye(5, dtype=complex))
-        assert np.allclose(f.chol, np.eye(5))
+        assert np.allclose(f, np.eye(5))
 
     def test_diagonal(self):
         d = np.array([1.0, 4.0, 9.0])
         f = cholesky(np.diag(d).astype(complex))
-        assert np.allclose(f.chol, np.diag(np.sqrt(d)))
+        assert np.allclose(f, np.diag(np.sqrt(d)))
 
     def test_reconstruction(self):
         gen = RngStream(7).generator
@@ -182,9 +182,9 @@ class TestCholesky:
         a = b.conj().T @ b + np.eye(6)
         f = cholesky(a)
         # Upper-triangular factor with positive real diagonal.
-        assert np.allclose(f.chol, np.triu(f.chol))
-        assert np.all(np.real(np.diag(f.chol)) > 0)
-        err = np.abs(f.chol.conj().T @ f.chol - a).max()
+        assert np.allclose(f, np.triu(f))
+        assert np.all(np.real(np.diag(f)) > 0)
+        err = np.abs(f.conj().T @ f - a).max()
         assert err <= 1e-10 * np.abs(a).max()
 
     def test_rejects_non_hermitian(self):
@@ -195,9 +195,9 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(np.ones((3, 3), dtype=complex))
 
-    def test_factored_is_idempotent(self):
-        f = cholesky(np.eye(3, dtype=complex))
-        assert f.factored() is f
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            cholesky(np.eye(3, 2, dtype=complex))
 
 
 class TestWhitening:
@@ -208,8 +208,8 @@ class TestWhitening:
         r = cholesky(b.conj().T @ b + np.eye(4))
         n = 100_000
         w = (gen.standard_normal((n, 4)) + 1j * gen.standard_normal((n, 4))) / math.sqrt(2)
-        v = r.sample_offset(w)
-        z = r.half_whiten(v)
+        v = w @ r.conj()
+        z = half_whiten(r, v)
         cov = z.T @ z.conj() / n
         assert np.abs(cov - 2.0 * np.eye(4)).max() <= 0.05 * 2.0
 
@@ -220,14 +220,9 @@ class TestWhitening:
         r = cholesky(a)
         n = 200_000
         w = (gen.standard_normal((n, 3)) + 1j * gen.standard_normal((n, 3))) / math.sqrt(2)
-        v = r.sample_offset(w)
+        v = w @ r.conj()
         cov = v.T @ v.conj() / n
         assert np.abs(cov - a).max() <= 0.05 * np.abs(a).max()
-
-    def test_unfactored_raises(self):
-        m = HermitianMatrix(entries=np.eye(2, dtype=complex))
-        with pytest.raises(ValueError):
-            m.half_whiten(np.zeros(2, dtype=complex))
 
 
 class TestSampling:

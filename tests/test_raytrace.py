@@ -78,6 +78,22 @@ class TestGrid:
         with pytest.raises(ValueError):
             GridSpec(origin=(0, 0), spacing=0.1, counts=(0, 2), height=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("spacing", math.nan), ("spacing", math.inf), ("origin", (math.nan, 0.0)), ("origin", (0.0, -math.inf)),
+         ("height", math.nan), ("height", math.inf), ("counts", (2.5, 2)), ("counts", (2, 2.0))],
+        ids=["spacing_nan", "spacing_inf", "origin_nan", "origin_inf", "height_nan", "height_inf", "counts_fraction",
+             "counts_float"],
+    )
+    def test_rejects_non_finite_or_fractional(self, field, value):
+        # A fractional count would make n_points disagree with grid_positions.
+        with pytest.raises(ValueError):
+            GridSpec(**{"origin": (0.0, 0.0), "spacing": 0.1, "counts": (2, 2), "height": 1.0, field: value})
+
+    def test_numpy_integer_counts(self):
+        g = GridSpec(origin=(0.0, 0.0), spacing=0.1, counts=(np.int64(3), np.int32(2)), height=1.0)
+        assert g.n_points == len(grid_positions(g)) == 6
+
 
 class TestImageSources:
     def test_order_zero_is_los_only(self):

@@ -52,14 +52,14 @@ class TestRLag:
 class TestCovarianceR:
     def test_noise_only(self):
         r = dense_covariance_R(make_params(sigma_T=0.0, sigma_N2=0.7))
-        assert np.allclose(r.entries, 1.4 * np.eye(8))
+        assert np.allclose(r, 1.4 * np.eye(8))
 
     def test_frozen_variation(self):
         r = dense_covariance_R(make_params(a=1.0, sigma_N2=0.5))
-        assert np.allclose(r.entries, 1.0 * np.eye(8))
+        assert np.allclose(r, 1.0 * np.eye(8))
 
     def test_toeplitz_hermitian(self):
-        r = dense_covariance_R(make_params(M=6)).entries
+        r = dense_covariance_R(make_params(M=6))
         assert np.allclose(r, r.conj().T)
         for k in range(1, 6):
             diag = np.diagonal(r, offset=-k)
@@ -67,36 +67,33 @@ class TestCovarianceR:
 
     def test_low_bc_limit(self):
         p = make_params(Bc=1e-6 * 1e7)
-        r = dense_covariance_R(p).entries
+        r = dense_covariance_R(p)
         r0 = 2 * (1 - p.a) * p.sigma_T**2 + 2 * p.sigma_N2
         assert np.abs(r - r0 * np.eye(p.M)).max() < 1e-4 * r0
 
     def test_high_bc_limit(self):
         p = make_params(Bc=1e6 * 1e7)
-        assert np.abs(dense_covariance_R(p).entries - asymptotic_R_high_bc(p).entries).max() < 1e-3
-
-    def test_factored_on_construction(self):
-        assert dense_covariance_R(make_params()).chol is not None
+        assert np.abs(dense_covariance_R(p) - asymptotic_R_high_bc(p)).max() < 1e-3
 
 
 class TestCovarianceG:
     def test_diagonal_value(self):
-        g = dense_covariance_G(make_params(sigma_T=1.0, sigma_N2=1.0)).entries
+        g = dense_covariance_G(make_params(sigma_T=1.0, sigma_N2=1.0))
         assert np.allclose(np.diag(g), 4.0)
 
     def test_noise_only(self):
-        g = dense_covariance_G(make_params(sigma_T=0.0, sigma_N2=0.5)).entries
+        g = dense_covariance_G(make_params(sigma_T=0.0, sigma_N2=0.5))
         assert np.allclose(g, 1.0 * np.eye(8))
 
     def test_high_bc_limit_two_tones(self):
         p = make_params(M=2, Bc=1e6 * 1e7)
-        g = dense_covariance_G(p).entries
+        g = dense_covariance_G(p)
         assert np.abs(g - np.array([[4.0, 2.0], [2.0, 4.0]])).max() < 1e-3
 
     def test_well_defined_at_frozen_a(self):
         # The off-diagonals use the a-free core, so a = 1 is not a 0/0.
-        g1 = dense_covariance_G(make_params(a=1.0)).entries
-        g2 = dense_covariance_G(make_params(a=0.3)).entries
+        g1 = dense_covariance_G(make_params(a=1.0))
+        g2 = dense_covariance_G(make_params(a=0.3))
         off = ~np.eye(8, dtype=bool)
         assert np.allclose(g1[off], g2[off])
         assert np.all(np.isfinite(g1))
@@ -104,31 +101,31 @@ class TestCovarianceG:
     def test_offdiagonal_ratio_to_r(self):
         # off-diag of R equals (1-a) times off-diag of G.
         p = make_params(a=0.6)
-        r = dense_covariance_R(p).entries
-        g = dense_covariance_G(p).entries
+        r = dense_covariance_R(p)
+        g = dense_covariance_G(p)
         off = ~np.eye(p.M, dtype=bool)
         assert np.allclose(r[off], (1 - p.a) * g[off])
 
     def test_diagonal_excess_over_r(self):
         for a in (0.3, 0.9, 0.99):
             p = make_params(a=a, sigma_T=0.8)
-            excess = np.diag(dense_covariance_G(p).entries - dense_covariance_R(p).entries)
+            excess = np.diag(dense_covariance_G(p) - dense_covariance_R(p))
             assert np.allclose(excess, 2 * a * p.sigma_T**2)
 
 
 class TestHighBcAsymptotes:
     def test_single_tone_matches_r0(self):
         p = make_params(M=1)
-        assert asymptotic_R_high_bc(p).entries[0, 0] == pytest.approx(r_lag(0, p))
+        assert asymptotic_R_high_bc(p)[0, 0] == pytest.approx(r_lag(0, p))
 
     def test_zero_variation(self):
         p = make_params(sigma_T=0.0, sigma_N2=0.5)
-        assert np.allclose(asymptotic_R_high_bc(p).entries, 1.0 * np.eye(8))
-        assert np.allclose(asymptotic_G_high_bc(p).entries, 1.0 * np.eye(8))
+        assert np.allclose(asymptotic_R_high_bc(p), 1.0 * np.eye(8))
+        assert np.allclose(asymptotic_G_high_bc(p), 1.0 * np.eye(8))
 
     def test_four_tone_values(self):
         p = make_params(M=4, a=0.9)
-        r = asymptotic_R_high_bc(p).entries
+        r = asymptotic_R_high_bc(p)
         assert np.allclose(np.diag(r), 2.2)
         off = ~np.eye(4, dtype=bool)
         assert np.allclose(r[off], 0.2)
@@ -140,8 +137,8 @@ def test_covariances_match_channel_monte_carlo():
     (4e5 snapshots, 5% relative Frobenius)."""
     p = ChannelParams(f0=5e9, W=1e7, M=5, a=0.85, Bc=1.5e6, sigma_T=0.9, sigma_N2=0.4)
     r_emp, g_emp = empirical_difference_covariances(p, 400_000, RngStream(31))
-    assert relative_frobenius(r_emp, dense_covariance_R(p).entries) < 0.05
-    assert relative_frobenius(g_emp, dense_covariance_G(p).entries) < 0.05
+    assert relative_frobenius(r_emp, dense_covariance_R(p)) < 0.05
+    assert relative_frobenius(g_emp, dense_covariance_G(p)) < 0.05
     u = circulant_basis(p.M)
     assert relative_frobenius(r_emp, u.conj().T @ np.diag(stats.covariance_R(p)) @ u) < 0.05
     assert relative_frobenius(g_emp, u.conj().T @ np.diag(stats.covariance_G(p)) @ u) < 0.05
@@ -158,7 +155,7 @@ class TestSpectra:
         p = make_params(M=M, Bc=Bc, a=a, sigma_T=sigma_T, sigma_N2=0.3)
         u = circulant_basis(M)
         for dense, spectrum in ((dense_covariance_R(p), stats.covariance_R(p)), (dense_covariance_G(p), stats.covariance_G(p))):
-            rotated = u @ dense.entries @ u.conj().T
+            rotated = u @ dense @ u.conj().T
             scale = spectrum.max()
             assert np.abs(np.diag(rotated) - spectrum).max() <= 1e-13 * scale
             assert np.abs(rotated - np.diag(np.diag(rotated))).max() <= 1e-13 * scale
