@@ -108,8 +108,6 @@ class TestLoadConfig:
             ({"channel.M": "4.5"}, "channel.M"),
             ({"scene.dimensions": "10 8"}, "scene.dimensions"),
             ({"grid.origin": "-1 2"}, "[grid]"),
-            ({"grid.spacing": "nan"}, "[grid]"),
-            ({"grid.height": "inf"}, "[grid]"),
             ({"bob.position": "20 6 2"}, "bob.position"),
             ({"test.regime": "bogus"}, "test.regime"),
             ({"sweep.param": "bogus"}, "sweep.param"),
@@ -125,6 +123,8 @@ class TestLoadConfig:
             ({"sweep.param": "M"}, "sweep.param"),
             ({"run.seed": "-1"}, "run.seed"),
             ({"channel.T": "1e-3"}, "channel.T: unknown key"),
+            ({"grid.spacing": "nan"}, "[grid]"),
+            ({"grid.height": "inf"}, "[grid]"),
         ],
     )
     def test_diagnostics_name_the_key(self, tmp_path, overrides, fragment):
