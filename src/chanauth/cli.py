@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
 from .harness import (
@@ -27,7 +29,6 @@ from .harness import (
     noise_variance,
     resolve_variances,
     room_sweep,
-    sigma_T_from_bT,
     simulate_error_rates,
 )
 from .numerics import RngStream, chi2_inv
@@ -274,15 +275,11 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         preset_axis, preset_value = PRESETS[name]
         if axis is preset_axis:
             diags.append(f"sweep.param: {axis.value} is fixed by test.regime = {name}; sweep another, or use general")
-        params, budget = apply_sweep_value(params, budget, preset_axis, preset_value)
-        if preset_axis is SweepAxis.B_T:
-            b_T = preset_value
+        params, budget, b_T = apply_sweep_value(params, budget, b_T, preset_axis, preset_value)
     low, high = _MAGNITUDE_RANGE
     for value in sweep_values:
         try:
-            val_params, val_budget = apply_sweep_value(params, budget, axis, value)
-            if axis is SweepAxis.B_T:
-                sigma_T_from_bT(value, 1.0)
+            val_params, val_budget, _ = apply_sweep_value(params, budget, b_T, axis, value)
         except ValueError as exc:
             diags.append(f"sweep.values: {_fmt(value)}: {exc}")
             continue
@@ -399,19 +396,19 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
 
 
 def _calibrate(config: ExperimentConfig, trace: RoomTrace, rng: RngStream):
-    """Empirical false-alarm rate of the configured detector at mid-grid, and the exact one.
+    """Empirical false-alarm rate of the configured detector, and the exact one.
 
-    The room gain (at b_T > 0) and the two rows it reads, alice (the middle
-    grid point) and eve (the first), come from ``trace`` at the base tones,
-    so only what the sweep did not already trace is traced.  Only alpha_hat
-    is reported, so eve is not simulated.  The exact size
-    (harness.false_alarm_rate) is what alpha_hat estimates; it differs
-    from the configured alpha only for the unknown detector or a
+    Only alpha_hat is reported, so the spoofer is not simulated, and under
+    H0 the fixed response cancels in the probe difference: the trials run
+    on a zero fixed response, and ``trace`` is read only for the room gain
+    (at b_T > 0, at the base tones, which the sweep already traced).  The
+    exact size (harness.false_alarm_rate) is what alpha_hat estimates; it
+    differs from the configured alpha only for the unknown detector or a
     threshold_override.
     """
-    alice = len(trace.positions) // 2
-    params, (hbar_a, hbar_e) = resolve_variances(trace, config.channel, config.budget, config.b_T, rows=[alice, 0])
-    rates = simulate_error_rates(hbar_a, hbar_e, params, config.test, config.trials, rng, include_h1=False)
+    params = resolve_variances(trace, config.channel, config.budget, config.b_T)
+    zero = np.zeros(params.M, dtype=complex)
+    rates = simulate_error_rates(zero, zero, params, config.test, config.trials, rng, include_h1=False)
     return rates, false_alarm_rate(params, config.test)
 
 

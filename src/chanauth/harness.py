@@ -244,13 +244,18 @@ def _select_pairs(n_points: int, pair_budget: int, rng: RngStream) -> tuple[np.n
 
 
 def apply_sweep_value(
-    params: ChannelParams, budget: LinkBudget, axis: SweepAxis, value
-) -> tuple[ChannelParams, LinkBudget]:
-    """Channel and link budget with one sweep value applied (b_T waits for the room gain).
+    params: ChannelParams, budget: LinkBudget, b_T: float, axis: SweepAxis, value
+) -> tuple[ChannelParams, LinkBudget, float]:
+    """Channel, link budget and b_T with one sweep value applied.
 
-    Rebuilding through dataclasses.replace reruns each class's validation.
+    Rebuilding through dataclasses.replace reruns each class's validation,
+    and a b_T value is checked as sigma_T_from_bT checks it.
     """
-    if axis is SweepAxis.W:
+    if axis is SweepAxis.B_T:
+        b_T = float(value)
+        if not 0 <= b_T < math.inf:
+            raise ValueError("b_T must be nonnegative and finite")
+    elif axis is SweepAxis.W:
         params = replace(params, W=float(value))
     elif axis is SweepAxis.M:
         params = replace(params, M=int(value))
@@ -260,25 +265,20 @@ def apply_sweep_value(
         budget = replace(budget, P_T=float(value))
     elif axis is SweepAxis.SPATIAL_MODE:
         params = replace(params, spatial_mode=SpatialMode(value))
-    # B_T is applied later, after the room gain is known.
-    return params, budget
+    return params, budget, b_T
 
 
-def resolve_variances(
-    trace: raytrace.RoomTrace, params: ChannelParams, budget: LinkBudget, b_T: float, rows=None
-) -> tuple[ChannelParams, np.ndarray]:
-    """``params`` with sigma_T and sigma_N2 set for the room, and the fixed responses of ``rows``.
+def resolve_variances(trace: raytrace.RoomTrace, params: ChannelParams, budget: LinkBudget, b_T: float) -> ChannelParams:
+    """``params`` with sigma_T and sigma_N2 set for the room.
 
-    The fixed responses do not depend on sigma_T or sigma_N2.  sigma_T =
-    b_T * rms_gain of the whole grid ``trace`` holds for the tones of
-    ``params``, and sigma_N2 = noise_variance(budget, M).  Only b_T > 0
-    reads the room gain, so only then is the whole grid traced; at b_T = 0
-    sigma_T is 0.0 and just ``rows`` are traced (None: the whole grid, as
-    in RoomTrace.responses).
+    sigma_T = b_T * rms_gain of the whole grid ``trace`` holds for the
+    tones of ``params``, and sigma_N2 = noise_variance(budget, M).  Only
+    b_T > 0 reads the room gain, so only then is the whole grid traced.
+    The fixed responses depend on neither, so a caller asks
+    ``trace.responses`` for just the rows it reads.
     """
     gain = raytrace.rms_gain(trace.responses(params)) if b_T > 0 else 0.0
-    params = replace(params, sigma_T=sigma_T_from_bT(b_T, gain), sigma_N2=noise_variance(budget, params.M))
-    return params, trace.responses(params, rows)
+    return replace(params, sigma_T=sigma_T_from_bT(b_T, gain), sigma_N2=noise_variance(budget, params.M))
 
 
 def room_sweep(
@@ -294,18 +294,19 @@ def room_sweep(
 ) -> SweepResult:
     """Room-averaged exact miss rate along one parameter axis.
 
-    ``base_params.sigma_T`` and ``sigma_N2`` are derived per sweep value
-    from b_T, the room gain, and the link budget (all three can depend on
-    the swept parameter; see resolve_variances).  The fixed responses and
-    the room gain come from ``trace``, which is told every tone set of the
-    sweep and of ``base_params`` (the calibration's) before the first value
-    is evaluated: each grid point is traced at most once in all for b_T,
-    P_T, B_c and spatial_mode sweeps, once for an M sweep whose tone counts
-    share a small common multiple (RoomTrace.prepare), and once per
-    distinct value otherwise.  A value asks the trace for the rows of its
-    sampled pairs, so at b_T = 0 only those are traced.  The pair subsample
-    is drawn once from ``rng``, so every sweep value sees the same pairs;
-    each value's miss rates come from one batched miss_rates call.
+    apply_sweep_value applies each sweep value to the channel, the link
+    budget and b_T; ``base_params.sigma_T`` and ``sigma_N2`` are then
+    derived per value from b_T, the room gain, and the link budget (see
+    resolve_variances).  The fixed responses and the room gain come from
+    ``trace``, which is told every tone set of the sweep and of
+    ``base_params`` (the calibration's) before the first value is evaluated:
+    each grid point is traced at most once in all for b_T, P_T, B_c and
+    spatial_mode sweeps, once for an M sweep whose tone counts share a small
+    common multiple (RoomTrace.prepare), and once per distinct value
+    otherwise.  A value asks the trace for just the rows of its sampled
+    pairs, so at b_T = 0 only those are traced.  The pair subsample is drawn
+    once from ``rng``, so every sweep value sees the same pairs; each
+    value's miss rates come from one batched miss_rates call.
     ``std_err`` is the standard error of the room average over the sampled
     pairs.  When ``pair_budget`` covers all n (n - 1) / 2 pairs the average
     is exact, and ``std_err`` is then the spread of the per-pair miss rates
@@ -318,14 +319,14 @@ def room_sweep(
     if rng is None:
         rng = RngStream(0)
 
-    applied = [apply_sweep_value(base_params, budget, axis, value) for value in sweep_values]
-    trace.prepare([base_params, *(params for params, _ in applied)])
+    applied = [apply_sweep_value(base_params, budget, b_T, axis, value) for value in sweep_values]
+    trace.prepare([base_params, *(params for params, _, _ in applied)])
     ii, jj = _select_pairs(len(trace.positions), pair_budget, rng.substream(1))
 
     beta_bar, std_err = [], []
-    for value, (params, val_budget) in zip(sweep_values, applied):
-        bt = float(value) if axis is SweepAxis.B_T else b_T
-        params, pairs = resolve_variances(trace, params, val_budget, bt, rows=np.concatenate([ii, jj]))
+    for params, val_budget, val_b_T in applied:
+        params = resolve_variances(trace, params, val_budget, val_b_T)
+        pairs = trace.responses(params, np.concatenate([ii, jj]))
         betas = miss_rates(pairs[: len(ii)], pairs[len(ii) :], params, cfg)
         beta_bar.append(float(betas.mean()))
         std_err.append(float(betas.std(ddof=1) / math.sqrt(len(betas))) if len(betas) > 1 else 0.0)

@@ -7,13 +7,12 @@ real arithmetic (the ray trace's and the contour integral's), the
 Cholesky factor of a dense Hermitian covariance and the whitening solve
 against it (the Monte Carlo cross-check; the run path is spectral and
 factors nothing), and reproducible complex-Gaussian sampling.  Only numpy
-and the standard library are used: the incomplete gamma function is a
-series or a continued fraction around Loader's saddle-point Poisson pmf.
+and the standard library are used: the incomplete gamma function is one
+scalar series or continued fraction around Loader's saddle-point Poisson pmf.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -158,7 +157,7 @@ def _poisson_mixture(y: float, h: float, lam: np.ndarray) -> np.ndarray:
     j = j[: last - lo + 1]
     order = np.argsort(rows)
     f = np.empty(len(rows))
-    step = max(1, 2**18 // len(j))  # bounds the (terms x rows) weight arrays
+    step = max(1, _WORK_BUDGET // len(j))  # bounds the (terms x rows) weight arrays
     for i in range(0, len(rows), step):
         chunk = order[i : i + step]
         f[chunk] = p_terms @ _poisson_weights(j, rows[chunk])
@@ -279,67 +278,17 @@ def _gammainc(a, y):
     """Regularized lower incomplete gamma P(a, y), elementwise, for a > 0 a
     multiple of 1/2 and y >= 0.
 
-    With pmf = y^a e^-y / Gamma(a + 1) from _log_pmf: where y < a + 1 the
-    series P = pmf * sum_n y^n / ((a+1)...(a+n)); elsewhere the continued
-    fraction Q = a * pmf * cf and P = 1 - Q.
+    Exactly 0 at y = 0 and 1 at y = inf; elsewhere _log_pmf runs once over
+    the batch and _log_gamma_tail once per element, on plain floats.
     """
     a, y = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(y, dtype=float))
     out = np.where(y == math.inf, 1.0, 0.0)
-    lower = (y > 0) & (y < a + 1.0)
-    upper = (y >= a + 1.0) & (y < math.inf)
-    if lower.any():
-        al, yl = a[lower], y[lower]
-        out[lower] = np.exp(_log_pmf(al, yl)) * _gamma_series(al, yl)
-    if upper.any():
-        au, yu = a[upper], y[upper]
-        out[upper] = 1.0 - au * np.exp(_log_pmf(au, yu)) * _gamma_fraction(au, yu)
+    live = (y > 0) & (y < math.inf)
+    if live.any():
+        a, y = a[live], y[live]
+        elements = zip(a.tolist(), y.tolist(), _log_pmf(a, y).tolist())
+        out[live] = [math.exp(_log_gamma_tail(ai, yi, False, lp)[0]) for ai, yi, lp in elements]
     return out
-
-
-def _gamma_series(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_n y^n / ((a+1)...(a+n)), n >= 0, elementwise.
-
-    Each element stops once its term falls below eps of its sum, so its
-    value does not depend on the rest of the batch.
-    """
-    out = np.empty(len(y))
-    idx = np.arange(len(y))
-    term = total = np.ones(len(y))
-    for n in itertools.count(1):
-        term = term * y / (a + n)
-        total = total + term
-        done = term <= _EPS * total
-        out[idx[done]] = total[done]
-        if done.all():
-            return out
-        keep = ~done
-        idx, a, y, term, total = idx[keep], a[keep], y[keep], term[keep], total[keep]
-
-
-def _gamma_fraction(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """1/(y+1-a- 1(1-a)/(y+3-a- 2(2-a)/(y+5-a- ...))) elementwise, for y >= a + 1.
-
-    Modified Lentz evaluation; each element stops once its step factor is
-    within eps of 1.
-    """
-    out = np.empty(len(y))
-    idx = np.arange(len(y))
-    b = y + 1.0 - a
-    c = np.full(len(y), 1e300)
-    d = 1.0 / b
-    h = d
-    for i in itertools.count(1):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        h = h * (c * d)
-        done = np.abs(c * d - 1.0) <= _EPS
-        out[idx[done]] = h[done]
-        if done.all():
-            return out
-        keep = ~done
-        idx, a, b, c, d, h = idx[keep], a[keep], b[keep], c[keep], d[keep], h[keep]
 
 
 def _gamma_quantile(a: float, p: float) -> float:
@@ -378,8 +327,8 @@ def _log_gamma_tail(a: float, y: float, upper: bool, log_pmf: float) -> tuple[fl
     """log Q(a, y) if ``upper`` else log P(a, y), and that tail over the Gamma(a)
     density at y > 0, given log pmf = log(y^a e^-y / Gamma(a + 1)).
 
-    The scalar twin of _gammainc, on plain floats: each chi2_inv point
-    evaluates it a few times, where numpy's per-call cost would dominate.
+    The only series and continued fraction for P and Q, on plain floats,
+    which beat numpy's per-call cost at the few elements each caller passes.
     """
     if y < a + 1.0:
         term = total = 1.0
@@ -499,7 +448,7 @@ _GL_HALF_WEIGHTS = (
 _GL_NODES = np.concatenate([-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES])
 _GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 _GCHI2_EPS = 1e-13  # truncation and screening level, absolute in probability
-_WORK_BUDGET = 2**14  # (rows x points) elements per chunk of the screen, cutoff and contour: they stay in cache
+_WORK_BUDGET = 2**14  # elements per chunk of the Poisson weights, screen, cutoff and contour: they stay in cache
 # Radians the integrand may turn through in one 16-node panel, on the real
 # axis and on the ray.  On random cases (M 2-30, weight spread 1-1e4,
 # offsets up to 1e3 weights, x within 3 sd of the mean), real-axis panels of

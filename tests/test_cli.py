@@ -158,8 +158,8 @@ class TestLoadConfig:
         assert config.test.regime is Regime.GENERAL and config.test == general.test
         fixed = {SweepAxis.B_C: config.channel.Bc, SweepAxis.B_T: config.b_T, SweepAxis.SPATIAL_MODE: config.channel.spatial_mode.value}
         assert fixed[axis] == value
-        assert config.channel == apply_sweep_value(general.channel, general.budget, axis, value)[0]
-        assert config.b_T == (value if axis is SweepAxis.B_T else general.b_T)
+        channel, _, b_T = apply_sweep_value(general.channel, general.budget, general.b_T, axis, value)
+        assert config.channel == channel and config.b_T == b_T
 
     def test_regime_names(self):
         assert REGIME_NAMES == ["full_spatial", "general", "high_bc", "low_bc", "time_invariant", "unknown"]
@@ -309,6 +309,8 @@ class TestValidateMatchesRun:
             ({"test.regime": "unknown"}, "test.threshold_override"),
             # M kT N_F b / P_T underflows to 0, though every factor is in range.
             ({"budget.kT": "1e-100", "budget.N_F": "1e-100", "budget.b": "1e-100", "budget.P_T": "1e100"}, "[budget]"),
+            ({"sweep.param": "b_T", "sweep.values": "-0.1 0.5"}, "sweep.values"),
+            ({"sweep.param": "b_T", "sweep.values": "0.5 inf"}, "sweep.values"),
         ],
     )
     def test_unrunnable_values_fail_validation(self, tmp_path, capsys, overrides, key):

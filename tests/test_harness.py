@@ -61,13 +61,12 @@ def make_params(**overrides) -> ChannelParams:
 
 def resolve_name(params: ChannelParams, name: str) -> tuple[Regime, ChannelParams]:
     """The detector and channel that ``test.regime = name`` runs on ``params``,
-    as load_config resolves a detector or a preset."""
+    as load_config resolves a detector or a preset, in a room of unit gain
+    (where b_T is sigma_T)."""
     if name not in PRESETS:
         return Regime(name), params
-    axis, value = PRESETS[name]
-    if axis is SweepAxis.B_T:
-        return Regime.GENERAL, replace(params, sigma_T=sigma_T_from_bT(value, 1.0))
-    return Regime.GENERAL, apply_sweep_value(params, LinkBudget(P_T=1.0), axis, value)[0]
+    params, _, b_T = apply_sweep_value(params, LinkBudget(P_T=1.0), params.sigma_T, *PRESETS[name])
+    return Regime.GENERAL, replace(params, sigma_T=sigma_T_from_bT(b_T, 1.0))
 
 
 # Case ids over test.regime names keep the ids these cases had while each
@@ -504,15 +503,15 @@ class TestRoomSweep:
             assert len(calls) == traces, axis
 
     def test_time_invariant_run_traces_only_the_rows_it_reads(self, monkeypatch, tmp_path):
-        # At b_T = 0 the room gain goes unread, so a run traces the rows of
-        # its sampled pairs and the calibration's two (alice and eve), not
-        # the whole 2400-point grid.
+        # At b_T = 0 the room gain goes unread, so a run traces exactly the
+        # rows of its sampled pairs, not the whole 2400-point grid: the
+        # calibration runs on a zero fixed response and traces nothing.
         traced = count_traced_rows(monkeypatch)
         config, _ = load_config(GOLDEN / "room_grid.cfg")
         assert config.b_T == 0.0
         assert cli.run(GOLDEN / "room_grid.cfg", tmp_path) == cli.EXIT_OK
         ii, jj = _select_pairs(config.grid.n_points, config.pair_budget, RngStream(config.seed).substream(1))
-        assert sum(traced.values()) <= len(np.unique(np.concatenate([ii, jj]))) + 2 < config.grid.n_points
+        assert sum(traced.values()) == len(np.unique(np.concatenate([ii, jj]))) < config.grid.n_points
 
     @pytest.mark.parametrize("path", [CONFIGS / "fig5.cfg", GOLDEN / "general_Bc.cfg"], ids=["fig5", "general_Bc"])
     def test_run_traces_each_tone_grid_row_once(self, monkeypatch, tmp_path, path):
@@ -558,9 +557,9 @@ class TestRoomSweep:
         n = len(trace.positions)
         ii, jj = _unrank_pairs(np.arange(n * (n - 1) // 2), n)
         for value, beta_bar, std_err in zip(values, res.beta_bar, res.std_err):
-            params, budget = apply_sweep_value(config.channel, config.budget, config.sweep_param, value)
-            b_T = float(value) if config.sweep_param is SweepAxis.B_T else config.b_T
-            params, responses = resolve_variances(trace, params, budget, b_T)
+            params, budget, b_T = apply_sweep_value(config.channel, config.budget, config.b_T, config.sweep_param, value)
+            params = resolve_variances(trace, params, budget, b_T)
+            responses = trace.responses(params)
             total = sum(
                 miss_rates(responses[ii[i : i + 4096]], responses[jj[i : i + 4096]], params, config.test).sum()
                 for i in range(0, len(ii), 4096)
@@ -592,6 +591,7 @@ class TestRoomSweep:
         trace = raytrace.RoomTrace(SCENE, self.GRID, BOB)
         ii, jj = _unrank_pairs(np.arange(36), 9)
         for mode, beta_bar, beta_general in zip(modes, res.beta_bar, general.beta_bar):
-            params, responses = resolve_variances(trace, replace(base, spatial_mode=SpatialMode(mode)), LinkBudget(P_T=100.0), 0.5)
+            params = resolve_variances(trace, replace(base, spatial_mode=SpatialMode(mode)), LinkBudget(P_T=100.0), 0.5)
+            responses = trace.responses(params)
             assert beta_bar == pytest.approx(miss_rates(responses[ii], responses[jj], params, unknown).mean(), rel=1e-12)
             assert beta_bar != pytest.approx(beta_general, rel=1e-3)

@@ -159,6 +159,23 @@ class TestNoncentralChi2Cdf:
         assert np.all(np.diff(values) < 0) and 0.0 < values[-1] < values[0] < 1.0
         assert noncentral_chi2_cdf(x, 20, [1.0, 1e30]).tolist() == [1.0, 0.0]
 
+    def test_working_memory_is_bounded(self):
+        # The Poisson weights go through in chunks of a fixed number of
+        # (terms x rows) elements, so ten times the rows adds a few per-row
+        # arrays to the peak, not (73 terms x rows) ones.
+        def peak(rows: int) -> int:
+            mu = np.linspace(0.0, 80.0, rows)
+            tracemalloc.start()
+            try:
+                noncentral_chi2_cdf(37.5662, 20, mu)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call allocations out of the measurement
+        small, large = peak(2000), peak(20_000)
+        assert large - small <= 10 * 18_000 * 8  # ten (18 000,) float arrays, 1.4 MB
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             noncentral_chi2_cdf(-1.0, 4, 1.0)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from chanauth import numerics
 from chanauth.numerics import chi2_cdf, chi2_inv, noncentral_chi2_cdf
 
 dof = st.integers(1, 2000)
@@ -89,3 +90,18 @@ def test_huge_noncentrality_is_a_probability(point, mu):
     x, k, _ = point
     value = quietly(noncentral_chi2_cdf, x, k, mu)
     assert math.isfinite(value) and 0.0 <= value <= 1.0
+
+
+def test_lower_poisson_mass_on_a_wide_batch(monkeypatch, time_limit):
+    # At x/2 = 1e4 (k = 20) the mixture's terms start at j_min = 8970, so
+    # each of 400 rows with mu/2 spanning it takes its Poisson mass below
+    # j_min from one incomplete gamma call over the whole batch, on both
+    # sides of the series/continued-fraction split at mu/2 = j_min + 1.
+    sizes = []
+    gammainc = numerics._gammainc
+    monkeypatch.setattr(numerics, "_gammainc", lambda a, y: sizes.append(np.size(y)) or gammainc(a, y))
+    x, k, mu = 2e4, 20, 2.0 * np.linspace(8500.0, 11500.0, 400)
+    with time_limit(30):
+        got = quietly(noncentral_chi2_cdf, x, k, mu)
+    assert max(sizes) == len(mu)
+    assert np.abs(got - special.chndtr(x, k, mu)).max() <= 2e-13
