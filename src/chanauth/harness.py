@@ -24,7 +24,7 @@ from . import channel as chan
 from . import detect, raytrace, stats
 from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
-from .numerics import NotPositiveDefiniteError, RngStream, generalized_chi2_cdf
+from .numerics import _WORK_BUDGET, NotPositiveDefiniteError, RngStream, generalized_chi2_cdf
 
 BOLTZMANN_NOISE_DENSITY = 10.0 ** (-17.4)  # thermal noise density kT in mW/Hz
 
@@ -134,14 +134,23 @@ def miss_rates(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelParams, cf
 
     In DFT coordinates R and G are both diagonal, so Z is a generalized
     chi-square with weights g_hat / r_hat (shared by every pair) and
-    offsets 2M |ifft(hbar_e - hbar_a)|^2 / r_hat: one inverse FFT of the
-    gaps and one batched CDF cover all pairs.  Equal weights (general at
-    B_c = 0, without variation, or against a spoofer that shares it) fall
-    back to the closed-form noncentral chi-square.
+    offsets 2M |ifft(hbar_e - hbar_a)|^2 / r_hat: inverse FFTs of the gaps
+    and one batched CDF cover all pairs.  The offsets are filled
+    _WORK_BUDGET (pairs x M) elements at a time, so the gaps' complex
+    temporaries stay one chunk's however many pairs there are.  Equal
+    weights (general at B_c = 0, without variation, or against a spoofer
+    that shares it) fall back to the closed-form noncentral chi-square.
     """
     r, g, t = regime_forms(params, cfg)
-    gaps = np.fft.ifft(np.asarray(hbar_e, dtype=complex) - np.asarray(hbar_a, dtype=complex), axis=-1)
-    return generalized_chi2_cdf(t, g / r, 2.0 * params.M * np.abs(gaps) ** 2 / r)
+    hbar_a = np.asarray(hbar_a, dtype=complex)
+    hbar_e = np.asarray(hbar_e, dtype=complex)
+    offsets = np.empty(hbar_e.shape)
+    step = max(1, _WORK_BUDGET // params.M)
+    for start in range(0, len(offsets), step):
+        rows = slice(start, start + step)
+        gaps = np.fft.ifft(hbar_e[rows] - hbar_a[rows], axis=-1)
+        offsets[rows] = 2.0 * params.M * np.abs(gaps) ** 2 / r
+    return generalized_chi2_cdf(t, g / r, offsets)
 
 
 def miss_rate_for_pair(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelParams, cfg: TestConfig) -> float:
@@ -298,11 +307,11 @@ def room_sweep(
     budget and b_T; ``base_params.sigma_T`` and ``sigma_N2`` are then
     derived per value from b_T, the room gain, and the link budget (see
     resolve_variances).  The fixed responses and the room gain come from
-    ``trace``, which is told every tone set of the sweep and of
-    ``base_params`` (the calibration's) before the first value is evaluated:
-    each grid point is traced at most once in all for b_T, P_T, B_c and
-    spatial_mode sweeps, once for an M sweep whose tone counts share a small
-    common multiple (RoomTrace.prepare), and once per distinct value
+    ``trace``, which is told every tone set of the sweep, and at b_T > 0
+    that of ``base_params`` (the calibration's), before the first value is
+    evaluated: each grid point is traced at most once in all for b_T, P_T,
+    B_c and spatial_mode sweeps, once for an M sweep whose tone counts share
+    a small common multiple (RoomTrace.prepare), and once per distinct value
     otherwise.  A value asks the trace for just the rows of its sampled
     pairs, so at b_T = 0 only those are traced.  The pair subsample is drawn
     once from ``rng``, so every sweep value sees the same pairs; each
@@ -320,7 +329,7 @@ def room_sweep(
         rng = RngStream(0)
 
     applied = [apply_sweep_value(base_params, budget, b_T, axis, value) for value in sweep_values]
-    trace.prepare([base_params, *(params for params, _, _ in applied)])
+    trace.prepare(([base_params] if b_T > 0 else []) + [params for params, _, _ in applied])
     ii, jj = _select_pairs(len(trace.positions), pair_budget, rng.substream(1))
 
     beta_bar, std_err = [], []

@@ -208,24 +208,25 @@ class RoomTrace:
     prepare() plans that grid when L is at most the sum of the M values, so
     a traced row costs no more tone steps than the separate traces and
     fewer paths' unit phasors.  Rows are traced only when responses() asks
-    for them, so a run at b_T = 0 traces just the points it reads.
-    response_matrix computes each row alone, so a row traced with a few
-    others has the same bits as one traced with the whole grid.
+    for them, and a tone grid holds just the rows traced, in the order they
+    were traced, so a run at b_T = 0 traces and stores just the points it
+    reads.  response_matrix computes each row alone, so a row traced with a
+    few others has the same bits as one traced with the whole grid.
     """
 
     def __init__(self, scene: RoomScene, grid: GridSpec, rx):
         self.scene = scene
         self.rx = tuple(float(v) for v in rx)
         self.positions = grid_positions(grid)
-        # (f0, W, M) -> (traced tone grid, its rows (NaN until traced), column stride of set M)
-        self._grids: dict[tuple[float, float, int], tuple[ChannelParams, np.ndarray, int]] = {}
+        # (f0, W, M) -> (traced tone grid, its rows, column stride of set M)
+        self._grids: dict[tuple[float, float, int], tuple[ChannelParams, _TracedRows, int]] = {}
 
     def prepare(self, params_seq) -> None:
         """Plan the tone grids of every ChannelParams in ``params_seq`` not yet held.
 
         Per (f0, W), the new sets share one grid of their common tones if it
         has no more tones than they have together, and each has its own grid
-        otherwise.  This only allocates; responses() traces the rows.
+        otherwise.  This traces nothing; responses() traces the rows.
         """
         groups: dict[tuple[float, float], dict[int, ChannelParams]] = {}
         for params in params_seq:
@@ -235,13 +236,12 @@ class RoomTrace:
             n_tones = math.lcm(*sets)
             if n_tones <= sum(sets):
                 grid = replace(next(iter(sets.values())), M=n_tones)
-                unfilled = np.full((len(self.positions), n_tones), np.nan, dtype=complex)
+                held = _TracedRows(len(self.positions), n_tones)
                 for M in sets:
-                    self._grids[(f0, W, M)] = (grid, unfilled, n_tones // M)
+                    self._grids[(f0, W, M)] = (grid, held, n_tones // M)
             else:
                 for M, params in sets.items():
-                    unfilled = np.full((len(self.positions), M), np.nan, dtype=complex)
-                    self._grids[(f0, W, M)] = (params, unfilled, 1)
+                    self._grids[(f0, W, M)] = (params, _TracedRows(len(self.positions), M), 1)
 
     def responses(self, params: ChannelParams, rows=None) -> np.ndarray:
         """Fixed responses at the tones of ``params``, shape (len(rows), M).
@@ -249,23 +249,44 @@ class RoomTrace:
         ``rows`` indexes the grid points (any order, repeats allowed); None
         asks for the whole grid, returned as a read-only (n_points, M) view
         that every caller shares.  Only the rows of the tone grid not traced
-        yet are traced, in one response_matrix call.
+        yet are traced, in one response_matrix call.  A whole-grid read
+        needs the rows in grid order, which they are when the whole grid was
+        traced at once; otherwise it lays them out so, once.
         """
         self.prepare([params])
-        grid, traced, stride = self._grids[(params.f0, params.W, params.M)]
+        grid, held, stride = self._grids[(params.f0, params.W, params.M)]
         # A boolean mask, not np.unique, which would import numpy.ma into every run.
-        missing = np.isnan(traced[:, 0])
+        missing = held.slot < 0
         if rows is not None:
             wanted = np.zeros(len(missing), dtype=bool)
             wanted[rows] = True
             missing &= wanted
         if missing.any():
-            traced[missing] = response_matrix(self.scene, self.positions[missing], self.rx, grid)
-        view = traced[:, stride - 1 :: stride]
+            held.add(missing, response_matrix(self.scene, self.positions[missing], self.rx, grid))
         if rows is not None:
-            return view[rows]
+            return held.rows[:, stride - 1 :: stride][held.slot[rows]]
+        if not np.array_equal(held.slot, np.arange(len(held.slot))):
+            held.rows = held.rows[held.slot]
+            held.slot = np.arange(len(held.slot))
+        view = held.rows[:, stride - 1 :: stride]
         view.flags.writeable = False
         return view
+
+
+class _TracedRows:
+    """One tone grid's traced rows, in the order they were traced.
+
+    ``slot[p]`` is grid point p's row in ``rows``, or -1 until it is traced.
+    """
+
+    def __init__(self, n_points: int, n_tones: int):
+        self.slot = np.full(n_points, -1, dtype=np.intp)
+        self.rows = np.empty((0, n_tones), dtype=complex)
+
+    def add(self, points: np.ndarray, rows: np.ndarray) -> None:
+        """Hold ``rows``, traced at the grid points of the boolean mask ``points``."""
+        self.slot[points] = np.arange(len(self.rows), len(self.rows) + len(rows))
+        self.rows = np.concatenate([self.rows, rows]) if len(self.rows) else rows
 
 
 def rms_gain(responses: np.ndarray) -> float:

@@ -291,6 +291,27 @@ class TestMissRates:
                         assert err <= 1e-12, (regime, mode, sigma_T, Bc, err)
 
 
+    def test_working_memory_is_bounded(self):
+        # 20 000 pairs at M = 30: the offsets are one (pairs x M) float array
+        # (4.8 MB), and the gaps' complex temporaries are one chunk's, so the
+        # peak stays under two such arrays; the whole-batch gaps took ~19 MB.
+        pairs, M = 20_000, 30
+        gen = np.random.default_rng(30)
+        ha = 1e-6 * (gen.standard_normal((pairs, M)) + 1j * gen.standard_normal((pairs, M)))
+        he = ha + 3e-7 * (gen.standard_normal((pairs, M)) + 1j * gen.standard_normal((pairs, M)))
+        p = make_params(M=M, Bc=math.inf, sigma_T=0.0, sigma_N2=1e-13)  # miss rates 5e-5 to 0.75
+        cfg = TestConfig(alpha=0.01)
+        miss_rates(ha[:10], he[:10], p, cfg)  # first-call caches (FFT plans) out of the measurement
+        tracemalloc.start()
+        try:
+            betas = miss_rates(ha, he, p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert betas.shape == (pairs,) and np.all((betas >= 0) & (betas <= 1))
+        assert peak < 2 * pairs * M * 8, peak
+
+
 class TestRegimeForms:
     def test_detector_sets_r_and_channel_sets_g(self):
         p = make_params(sigma_T=0.7, sigma_N2=0.2)
@@ -530,6 +551,15 @@ class TestRoomSweep:
         traced = count_traced_rows(monkeypatch)
         self.sweep(sweep_values=[0.0, 0.1], pair_budget=2)
         assert set(traced.values()) == {1} and len(traced) == self.GRID.n_points
+
+    def test_time_invariant_M_sweep_traces_only_its_tones(self, monkeypatch):
+        # At b_T = 0 the calibration reads no trace, so the base M = 20 does
+        # not join the sweep's tone sets: M = 5 and 10 trace on 10 tones.
+        traced = count_traced_rows(monkeypatch)
+        grid = GridSpec(origin=(2.0, 2.0), spacing=0.4, counts=(4, 4), height=1.0)
+        base = make_params(M=20, Bc=0.0, sigma_T=0.0, sigma_N2=0.0)
+        self.sweep(grid=grid, base_params=base, sweep_param=SweepAxis.M, sweep_values=[5, 10], b_T=0.0)
+        assert traced and {key[2] for key in traced} == {10}
 
     def test_shared_trace_matches_fresh_one(self):
         # A trace that already holds the tones (as after an earlier sweep) gives the same result.

@@ -338,6 +338,33 @@ class TestRowsOnDemand:
         trace.responses(self.SETS[20])
         assert traced == [2, 2, 8]
 
+    def test_holds_only_the_rows_traced(self):
+        # 10 rows of a 30 000-point grid at M = 20: the trace keeps those rows
+        # and one slot per point (8 B), not a (points x M) complex array (9.6 MB).
+        grid = GridSpec(origin=(0.5, 0.5), spacing=0.04, counts=(200, 150), height=1.0)
+        trace = RoomTrace(self.SCENE, grid, self.RX)
+        params = make_params(M=20)
+        rows = np.arange(0, grid.n_points, grid.n_points // 10)
+        tracemalloc.start()
+        try:
+            got = trace.responses(params, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, response_matrix(self.SCENE, trace.positions[rows], self.RX, params))
+        assert peak < 1_000_000, peak
+
+    @pytest.mark.parametrize("first_rows", [None, [11, 2, 7]], ids=["whole", "rows_first"])
+    def test_whole_grid_reads_share_memory(self, first_rows):
+        # Whole-grid reads return one held array, whether the whole grid was
+        # traced at once or some rows were traced before it, out of grid order.
+        trace = self.trace(shared=False)
+        if first_rows is not None:
+            trace.responses(self.SETS[10], first_rows)
+        whole = trace.responses(self.SETS[10])
+        assert np.shares_memory(whole, trace.responses(self.SETS[10]))
+        assert np.array_equal(whole, response_matrix(self.SCENE, trace.positions, self.RX, self.SETS[10]))
+
 
 class TestPhysicalPremises:
     def test_spatial_decorrelation_trend(self):
