@@ -4,7 +4,10 @@ The per-tone response at probe k is the sum of a fixed location-specific
 part, a zero-mean variable part produced by an AR(1) tapped delay line with
 a one-sided exponential delay profile, and fresh receiver noise.  The
 spoofer's variable part is either independent of the legitimate one or
-bit-identical to it (the two spatial-correlation extremes).
+identical to it (the two spatial-correlation extremes); ChannelParams'
+spatial_mode records which, and it selects the covariance G of the
+spoofed difference (stats, harness.regime_forms), since only the
+legitimate transmitter is ever simulated.
 
 Taps sit at l/W and tones W/M apart, so tap l reaches tone m through
 e^{-j2pi f_m l/W}, which depends on l only through l mod M up to a unit
@@ -165,15 +168,3 @@ def sample_response(fixed: np.ndarray, state: TapState, params: ChannelParams, r
     probe += sample_complex_gaussian(rng, params.sigma_N2, size=probe.shape)
     return probe
 
-
-def eve_variation(alice_state: TapState, rng: RngStream, params: ChannelParams) -> TapState:
-    """The spoofer's tap state under ``params.spatial_mode``.
-
-    INDEPENDENT draws a fresh stationary realization with the same profile;
-    FULLY_CORRELATED shares the identical amplitudes, so the two variable
-    parts coincide sample-for-sample.
-    """
-    if params.spatial_mode is SpatialMode.FULLY_CORRELATED:
-        return alice_state
-    batch = None if alice_state.amps.ndim == 1 else alice_state.amps.shape[0]
-    return init_taps(alice_state, rng, batch=batch)

@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
 from .harness import (
@@ -398,17 +396,15 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
 def _calibrate(config: ExperimentConfig, trace: RoomTrace, rng: RngStream):
     """Empirical false-alarm rate of the configured detector, and the exact one.
 
-    Only alpha_hat is reported, so the spoofer is not simulated, and under
-    H0 the fixed response cancels in the probe difference: the trials run
-    on a zero fixed response, and ``trace`` is read only for the room gain
-    (at b_T > 0, at the base tones, which the sweep already traced).  The
-    exact size (harness.false_alarm_rate) is what alpha_hat estimates; it
-    differs from the configured alpha only for the unknown detector or a
+    ``trace`` is read only for the room gain (at b_T > 0, at the base
+    tones, which the sweep already traced): the fixed response cancels
+    under H0, so the simulation needs none.  The exact size
+    (harness.false_alarm_rate) is what alpha_hat estimates; it differs
+    from the configured alpha only for the unknown detector or a
     threshold_override.
     """
     params = resolve_variances(trace, config.channel, config.budget, config.b_T)
-    zero = np.zeros(params.M, dtype=complex)
-    rates = simulate_error_rates(zero, zero, params, config.test, config.trials, rng, include_h1=False)
+    rates = simulate_error_rates(params, config.test, config.trials, rng)
     return rates, false_alarm_rate(params, config.test)
 
 

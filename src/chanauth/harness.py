@@ -1,5 +1,5 @@
 """Experiment protocol: grids of transmitter pairs, miss-rate sweeps, and
-end-to-end empirical error rates.
+the empirical size of the test.
 
 For each candidate spoofer/legitimate position pair the ray tracer supplies
 the fixed responses and the link budget sets the noise floor.  A detector
@@ -8,8 +8,9 @@ threshold (regime_forms), under which the score is a generalized
 chi-square, so miss rates are exact: one inverse FFT and one batched
 evaluation per sweep value cover all pairs (miss_rates).  Room-level
 sweeps average the per-pair miss rates over a seeded subsample of position
-pairs.  Only the end-to-end calibration (simulate_error_rates) is Monte
-Carlo, and ``run.trials`` sets its size.
+pairs.  Only the calibration (simulate_error_rates), which simulates the
+generator under H0 and so checks the test's size, is Monte Carlo, and
+``run.trials`` sets its size.
 """
 
 from __future__ import annotations
@@ -62,12 +63,10 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class ErrorRates:
-    """Empirical false-alarm and miss rates with binomial standard errors."""
+    """Empirical false-alarm rate with its binomial standard error."""
 
     alpha_hat: float
-    beta_hat: float
     alpha_se: float
-    beta_se: float
     trials: int
 
 
@@ -158,61 +157,36 @@ def miss_rate_for_pair(hbar_a: np.ndarray, hbar_e: np.ndarray, params: ChannelPa
     return float(miss_rates(np.atleast_2d(hbar_a), np.atleast_2d(hbar_e), params, cfg)[0])
 
 
-def simulate_error_rates(
-    hbar_a: np.ndarray,
-    hbar_e: np.ndarray,
-    params: ChannelParams,
-    cfg: TestConfig,
-    trials: int,
-    rng: RngStream,
-    include_h0: bool = True,
-    include_h1: bool = True,
-) -> ErrorRates:
-    """End-to-end empirical error rates from precomputed fixed responses.
+def simulate_error_rates(params: ChannelParams, cfg: TestConfig, trials: int, rng: RngStream) -> ErrorRates:
+    """Empirical size of the configured test: its false-alarm rate under H0.
 
     Every trial probes the channel at k-1 (the stored reference), steps the
-    taps once, and scores both the legitimate probe and the spoofed probe
-    at k with the configured statistic.  Trials run in blocks of
+    taps once, probes again at k and scores the difference with the
+    configured statistic.  The fixed response cancels in that difference,
+    so the probes carry a zero one.  Trials run in blocks of
     _BLOCK_ELEMENTS / M, each through the plain generator stages on
     block-sized arrays, so memory stays bounded however many trials are
-    asked for.  A skipped hypothesis (include_h0/include_h1) reports nan
-    for its rate.
+    asked for.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not (include_h0 or include_h1):
-        raise ValueError("at least one hypothesis must be simulated")
-    hbar_a = np.asarray(hbar_a, dtype=complex)
-    hbar_e = np.asarray(hbar_e, dtype=complex)
     r, _, threshold = regime_forms(params, cfg)
     profile = chan.build_delay_profile(params)
-    # Stepping the legitimate taps only matters when its k-probe is scored
-    # or when the spoofer shares the variation.
-    need_step = include_h0 or params.spatial_mode is SpatialMode.FULLY_CORRELATED
+    zero = np.zeros(params.M, dtype=complex)
 
     block = max(1, _BLOCK_ELEMENTS // params.M)
     false_alarms = 0
-    misses = 0
     for start in range(0, trials, block):
         state = chan.init_taps(profile, rng, batch=min(block, trials - start))
-        ref = chan.sample_response(hbar_a, state, params, rng)
-        if need_step:
-            state = chan.step_taps(state, params.a, rng)
-        if include_h0:
-            z0 = detect.statistic_batch(chan.sample_response(hbar_a, state, params, rng) - ref, r)
-            false_alarms += int(np.count_nonzero(z0 > threshold))
-        if include_h1:
-            eve_state = chan.eve_variation(state, rng, params)
-            z1 = detect.statistic_batch(chan.sample_response(hbar_e, eve_state, params, rng) - ref, r)
-            misses += int(np.count_nonzero(z1 <= threshold))
+        ref = chan.sample_response(zero, state, params, rng)
+        state = chan.step_taps(state, params.a, rng)
+        z = detect.statistic_batch(chan.sample_response(zero, state, params, rng) - ref, r)
+        false_alarms += int(np.count_nonzero(z > threshold))
 
-    a_hat = false_alarms / trials if include_h0 else math.nan
-    b_hat = misses / trials if include_h1 else math.nan
+    a_hat = false_alarms / trials
     return ErrorRates(
         alpha_hat=a_hat,
-        beta_hat=b_hat,
         alpha_se=math.sqrt(max(a_hat * (1 - a_hat), 1.0 / trials) / trials),
-        beta_se=math.sqrt(max(b_hat * (1 - b_hat), 1.0 / trials) / trials),
         trials=trials,
     )
 

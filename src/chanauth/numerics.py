@@ -370,23 +370,13 @@ _CIS_COS, _CIS_SIN = np.cos(_CIS_ANGLES).astype(float), np.sin(_CIS_ANGLES).asty
 _CIS_WORK = 6  # work arrays _cos_sin needs
 
 
-def cis(theta) -> np.ndarray:
-    """e^{i theta} for real theta, elementwise, as a complex array.
-
-    Within about 1.2e-16 of the exact value for |theta| < _CIS_LIMIT
-    (~2.6e7); beyond it, and for non-finite theta, it is np.exp(1j * theta).
-    A few times faster than np.exp(1j * theta), which takes the complex
-    exponential's general path.
-    """
-    shape = np.shape(theta)
-    theta = np.array(theta, dtype=float, ndmin=1)  # a copy, which _cos_sin overwrites
-    out = np.empty(theta.shape, dtype=complex)
-    _cos_sin(theta, out.real, out.imag, np.empty((_CIS_WORK, *theta.shape)))
-    return out.reshape(shape)[()]
-
-
 def _cos_sin(theta: np.ndarray, cos: np.ndarray, sin: np.ndarray, work) -> None:
-    """Write cos(theta) into ``cos`` and sin(theta) into ``sin`` (see cis).
+    """Write cos(theta) into ``cos`` and sin(theta) into ``sin``.
+
+    Within about 1.2e-16 of the exact values for |theta| < _CIS_LIMIT
+    (~2.6e7); beyond it, and for non-finite theta, they are the parts of
+    np.exp(1j * theta).  A few times faster than np.exp(1j * theta), which
+    takes the complex exponential's general path.
 
     ``theta`` is overwritten, and ``work`` holds _CIS_WORK contiguous float
     arrays of theta's shape; callers that evaluate many equal-sized blocks

@@ -146,7 +146,7 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
     shared across transmitters.  The tones are evenly spaced, so along a
     path of length d the M tone phasors form a geometric sequence: with
     k = -2 pi d / c, tone m is (gain/d) e^{j k f_1} (e^{j k delta_f})^m.
-    Each path therefore costs two unit phasors (numerics.cis, in real
+    Each path therefore costs two unit phasors (numerics._cos_sin, in real
     arithmetic), and tone m is the image sum of the running phasor, which
     is advanced by one step multiply per tone; no (transmitter x image x
     tone) array is built.  Transmitters are traced in blocks of about
@@ -190,11 +190,6 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
             if m + 1 < params.M:
                 phasor *= step
     return out
-
-
-def fixed_response(scene: RoomScene, tx, rx, params: ChannelParams) -> np.ndarray:
-    """Length-M fixed response between a single transmitter and receiver."""
-    return response_matrix(scene, np.asarray(tx, dtype=float)[None, :], rx, params)[0]
 
 
 class RoomTrace:

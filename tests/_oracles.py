@@ -4,8 +4,10 @@ Everything here is deliberately written without touching the library's own
 numerics beyond the channel generator under test: Simpson integration for
 chi-square probabilities, brute-force enumerations, an extended-precision
 image-source sum, Monte Carlo covariance estimation of the
-probe-difference vectors, and the dense Toeplitz covariances with the
-Cholesky/eigh miss-rate path that the library's spectral core replaced.
+probe-difference vectors, a Monte Carlo of both hypotheses (the spoofer
+simulated too) for the miss rates, and the dense Toeplitz covariances
+with the Cholesky/eigh miss-rate path that the library's spectral core
+replaced.
 The dense path feeds its weights and offsets to the library's
 generalized_chi2_cdf (checked on its own against the Simpson oracle here),
 so it checks the spectral representation, not the CDF.  That evaluator's
@@ -15,12 +17,15 @@ expressions over all rows, the reference for their row-chunked versions.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from chanauth import channel as chan
-from chanauth.channel import ChannelParams, SpatialMode
+from chanauth import detect
+from chanauth.channel import ChannelParams, SpatialMode, TapState
 from chanauth.detect import Regime, TestConfig, threshold_for
+from chanauth.harness import _BLOCK_ELEMENTS, regime_forms
 from chanauth.numerics import RngStream, generalized_chi2_cdf
 
 
@@ -99,7 +104,7 @@ def empirical_difference_covariances(
         ref = chan.sample_response(zero, state, params, rng)
         state = chan.step_taps(state, params.a, rng)
         probe_a = chan.sample_response(zero, state, params, rng)
-        eve = chan.eve_variation(state, rng, params)
+        eve = eve_variation(state, rng, params)
         probe_e = chan.sample_response(zero, eve, params, rng)
         d_a = probe_a - ref
         d_e = probe_e - ref
@@ -107,6 +112,90 @@ def empirical_difference_covariances(
         acc_g += d_e.T @ d_e.conj()
         done += n
     return acc_r / snapshots, acc_g / snapshots
+
+
+def eve_variation(alice_state: TapState, rng: RngStream, params: ChannelParams) -> TapState:
+    """The spoofer's tap state under ``params.spatial_mode``.
+
+    INDEPENDENT draws a fresh stationary realization with the same profile;
+    FULLY_CORRELATED shares the identical amplitudes, so the two variable
+    parts coincide sample-for-sample.
+    """
+    if params.spatial_mode is SpatialMode.FULLY_CORRELATED:
+        return alice_state
+    batch = None if alice_state.amps.ndim == 1 else alice_state.amps.shape[0]
+    return chan.init_taps(alice_state, rng, batch=batch)
+
+
+@dataclass(frozen=True)
+class ErrorRates:
+    """Empirical false-alarm and miss rates with binomial standard errors."""
+
+    alpha_hat: float
+    beta_hat: float
+    alpha_se: float
+    beta_se: float
+    trials: int
+
+
+def simulate_error_rates(
+    hbar_a: np.ndarray,
+    hbar_e: np.ndarray,
+    params: ChannelParams,
+    cfg: TestConfig,
+    trials: int,
+    rng: RngStream,
+    include_h0: bool = True,
+    include_h1: bool = True,
+) -> ErrorRates:
+    """End-to-end empirical error rates from precomputed fixed responses.
+
+    Every trial probes the channel at k-1 (the stored reference), steps the
+    taps once, and scores both the legitimate probe and the spoofed probe
+    at k with the configured statistic.  Trials run in blocks of
+    _BLOCK_ELEMENTS / M, each through the plain generator stages on
+    block-sized arrays, so memory stays bounded however many trials are
+    asked for.  A skipped hypothesis (include_h0/include_h1) reports nan
+    for its rate.  With include_h1=False on a zero fixed response it draws
+    exactly what harness.simulate_error_rates draws.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not (include_h0 or include_h1):
+        raise ValueError("at least one hypothesis must be simulated")
+    hbar_a = np.asarray(hbar_a, dtype=complex)
+    hbar_e = np.asarray(hbar_e, dtype=complex)
+    r, _, threshold = regime_forms(params, cfg)
+    profile = chan.build_delay_profile(params)
+    # Stepping the legitimate taps only matters when its k-probe is scored
+    # or when the spoofer shares the variation.
+    need_step = include_h0 or params.spatial_mode is SpatialMode.FULLY_CORRELATED
+
+    block = max(1, _BLOCK_ELEMENTS // params.M)
+    false_alarms = 0
+    misses = 0
+    for start in range(0, trials, block):
+        state = chan.init_taps(profile, rng, batch=min(block, trials - start))
+        ref = chan.sample_response(hbar_a, state, params, rng)
+        if need_step:
+            state = chan.step_taps(state, params.a, rng)
+        if include_h0:
+            z0 = detect.statistic_batch(chan.sample_response(hbar_a, state, params, rng) - ref, r)
+            false_alarms += int(np.count_nonzero(z0 > threshold))
+        if include_h1:
+            eve_state = eve_variation(state, rng, params)
+            z1 = detect.statistic_batch(chan.sample_response(hbar_e, eve_state, params, rng) - ref, r)
+            misses += int(np.count_nonzero(z1 <= threshold))
+
+    a_hat = false_alarms / trials if include_h0 else math.nan
+    b_hat = misses / trials if include_h1 else math.nan
+    return ErrorRates(
+        alpha_hat=a_hat,
+        beta_hat=b_hat,
+        alpha_se=math.sqrt(max(a_hat * (1 - a_hat), 1.0 / trials) / trials),
+        beta_se=math.sqrt(max(b_hat * (1 - b_hat), 1.0 / trials) / trials),
+        trials=trials,
+    )
 
 
 def long_line_tone_covariance(params: ChannelParams, truncation: float = 1e-6):

@@ -36,8 +36,9 @@ from chanauth.numerics import (
     noncentral_chi2_cdf,
     sample_complex_gaussian,
 )
-from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, fixed_response, rms_gain
+from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, response_matrix, rms_gain
 
+import _oracles
 from _oracles import dense_covariance_G, dense_covariance_R, empirical_difference_covariances, relative_frobenius
 
 TestConfig.__test__ = False
@@ -56,7 +57,6 @@ def test_criterion_1_size_calibration():
     """False-alarm rate within [0.007, 0.013] over 1e5 trials for 12
     parameter combinations (M x B_c x b_T grid).  Budget: 2 min."""
     budget = LinkBudget(P_T=10.0)
-    alice = (2.0, 2.0, 1.0)
     results = []
     for M in (5, 10):
         for Bc in (0.0, 2e6, math.inf):
@@ -72,11 +72,8 @@ def test_criterion_1_size_calibration():
                     sigma_T=sigma_T_from_bT(b_T, gain),
                     sigma_N2=noise_variance(budget, M),
                 )
-                h = fixed_response(SCENE, alice, BOB, params)
                 cfg = TestConfig(alpha=ALPHA, regime=Regime.GENERAL)
-                rates = simulate_error_rates(
-                    h, h, params, cfg, trials=100_000, rng=RngStream(1000 + M, int(b_T * 2)), include_h1=False
-                )
+                rates = simulate_error_rates(params, cfg, trials=100_000, rng=RngStream(1000 + M, int(b_T * 2)))
                 results.append((M, Bc, b_T, rates.alpha_hat))
                 assert 0.007 <= rates.alpha_hat <= 0.013, (M, Bc, b_T, rates.alpha_hat)
     worst = max(results, key=lambda r: abs(r[3] - ALPHA))
@@ -132,11 +129,12 @@ def test_criterion_3_closed_form_vs_simulation():
             sigma_T=sigma_T_from_bT(case["b_T"], gain),
             sigma_N2=noise_variance(LinkBudget(P_T=case["P_T"]), case["M"]),
         )
-        ha = fixed_response(SCENE, alice, BOB, params)
-        he = fixed_response(SCENE, case["eve"], BOB, params)
+        ha, he = response_matrix(SCENE, [alice, case["eve"]], BOB, params)
         closed = miss_rate_low_bc(ALPHA, params, ha, he)
         cfg = TestConfig(alpha=ALPHA, regime=Regime.GENERAL)
-        rates = simulate_error_rates(ha, he, params, cfg, trials=100_000, rng=RngStream(1100 + i), include_h0=False)
+        rates = _oracles.simulate_error_rates(
+            ha, he, params, cfg, trials=100_000, rng=RngStream(1100 + i), include_h0=False
+        )
         assert abs(rates.beta_hat - closed) < 0.01, (i, closed, rates.beta_hat)
         print(f"criterion 3 set {i}: closed={closed:.4f} simulated={rates.beta_hat:.4f} (|diff| < 0.01)")
     print("criterion 3 PASS: 5/5 sets within 0.01 absolute")

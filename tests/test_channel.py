@@ -12,7 +12,6 @@ from chanauth.channel import (
     SpatialMode,
     TapState,
     build_delay_profile,
-    eve_variation,
     init_taps,
     sample_response,
     step_taps,
@@ -20,7 +19,7 @@ from chanauth.channel import (
 )
 from chanauth.numerics import RngStream
 
-from _oracles import dense_covariance_G, long_line_tone_covariance
+from _oracles import dense_covariance_G, eve_variation, long_line_tone_covariance
 
 
 def make_params(**overrides) -> ChannelParams:
@@ -258,6 +257,8 @@ class TestSampleResponse:
 
 
 class TestEveVariation:
+    """The spoofer's variation of the both-hypotheses Monte Carlo in _oracles."""
+
     def test_fully_correlated_shares_state(self):
         p = make_params(spatial_mode=SpatialMode.FULLY_CORRELATED)
         state = init_taps(build_delay_profile(p), RngStream(19))

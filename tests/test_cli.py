@@ -63,6 +63,17 @@ seed = 3
 OFF_AXIS = {"time_invariant": {"sweep.param": "W", "sweep.values": "5e6 1e7"}}
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# The threshold is this pair's noncentrality, so the CDF sits at the mean of
+# a Poisson mixture far past 2^20 terms (x/2 ~ 5.2e19).
+TERM_CAP = {
+    "test.regime": "time_invariant",
+    "test.threshold_override": "1.043219786681157e20",
+    "budget.P_T": "1e20",
+    "grid.counts": "2 1",
+    "sweep.param": "P_T",
+    "sweep.values": "1e20",
+}
+
 
 def write_cfg(tmp_path, text=BASE, name="exp.cfg", **overrides):
     parser = configparser.ConfigParser(interpolation=None)
@@ -384,7 +395,7 @@ class TestValidateMatchesRun:
         ],
     )
     def test_huge_carrier_frequency(self, tmp_path, capsys, f0, beta_bar):
-        # Path phases reach ~1e93 rad, far past numerics.cis's exact range
+        # Path phases reach ~1e93 rad, far past numerics._cos_sin's exact range
         # reduction, where it hands them to np.exp.  beta_bar are the values
         # of the trace that took every path phasor as np.exp(1j * phase).
         path = write_cfg(tmp_path, **{"channel.f0": f0})
@@ -394,19 +405,7 @@ class TestValidateMatchesRun:
         assert [float(row["beta_bar"]) for row in rows] == pytest.approx(beta_bar, rel=1e-12, abs=0.0)
 
     def test_noncentral_cdf_past_its_term_cap(self, tmp_path, capsys):
-        # The threshold is this pair's noncentrality, so the CDF sits at the
-        # mean of a Poisson mixture far past 2^20 terms (x/2 ~ 5.2e19).
-        path = write_cfg(
-            tmp_path,
-            **{
-                "test.regime": "time_invariant",
-                "test.threshold_override": "1.043219786681157e20",
-                "budget.P_T": "1e20",
-                "grid.counts": "2 1",
-                "sweep.param": "P_T",
-                "sweep.values": "1e20",
-            },
-        )
+        path = write_cfg(tmp_path, **TERM_CAP)
         assert validate(path) == []
         assert run(path, tmp_path / "out") == EXIT_OK, capsys.readouterr().err
         rows, _ = read_outputs(tmp_path / "out")

@@ -25,6 +25,7 @@ from chanauth.detect import (
 from chanauth.harness import (
     LinkBudget,
     SweepAxis,
+    _BLOCK_ELEMENTS,
     _select_pairs,
     _unrank_pairs,
     apply_sweep_value,
@@ -39,8 +40,9 @@ from chanauth.harness import (
     simulate_error_rates,
 )
 from chanauth.numerics import NotPositiveDefiniteError, RngStream, chi2_inv
-from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, fixed_response, grid_positions, response_matrix, rms_gain
+from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, grid_positions, response_matrix, rms_gain
 
+import _oracles
 from _oracles import (
     asymptotic_G_high_bc,
     asymptotic_R_high_bc,
@@ -134,7 +136,7 @@ class TestPairMissRate:
         # Same position, no variation, equal weights: miss rate is 1 - alpha.
         p = make_params(sigma_T=0.0, sigma_N2=1e-11)
         cfg = TestConfig(alpha=0.01)
-        ha = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
+        ha = response_matrix(SCENE, [(2.0, 2.0, 1.0)], BOB, p)[0]
         beta = miss_rate_for_pair(ha, ha, p, cfg)
         assert beta == pytest.approx(0.99, abs=1e-9)
 
@@ -142,8 +144,7 @@ class TestPairMissRate:
         budget = LinkBudget(P_T=1e6)
         p = make_params(sigma_T=0.0, sigma_N2=noise_variance(budget, 10))
         cfg = TestConfig(alpha=0.01)
-        ha = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
-        he = fixed_response(SCENE, (7.0, 5.5, 1.0), BOB, p)
+        ha, he = response_matrix(SCENE, [(2.0, 2.0, 1.0), (7.0, 5.5, 1.0)], BOB, p)
         beta = miss_rate_for_pair(ha, he, p, cfg)
         assert beta < 1e-6
 
@@ -153,7 +154,7 @@ class TestPairMissRate:
         p = make_params(sigma_T=0.0, sigma_N2=1e-11)
         alice, eve = (2.0, 2.0, 1.0), (2.4, 2.0, 1.0)
         cfg = TestConfig(alpha=0.01)
-        ha, he = fixed_response(SCENE, alice, BOB, p), fixed_response(SCENE, eve, BOB, p)
+        ha, he = response_matrix(SCENE, [alice, eve], BOB, p)
         b1 = miss_rate_for_pair(ha, he, p, cfg)
         b2 = miss_rate_for_pair(ha, he, replace(p, Bc=0.0), cfg)
         assert b1 == b2
@@ -340,71 +341,74 @@ class TestRegimeForms:
 class TestSimulateErrorRates:
     def test_size_calibration_single_case(self):
         p = make_params(Bc=2e6, sigma_T=2e-6, sigma_N2=1e-11)
-        h = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
         cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
-        rates = simulate_error_rates(h, h, p, cfg, trials=100_000, rng=RngStream(70), include_h1=False)
+        rates = simulate_error_rates(p, cfg, trials=100_000, rng=RngStream(70))
         assert 0.007 <= rates.alpha_hat <= 0.013
-        assert math.isnan(rates.beta_hat)
+
+    @pytest.mark.parametrize("mode", list(SpatialMode), ids=lambda m: m.value)
+    def test_matches_oracle_bit_for_bit(self, mode):
+        # The calibration draws what the both-hypotheses oracle draws under
+        # H0 alone: taps, reference noise, one step and probe noise per block
+        # (three blocks here, the last one short).
+        p = make_params(M=7, Bc=2e6, sigma_T=0.8, sigma_N2=0.3, spatial_mode=mode)
+        cfg = TestConfig(alpha=0.2, regime=Regime.GENERAL)
+        zero = np.zeros(p.M, dtype=complex)
+        trials = 2 * (_BLOCK_ELEMENTS // p.M) + 100
+        rates = simulate_error_rates(p, cfg, trials, RngStream(77))
+        oracle = _oracles.simulate_error_rates(zero, zero, p, cfg, trials, RngStream(77), include_h1=False)
+        assert 0.0 < rates.alpha_hat < 1.0
+        assert (rates.alpha_hat, rates.alpha_se, rates.trials) == (oracle.alpha_hat, oracle.alpha_se, oracle.trials)
 
     def test_fully_correlated_self_spoof(self):
         # A spoofer sharing both position and variation is accepted at 1 - alpha.
         p = make_params(Bc=2e6, sigma_T=2e-6, sigma_N2=1e-11, spatial_mode=SpatialMode.FULLY_CORRELATED)
-        h = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
+        h = response_matrix(SCENE, [(2.0, 2.0, 1.0)], BOB, p)[0]
         cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
-        rates = simulate_error_rates(h, h, p, cfg, trials=50_000, rng=RngStream(71), include_h0=False)
+        rates = _oracles.simulate_error_rates(h, h, p, cfg, trials=50_000, rng=RngStream(71), include_h0=False)
         assert rates.beta_hat == pytest.approx(0.99, abs=3 * rates.beta_se + 1e-3)
 
     def test_matches_closed_form(self):
         budget = LinkBudget(P_T=100.0)
         p = make_params(Bc=0.0, M=5, sigma_T=2e-6, sigma_N2=noise_variance(budget, 5))
-        ha = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
-        he = fixed_response(SCENE, (2.6, 2.2, 1.0), BOB, p)
+        ha, he = response_matrix(SCENE, [(2.0, 2.0, 1.0), (2.6, 2.2, 1.0)], BOB, p)
         cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
-        rates = simulate_error_rates(ha, he, p, cfg, trials=100_000, rng=RngStream(72), include_h0=False)
+        rates = _oracles.simulate_error_rates(ha, he, p, cfg, trials=100_000, rng=RngStream(72), include_h0=False)
         assert abs(rates.beta_hat - miss_rate_low_bc(0.01, p, ha, he)) < 0.01
 
     def test_empirical_wrapper(self):
-        # One room pair end to end: traced fixed responses, then the simulation.
+        # One room pair end to end through the oracle: traced fixed
+        # responses, then both hypotheses simulated.
         p = make_params(sigma_T=1e-6, sigma_N2=1e-11)
         cfg = TestConfig(alpha=0.05, regime=Regime.GENERAL)
-        ha = fixed_response(SCENE, (2.0, 2.0, 1.0), BOB, p)
-        he = fixed_response(SCENE, (3.0, 3.0, 1.0), BOB, p)
-        rates = simulate_error_rates(ha, he, p, cfg, 5000, RngStream(73))
+        ha, he = response_matrix(SCENE, [(2.0, 2.0, 1.0), (3.0, 3.0, 1.0)], BOB, p)
+        rates = _oracles.simulate_error_rates(ha, he, p, cfg, 5000, RngStream(73))
         assert 0.0 <= rates.alpha_hat <= 1.0
         assert 0.0 <= rates.beta_hat <= 1.0
 
     def test_working_memory_is_bounded(self):
         # room_grid's calibration (M = 20, one tap): every array it holds is
-        # one trial block's, whether it scores H0 alone or both hypotheses,
-        # so the peak stays under one and a half (4000 x M) complex arrays
-        # and does not grow with the trial count.
+        # one trial block's, so the peak stays under one and a half
+        # (4000 x M) complex arrays and does not grow with the trial count.
         budget = LinkBudget(P_T=100.0)
         p = make_params(W=2e7, M=20, Bc=math.inf, sigma_T=0.0, sigma_N2=noise_variance(budget, 20))
         cfg = TestConfig(alpha=0.01)
-        h = np.linspace(0.0, 1.0, p.M) + 0.5j
 
-        def peak(trials: int, include_h1: bool) -> int:
+        def peak(trials: int) -> int:
             tracemalloc.start()
             try:
-                simulate_error_rates(h, h[::-1], p, cfg, trials, RngStream(75), include_h1=include_h1)
+                simulate_error_rates(p, cfg, trials, RngStream(75))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(100, True)  # first-call caches (FFT plans) out of the measurement
-        for include_h1 in (False, True):
-            small, large = peak(4000, include_h1), peak(40_000, include_h1)
-            assert small < 1.5 * 4000 * p.M * 16, include_h1  # 1.92 MB; one (4000 x M) complex array is 1.28 MB
-            assert large <= small + 4000, include_h1  # no growth with the trial count
+        peak(100)  # first-call caches (FFT plans) out of the measurement
+        small, large = peak(4000), peak(40_000)
+        assert small < 1.5 * 4000 * p.M * 16  # 1.92 MB; one (4000 x M) complex array is 1.28 MB
+        assert large <= small + 4000  # no growth with the trial count
 
     def test_input_validation(self):
-        p = make_params()
-        h = np.zeros(p.M, dtype=complex)
-        cfg = TestConfig(alpha=0.01)
         with pytest.raises(ValueError):
-            simulate_error_rates(h, h, p, cfg, trials=0, rng=RngStream(0))
-        with pytest.raises(ValueError):
-            simulate_error_rates(h, h, p, cfg, trials=10, rng=RngStream(0), include_h0=False, include_h1=False)
+            simulate_error_rates(make_params(), TestConfig(alpha=0.01), trials=0, rng=RngStream(0))
 
 
 class TestFalseAlarmRate:
@@ -442,8 +446,7 @@ class TestFalseAlarmRate:
         cfg = TestConfig(alpha=0.01, regime=Regime.UNKNOWN, threshold_override=40.0)
         exact = false_alarm_rate(p, cfg)
         assert exact == pytest.approx(size, abs=5e-5)
-        h = np.zeros(p.M, dtype=complex)
-        rates = simulate_error_rates(h, h, p, cfg, trials=40_000, rng=RngStream(76), include_h1=False)
+        rates = simulate_error_rates(p, cfg, trials=40_000, rng=RngStream(76))
         assert abs(rates.alpha_hat - exact) <= 4.0 * rates.alpha_se
 
 

@@ -272,6 +272,14 @@ class TestSampling:
             sample_complex_gaussian(RngStream(1), variance, size=2)
 
 
+def cos_sin(theta) -> np.ndarray:
+    """numerics._cos_sin of a copy of ``theta``, as e^{i theta}."""
+    theta = np.array(theta, dtype=float)
+    out = np.empty(theta.shape, dtype=complex)
+    numerics._cos_sin(theta, out.real, out.imag, np.empty((numerics._CIS_WORK, *theta.shape)))
+    return out
+
+
 class TestCis:
     def test_split_of_the_table_step(self):
         # Two 21-bit leading parts (n * part exact for |n| <= 2^32) and a
@@ -288,7 +296,7 @@ class TestCis:
         theta = np.random.default_rng(int(scale) % 97).uniform(-scale, scale, 200_000)
         theta[:4] = [0.0, -0.0, np.nextafter(scale, 0.0), -np.nextafter(scale, 0.0)]
         theta = theta[np.abs(theta) < numerics._CIS_LIMIT]
-        z = numerics.cis(theta)
+        z = cos_sin(theta)
         exact = theta.astype(np.longdouble)
         assert np.max(np.abs(z.real - np.cos(exact))) <= 2.5e-16
         assert np.max(np.abs(z.imag - np.sin(exact))) <= 2.5e-16
@@ -309,22 +317,10 @@ class TestCis:
         # Near and far elements mixed in one call; both sides agree to a few
         # ulp of theta (np.exp reduces theta exactly) and both are unit phasors.
         theta = np.array(theta)
-        z = numerics.cis(theta)
+        z = cos_sin(theta)
         assert z.shape == theta.shape and np.all(np.isfinite(z))
         assert np.all(np.abs(np.abs(z) - 1.0) <= 4e-16)
         assert np.all(np.abs(z - np.exp(1j * theta)) <= 4.0 * np.spacing(np.abs(theta)) + 2.5e-16)
-
-    def test_shapes(self):
-        assert np.ndim(numerics.cis(0.5)) == 0 and abs(numerics.cis(0.5) - np.exp(0.5j)) <= 2.5e-16
-        assert numerics.cis(np.zeros((3, 4))).shape == (3, 4)
-        assert numerics.cis(np.zeros(0)).shape == (0,)
-        theta = np.linspace(-10.0, 10.0, 12)
-        assert np.array_equal(numerics.cis(theta.reshape(3, 4)), numerics.cis(theta).reshape(3, 4))
-
-    def test_input_is_not_modified(self):
-        theta = np.array([1.0, 1e30, 3.0])
-        numerics.cis(theta)
-        assert theta.tolist() == [1.0, 1e30, 3.0]
 
 
 def test_gauss_legendre_constants_are_leggauss():

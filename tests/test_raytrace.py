@@ -18,7 +18,6 @@ from chanauth.raytrace import (
     RoomScene,
     RoomTrace,
     _block_rows,
-    fixed_response,
     grid_positions,
     image_sources,
     response_matrix,
@@ -124,7 +123,7 @@ class TestFixedResponse:
         scene = RoomScene(max_order=0, amplitude_scale=1.0)
         tx, rx = (2.0, 2.0, 1.0), (5.0, 6.0, 1.0)
         p = make_params(M=4)
-        h = fixed_response(scene, tx, rx, p)
+        h = response_matrix(scene, [tx], rx, p)[0]
         d = np.linalg.norm(np.subtract(tx, rx))
         tones = p.f0 - p.W / 2 + np.arange(1, p.M + 1) * p.delta_f
         expected = np.exp(-2j * np.pi * tones * d / scene.c) / d
@@ -134,13 +133,13 @@ class TestFixedResponse:
         scene = RoomScene()
         p = make_params()
         a, b = (2.0, 2.5, 1.0), (7.0, 5.0, 2.0)
-        assert np.abs(fixed_response(scene, a, b, p) - fixed_response(scene, b, a, p)).max() < 1e-12
+        assert np.abs(response_matrix(scene, [a], b, p)[0] - response_matrix(scene, [b], a, p)[0]).max() < 1e-12
 
     def test_first_order_against_mirror_sum(self):
         scene = RoomScene(max_order=1, amplitude_scale=1.0)
         tx, rx = (3.0, 2.0, 1.0), (6.0, 5.0, 2.0)
         p = make_params(M=6)
-        h = fixed_response(scene, tx, rx, p)
+        h = response_matrix(scene, [tx], rx, p)[0]
         tones = p.f0 - p.W / 2 + np.arange(1, p.M + 1) * p.delta_f
         expected = np.zeros(p.M, dtype=complex)
         for coords, bounces in brute_force_images(scene, rx):
@@ -151,14 +150,14 @@ class TestFixedResponse:
     def test_rejects_coincident_endpoints(self):
         scene = RoomScene(max_order=0)
         with pytest.raises(ValueError):
-            fixed_response(scene, (2.0, 2.0, 1.0), (2.0, 2.0, 1.0), make_params())
+            response_matrix(scene, [(2.0, 2.0, 1.0)], (2.0, 2.0, 1.0), make_params())
 
     def test_rejects_outside_positions(self):
         scene = RoomScene()
         with pytest.raises(ValueError):
-            fixed_response(scene, (-1.0, 2.0, 1.0), (5.0, 5.0, 1.0), make_params())
+            response_matrix(scene, [(-1.0, 2.0, 1.0)], (5.0, 5.0, 1.0), make_params())
         with pytest.raises(ValueError):
-            fixed_response(scene, (1.0, 2.0, 1.0), (5.0, 9.0, 1.0), make_params())
+            response_matrix(scene, [(1.0, 2.0, 1.0)], (5.0, 9.0, 1.0), make_params())
 
     def test_names_first_outside_transmitter(self):
         block = _block_rows(len(image_sources(RoomScene(), (5.0, 5.0, 1.0))[0]))
@@ -180,7 +179,7 @@ class TestFixedResponse:
         batch = response_matrix(scene, txs, rx, p)
         assert batch.shape == (n_tx, p.M)
         for i, tx in enumerate(txs):
-            assert np.array_equal(batch[i], fixed_response(scene, tx, rx, p))
+            assert np.array_equal(batch[i], response_matrix(scene, [tx], rx, p)[0])
 
     def test_work_arrays_are_bounded_by_one_block(self):
         p = make_params(M=20)
@@ -256,7 +255,7 @@ class TestRoomAverageGain:
         total = 0.0
         count = 0
         for pt in grid_positions(grid):
-            h = fixed_response(scene, pt, bob, p)
+            h = response_matrix(scene, [pt], bob, p)[0]
             for m in range(p.M):
                 total += abs(h[m]) ** 2
                 count += 1
@@ -384,12 +383,12 @@ class TestPhysicalPremises:
             ])
             theta = 2 * np.pi * gen.random()
             direction = np.array([np.cos(theta), np.sin(theta), 0.0])
-            h0 = fixed_response(scene, base, bob, p)
+            h0 = response_matrix(scene, [base], bob, p)[0]
             for delta in corrs:
                 shifted = base + delta * direction
                 if not np.all((shifted > 0) & (shifted < scene.dimensions)):
                     continue
-                h1 = fixed_response(scene, shifted, bob, p)
+                h1 = response_matrix(scene, [shifted], bob, p)[0]
                 c = abs(np.vdot(h0, h1)) / (np.linalg.norm(h0) * np.linalg.norm(h1))
                 corrs[delta].append(c)
         m1, m2, m3 = (np.median(corrs[d]) for d in (1e-3, lam / 2, 2 * lam))
@@ -398,5 +397,5 @@ class TestPhysicalPremises:
     def test_frequency_selectivity(self):
         scene = RoomScene()
         p = make_params(W=1e8, M=32)
-        mags = np.abs(fixed_response(scene, (2.5, 3.0, 1.0), (8.0, 6.0, 2.0), p))
+        mags = np.abs(response_matrix(scene, [(2.5, 3.0, 1.0)], (8.0, 6.0, 2.0), p)[0])
         assert mags.max() / mags.min() > 1.1
