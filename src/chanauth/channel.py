@@ -3,6 +3,7 @@
 The per-tone response at probe k is the sum of a fixed location-specific
 part, a zero-mean variable part produced by an AR(1) tapped delay line with
 a one-sided exponential delay profile, and fresh receiver noise.  The
+fixed part is the ray tracer's; this module draws the other two.  The
 spoofer's variable part is either independent of the legitimate one or
 identical to it (the two spatial-correlation extremes); ChannelParams'
 spatial_mode records which, and it selects the covariance G of the
@@ -153,18 +154,13 @@ def taps_to_frequency(state: TapState, params: ChannelParams) -> np.ndarray:
     return np.matmul(amps.view(float), basis).view(complex)
 
 
-def sample_response(fixed: np.ndarray, state: TapState, params: ChannelParams, rng: RngStream) -> np.ndarray:
-    """One noisy probe: fixed part + variable part + fresh CN(0, sigma_N^2) noise.
+def sample_response(state: TapState, params: ChannelParams, rng: RngStream) -> np.ndarray:
+    """A probe's random part: the variable part plus fresh CN(0, sigma_N^2) noise.
 
-    ``fixed`` is the length-M fixed response; the probe has shape
-    state.amps.shape[:-1] + (M,).  Noise is drawn anew on every call; a
-    stored reference is always a noisy observation, never the clean response.
+    The probe has shape state.amps.shape[:-1] + (M,); the fixed response,
+    which every difference of two probes of one transmitter cancels, is
+    left out.  Noise is drawn anew on every call.
     """
-    fixed = np.asarray(fixed, dtype=complex)
-    if fixed.shape[-1] != params.M:
-        raise ValueError(f"fixed response has length {fixed.shape[-1]}, expected M={params.M}")
     probe = taps_to_frequency(state, params)
-    probe += fixed
     probe += sample_complex_gaussian(rng, params.sigma_N2, size=probe.shape)
     return probe
-

@@ -111,6 +111,13 @@ class ExperimentConfig:
 # otherwise overflow float64 in the middle of a run.
 _MAGNITUDE_RANGE = (1e-100, 1e100)
 
+# The calibration's cost per trial x tone, an upper envelope of what README
+# ("Limits") measured: 260 ns plus 7 ns per folded tap.  validate rejects a
+# run.trials whose calibration would take longer than an hour.  Integers, so
+# the prediction is exact however large the config's integers are.
+_CALIBRATION_NS = (260, 7)
+_CALIBRATION_LIMIT_NS = 3600 * 10**9
+
 
 def _parse_float(raw: str) -> float:
     """A float ("inf" included); NaN and inf are left to the dataclass validators."""
@@ -287,6 +294,15 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
                 f"[budget]: noise variance M * kT * N_F * b / P_T = {sigma_N2:g} at M = {val_params.M}, "
                 f"P_T = {_fmt(val_budget.P_T)} is outside the supported magnitudes [{low:g}, {high:g}]"
             )
+    # Each trial draws and scores M tones through a tone product over the
+    # folded line's taps: one at B_c = inf or without variation, else M.
+    taps = 1 if params.Bc == math.inf or b_T == 0 else params.M
+    trial_ns = params.M * (_CALIBRATION_NS[0] + _CALIBRATION_NS[1] * taps)
+    if trials * trial_ns > _CALIBRATION_LIMIT_NS:
+        diags.append(
+            f"run.trials: {trials} trials at M = {params.M} ({taps} taps) would calibrate for over an hour; "
+            f"at most {_CALIBRATION_LIMIT_NS // trial_ns} fit (README, Limits)"
+        )
     if grid.n_points < 2:
         diags.append(f"grid.counts: {grid.counts[0]} x {grid.counts[1]} has fewer than 2 points, so no pair")
     dims = scene.dimensions
@@ -396,11 +412,11 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
 def _calibrate(config: ExperimentConfig, trace: RoomTrace, rng: RngStream):
     """Empirical false-alarm rate of the configured detector, and the exact one.
 
-    ``trace`` is read only for the room gain (at b_T > 0, at the base
-    tones, which the sweep already traced): the fixed response cancels
-    under H0, so the simulation needs none.  The exact size
-    (harness.false_alarm_rate) is what alpha_hat estimates; it differs
-    from the configured alpha only for the unknown detector or a
+    ``trace`` is read only for the room gain, at b_T > 0 and the base
+    tones, which that read plans if no sweep value shares them: the fixed
+    response cancels under H0, so the simulation needs none.  The exact
+    size (harness.false_alarm_rate) is what alpha_hat estimates; it
+    differs from the configured alpha only for the unknown detector or a
     threshold_override.
     """
     params = resolve_variances(trace, config.channel, config.budget, config.b_T)

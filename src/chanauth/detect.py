@@ -5,9 +5,8 @@ reference and accepts the stored transmitter iff Z <= t.  Under the null
 hypothesis (same transmitter) the whitened difference statistic is
 chi-square with 2M degrees of freedom, which fixes the threshold for a
 target false-alarm rate.  harness.miss_rates evaluates every channel's miss
-rate exactly; the closed forms here (for the channels that admit one), the
-dense statistic and the Monte Carlo evaluator are the references it is
-checked against.
+rate exactly; the closed forms here (for the channels that admit one) and
+the Monte Carlo evaluator are the references it is checked against.
 """
 
 from __future__ import annotations
@@ -43,22 +42,8 @@ class TestConfig:
             raise ValueError("threshold_override must be nonnegative")
 
 
-def statistic_general(h_now, h_ref, R) -> float:
-    """Whitened-difference statistic Z = 2 d^H R^-1 d, d = h_now - h_ref.
-
-    R is a dense M x M covariance.  Z is |sqrt(2) (R_d^H)^-1 d|^2 with R_d
-    its Cholesky factor.  Under the null hypothesis with the correct R this
-    is chi-square with 2M dof.
-    """
-    d = np.asarray(h_now, dtype=complex) - np.asarray(h_ref, dtype=complex)
-    if d.shape[-1] != len(R):
-        raise ValueError(f"difference length {d.shape[-1]} does not match R dim {len(R)}")
-    z = half_whiten(cholesky(R), d)
-    return float(np.real(np.vdot(z, z)))
-
-
 def statistic_batch(diffs: np.ndarray, r_hat: np.ndarray) -> np.ndarray:
-    """statistic_general over difference rows of shape (n, M) for a circulant R.
+    """Whitened-difference statistic Z = 2 d^H R^-1 d for rows d of shape (n, M), R circulant.
 
     R is given by its spectrum r_hat (stats.covariance_R), so the whitening
     is diagonal in DFT coordinates: Z = 2M sum |ifft(d)|^2 / r_hat.

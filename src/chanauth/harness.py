@@ -163,7 +163,7 @@ def simulate_error_rates(params: ChannelParams, cfg: TestConfig, trials: int, rn
     Every trial probes the channel at k-1 (the stored reference), steps the
     taps once, probes again at k and scores the difference with the
     configured statistic.  The fixed response cancels in that difference,
-    so the probes carry a zero one.  Trials run in blocks of
+    so only the probes' random parts are drawn.  Trials run in blocks of
     _BLOCK_ELEMENTS / M, each through the plain generator stages on
     block-sized arrays, so memory stays bounded however many trials are
     asked for.
@@ -172,15 +172,14 @@ def simulate_error_rates(params: ChannelParams, cfg: TestConfig, trials: int, rn
         raise ValueError("trials must be >= 1")
     r, _, threshold = regime_forms(params, cfg)
     profile = chan.build_delay_profile(params)
-    zero = np.zeros(params.M, dtype=complex)
 
     block = max(1, _BLOCK_ELEMENTS // params.M)
     false_alarms = 0
     for start in range(0, trials, block):
         state = chan.init_taps(profile, rng, batch=min(block, trials - start))
-        ref = chan.sample_response(zero, state, params, rng)
+        ref = chan.sample_response(state, params, rng)
         state = chan.step_taps(state, params.a, rng)
-        z = detect.statistic_batch(chan.sample_response(zero, state, params, rng) - ref, r)
+        z = detect.statistic_batch(chan.sample_response(state, params, rng) - ref, r)
         false_alarms += int(np.count_nonzero(z > threshold))
 
     a_hat = false_alarms / trials
@@ -269,11 +268,11 @@ def room_sweep(
     budget: LinkBudget,
     base_params: ChannelParams,
     cfg: TestConfig,
-    sweep_param: SweepAxis | str,
+    sweep_param: SweepAxis,
     sweep_values,
     b_T: float,
-    pair_budget: int = 2000,
-    rng: RngStream | None = None,
+    pair_budget: int,
+    rng: RngStream,
 ) -> SweepResult:
     """Room-averaged exact miss rate along one parameter axis.
 
@@ -281,29 +280,25 @@ def room_sweep(
     budget and b_T; ``base_params.sigma_T`` and ``sigma_N2`` are then
     derived per value from b_T, the room gain, and the link budget (see
     resolve_variances).  The fixed responses and the room gain come from
-    ``trace``, which is told every tone set of the sweep, and at b_T > 0
-    that of ``base_params`` (the calibration's), before the first value is
-    evaluated: each grid point is traced at most once in all for b_T, P_T,
-    B_c and spatial_mode sweeps, once for an M sweep whose tone counts share
-    a small common multiple (RoomTrace.prepare), and once per distinct value
-    otherwise.  A value asks the trace for just the rows of its sampled
-    pairs, so at b_T = 0 only those are traced.  The pair subsample is drawn
-    once from ``rng``, so every sweep value sees the same pairs; each
-    value's miss rates come from one batched miss_rates call.
+    ``trace``, which is told every tone set of the sweep before the first
+    value is evaluated: each grid point is traced at most once in all for
+    b_T, P_T, B_c and spatial_mode sweeps, once for an M sweep whose tone
+    counts share a small common multiple (RoomTrace.prepare), and once per
+    distinct value otherwise.  A value asks the trace for just the rows of
+    its sampled pairs, so at b_T = 0 only those are traced.  The pair
+    subsample is drawn once from ``rng``, so every sweep value sees the same
+    pairs; each value's miss rates come from one batched miss_rates call.
     ``std_err`` is the standard error of the room average over the sampled
     pairs.  When ``pair_budget`` covers all n (n - 1) / 2 pairs the average
     is exact, and ``std_err`` is then the spread of the per-pair miss rates
     over sqrt(pairs), not a sampling error.
     """
-    axis = SweepAxis(sweep_param) if not isinstance(sweep_param, SweepAxis) else sweep_param
     sweep_values = list(sweep_values)
     if not sweep_values:
         raise ValueError("sweep_values must be nonempty")
-    if rng is None:
-        rng = RngStream(0)
 
-    applied = [apply_sweep_value(base_params, budget, b_T, axis, value) for value in sweep_values]
-    trace.prepare(([base_params] if b_T > 0 else []) + [params for params, _, _ in applied])
+    applied = [apply_sweep_value(base_params, budget, b_T, sweep_param, value) for value in sweep_values]
+    trace.prepare([params for params, _, _ in applied])
     ii, jj = _select_pairs(len(trace.positions), pair_budget, rng.substream(1))
 
     beta_bar, std_err = [], []
@@ -315,7 +310,7 @@ def room_sweep(
         std_err.append(float(betas.std(ddof=1) / math.sqrt(len(betas))) if len(betas) > 1 else 0.0)
 
     return SweepResult(
-        swept_param=axis.value,
+        swept_param=sweep_param.value,
         values=tuple(sweep_values),
         beta_bar=tuple(beta_bar),
         std_err=tuple(std_err),

@@ -83,18 +83,16 @@ def chi2_cdf(x, k: int):
     return float(out) if out.ndim == 0 else out
 
 
-def chi2_inv(p, k: int):
+def chi2_inv(p: float, k: int) -> float:
     """Quantile of the central chi-square distribution with k dof.
 
     Defined for 0 <= p < 1; p >= 1 is a domain error (the quantile is
     infinite, and a zero false-alarm rate must be special-cased upstream).
     """
     _check_dof(k)
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0) & (p < 1)):
+    if not 0 <= p < 1:  # NaN fails too
         raise ValueError("p must lie in [0, 1)")
-    out = np.array([2.0 * _gamma_quantile(k / 2.0, q) for q in p.ravel().tolist()]).reshape(p.shape)
-    return float(out) if out.ndim == 0 else out
+    return 2.0 * _gamma_quantile(k / 2.0, p)
 
 
 def noncentral_chi2_cdf(x, k: int, mu):
@@ -679,24 +677,20 @@ class RngStream:
         return self._gen
 
 
-def sample_complex_gaussian(rng: RngStream, variance, size=None) -> np.ndarray | complex:
-    """Draw zero-mean circular complex Gaussians with E|x|^2 = variance.
+def sample_complex_gaussian(rng: RngStream, variance, size) -> np.ndarray:
+    """Draw an array of zero-mean circular complex Gaussians with E|x|^2 = variance.
 
-    ``variance`` may be an array; it broadcasts against ``size``.  A
-    negative, NaN or infinite variance raises ValueError.
+    ``variance`` may be an array; it broadcasts against ``size`` (an int
+    or a shape).  A negative, NaN or infinite variance raises ValueError.
     """
     variance = np.asarray(variance, dtype=float)
     if np.count_nonzero((variance >= 0) & (variance < np.inf)) < variance.size:  # NaN fails too
         raise ValueError("variance must be nonnegative and finite")
-    if size is None:
-        size = ()
-    elif np.isscalar(size):
-        size = (size,)
-    shape = np.broadcast_shapes(variance.shape, tuple(size))
+    shape = np.broadcast_shapes(variance.shape, size)
     g = rng.generator
     x = np.empty(shape, dtype=complex)  # filled in place: no complex temporaries
     x.real = g.standard_normal(shape)
     x.imag = g.standard_normal(shape)
     x *= np.sqrt(variance / 2.0)
-    return x if shape else complex(x)
+    return x
 

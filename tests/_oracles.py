@@ -3,11 +3,12 @@
 Everything here is deliberately written without touching the library's own
 numerics beyond the channel generator under test: Simpson integration for
 chi-square probabilities, brute-force enumerations, an extended-precision
-image-source sum, Monte Carlo covariance estimation of the
-probe-difference vectors, a Monte Carlo of both hypotheses (the spoofer
-simulated too) for the miss rates, and the dense Toeplitz covariances
-with the Cholesky/eigh miss-rate path that the library's spectral core
-replaced.
+image-source sum, the three-part probe (fixed + variable + noise) and
+with it a Monte Carlo covariance estimation of the probe-difference
+vectors and a Monte Carlo of both hypotheses (the spoofer simulated too)
+for the miss rates, and the dense Toeplitz covariances with the dense
+statistic and the Cholesky/eigh miss-rate path that the library's
+spectral core replaced.
 The dense path feeds its weights and offsets to the library's
 generalized_chi2_cdf (checked on its own against the Simpson oracle here),
 so it checks the spectral representation, not the CDF.  That evaluator's
@@ -26,7 +27,7 @@ from chanauth import detect
 from chanauth.channel import ChannelParams, SpatialMode, TapState
 from chanauth.detect import Regime, TestConfig, threshold_for
 from chanauth.harness import _BLOCK_ELEMENTS, regime_forms
-from chanauth.numerics import RngStream, generalized_chi2_cdf
+from chanauth.numerics import RngStream, cholesky, generalized_chi2_cdf, half_whiten, sample_complex_gaussian
 
 
 def chi2_pdf(x: float, k: int) -> float:
@@ -78,6 +79,22 @@ def chi2_cdf_by_integration(x: float, k: int) -> float:
     return adaptive_simpson(integrand, 0.0, math.sqrt(x))
 
 
+def sample_probe(fixed: np.ndarray, state: TapState, params: ChannelParams, rng: RngStream) -> np.ndarray:
+    """One noisy probe: fixed part + variable part + fresh CN(0, sigma_N^2) noise.
+
+    ``fixed`` is the length-M fixed response; the probe has shape
+    state.amps.shape[:-1] + (M,).  Noise is drawn anew on every call; a
+    stored reference is always a noisy observation, never the clean response.
+    """
+    fixed = np.asarray(fixed, dtype=complex)
+    if fixed.shape[-1] != params.M:
+        raise ValueError(f"fixed response has length {fixed.shape[-1]}, expected M={params.M}")
+    probe = chan.taps_to_frequency(state, params)
+    probe += fixed
+    probe += sample_complex_gaussian(rng, params.sigma_N2, size=probe.shape)
+    return probe
+
+
 def empirical_difference_covariances(
     params: ChannelParams, snapshots: int, rng: RngStream, chunk: int = 100_000
 ):
@@ -101,11 +118,11 @@ def empirical_difference_covariances(
     while done < snapshots:
         n = min(chunk, snapshots - done)
         state = chan.init_taps(profile, rng, batch=n)
-        ref = chan.sample_response(zero, state, params, rng)
+        ref = sample_probe(zero, state, params, rng)
         state = chan.step_taps(state, params.a, rng)
-        probe_a = chan.sample_response(zero, state, params, rng)
+        probe_a = sample_probe(zero, state, params, rng)
         eve = eve_variation(state, rng, params)
-        probe_e = chan.sample_response(zero, eve, params, rng)
+        probe_e = sample_probe(zero, eve, params, rng)
         d_a = probe_a - ref
         d_e = probe_e - ref
         acc_r += d_a.T @ d_a.conj()
@@ -176,15 +193,15 @@ def simulate_error_rates(
     misses = 0
     for start in range(0, trials, block):
         state = chan.init_taps(profile, rng, batch=min(block, trials - start))
-        ref = chan.sample_response(hbar_a, state, params, rng)
+        ref = sample_probe(hbar_a, state, params, rng)
         if need_step:
             state = chan.step_taps(state, params.a, rng)
         if include_h0:
-            z0 = detect.statistic_batch(chan.sample_response(hbar_a, state, params, rng) - ref, r)
+            z0 = detect.statistic_batch(sample_probe(hbar_a, state, params, rng) - ref, r)
             false_alarms += int(np.count_nonzero(z0 > threshold))
         if include_h1:
             eve_state = eve_variation(state, rng, params)
-            z1 = detect.statistic_batch(chan.sample_response(hbar_e, eve_state, params, rng) - ref, r)
+            z1 = detect.statistic_batch(sample_probe(hbar_e, eve_state, params, rng) - ref, r)
             misses += int(np.count_nonzero(z1 <= threshold))
 
     a_hat = false_alarms / trials if include_h0 else math.nan
@@ -279,6 +296,20 @@ def asymptotic_G_high_bc(params: ChannelParams) -> np.ndarray:
     m = params.M
     g = 2.0 * params.sigma_N2 * np.eye(m) + 2.0 * params.sigma_T**2 * np.ones((m, m))
     return g.astype(complex)
+
+
+def statistic_general(h_now, h_ref, R) -> float:
+    """Whitened-difference statistic Z = 2 d^H R^-1 d, d = h_now - h_ref.
+
+    R is a dense M x M covariance.  Z is |sqrt(2) (R_d^H)^-1 d|^2 with R_d
+    its Cholesky factor.  Under the null hypothesis with the correct R this
+    is chi-square with 2M dof.
+    """
+    d = np.asarray(h_now, dtype=complex) - np.asarray(h_ref, dtype=complex)
+    if d.shape[-1] != len(R):
+        raise ValueError(f"difference length {d.shape[-1]} does not match R dim {len(R)}")
+    z = half_whiten(cholesky(R), d)
+    return float(np.real(np.vdot(z, z)))
 
 
 def dense_regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray, float]:

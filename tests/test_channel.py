@@ -231,29 +231,25 @@ class TestTapsToFrequency:
 
 class TestSampleResponse:
     def test_noiseless_static_equals_fixed(self):
+        # Without variation or noise the random part is exactly zero, so a
+        # probe is its fixed response.
         p = make_params(sigma_T=0.0, sigma_N2=0.0)
-        fixed = np.arange(1, p.M + 1) + 1j
-        resp = sample_response(fixed, build_delay_profile(p), p, RngStream(13))
-        assert np.array_equal(resp, fixed)
+        resp = sample_response(build_delay_profile(p), p, RngStream(13))
+        assert resp.shape == (p.M,) and np.all(resp == 0)
 
     def test_noise_moment(self):
         p = make_params(sigma_T=0.0, sigma_N2=0.3, M=2)
         state = init_taps(build_delay_profile(p), RngStream(14), batch=500_000)
-        resp = sample_response(np.zeros(p.M), state, p, RngStream(15))
+        resp = sample_response(state, p, RngStream(15))
         var = np.mean(np.abs(resp) ** 2, axis=0)
         assert np.allclose(var, p.sigma_N2, rtol=0.01)
 
     def test_total_variance(self):
         p = make_params(sigma_T=0.7, sigma_N2=0.2)
         state = init_taps(build_delay_profile(p), RngStream(16), batch=100_000)
-        resp = sample_response(np.zeros(p.M), state, p, RngStream(17))
+        resp = sample_response(state, p, RngStream(17))
         var = np.mean(np.abs(resp) ** 2, axis=0)
         assert np.allclose(var, p.sigma_T**2 + p.sigma_N2, rtol=0.02)
-
-    def test_length_mismatch(self):
-        p = make_params()
-        with pytest.raises(ValueError):
-            sample_response(np.zeros(p.M + 1), build_delay_profile(p), p, RngStream(18))
 
 
 class TestEveVariation:

@@ -4,6 +4,7 @@ import configparser
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanauth import cli, raytrace
+from chanauth.channel import build_delay_profile
 from chanauth.cli import _SCHEMA, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, PRESETS, REGIME_NAMES, load_config, main, run, validate
 from chanauth.detect import Regime
-from chanauth.harness import SweepAxis, apply_sweep_value
+from chanauth.harness import SweepAxis, apply_sweep_value, resolve_variances
 
 BASE = """
 [scene]
@@ -73,6 +75,10 @@ TERM_CAP = {
     "sweep.param": "P_T",
     "sweep.values": "1e20",
 }
+
+
+# validate accepts these though their runs cannot finish (ROADMAP item 16).
+UNBOUNDED = pytest.mark.xfail(strict=True, reason="validate does not bound this size yet")
 
 
 def write_cfg(tmp_path, text=BASE, name="exp.cfg", **overrides):
@@ -322,6 +328,13 @@ class TestValidateMatchesRun:
             ({"budget.kT": "1e-100", "budget.N_F": "1e-100", "budget.b": "1e-100", "budget.P_T": "1e100"}, "[budget]"),
             ({"sweep.param": "b_T", "sweep.values": "-0.1 0.5"}, "sweep.values"),
             ({"sweep.param": "b_T", "sweep.values": "0.5 inf"}, "sweep.values"),
+            # A calibration of 1e12 trials at M = 5 would run for weeks.
+            ({"run.trials": "1000000000000"}, "run.trials"),
+            # Sizes validate does not bound yet: a 1e10-point grid, a line of
+            # 1e7 tones, and ~5e6 image sources.
+            pytest.param({"grid.counts": "100000 100000", "grid.spacing": "0.00004"}, "grid.counts", marks=UNBOUNDED),
+            pytest.param({"channel.M": "10000000"}, "channel.M", marks=UNBOUNDED),
+            pytest.param({"scene.max_order": "200"}, "scene.max_order", marks=UNBOUNDED),
         ],
     )
     def test_unrunnable_values_fail_validation(self, tmp_path, capsys, overrides, key):
@@ -447,6 +460,38 @@ class TestValidateMatchesRun:
         assert rc == EXIT_OK, capsys.readouterr().err
         rows, _ = read_outputs(tmp_path / "out")
         assert all(abs(float(row["beta_bar"]) - 1.0) <= 1e-13 for row in rows), rows
+
+    @pytest.mark.xfail(strict=True, reason="the contour's cost is unbounded near the mean (ROADMAP item 13)")
+    def test_threshold_at_the_mean_of_a_huge_offset(self, tmp_path, capsys, time_limit):
+        # The threshold is this pair's mean Z: the contour's panels follow
+        # x and the offsets, not their difference, so the run never ends.
+        overrides = {
+            "test.regime": "general",
+            "budget.P_T": "1e12",
+            "grid.counts": "2 1",
+            "sweep.values": "1e-6",
+            "test.threshold_override": "1027787308701.9921",
+        }
+        path = write_cfg(tmp_path, **overrides)
+        assert validate(path) == []
+        with time_limit(1):
+            rc = run(path, tmp_path / "out")
+        assert rc == EXIT_OK, capsys.readouterr().err
+
+    @pytest.mark.parametrize("Bc", ["0", "2e6", "inf"])
+    @pytest.mark.parametrize("regime", REGIME_NAMES)
+    def test_trials_limit_counts_the_folded_taps(self, tmp_path, regime, Bc):
+        # validate prices each calibration trial by the folded line's tap
+        # count; it must be the count the run's generator builds.
+        overrides = {"test.regime": regime, "channel.B_c": Bc, **OFF_AXIS.get(regime, {})}
+        if regime == "unknown":
+            overrides["test.threshold_override"] = "40"
+        (diag,) = validate(write_cfg(tmp_path, **overrides, **{"run.trials": str(10**15)}))
+        taps = int(re.search(r"\((\d+) taps\)", diag).group(1))
+        config, _ = load_config(write_cfg(tmp_path, **overrides))
+        trace = raytrace.RoomTrace(config.scene, config.grid, config.bob)
+        params = resolve_variances(trace, config.channel, config.budget, config.b_T)
+        assert len(build_delay_profile(params).profile) == taps
 
 
 def read_outputs(out: Path) -> tuple[list[dict], dict]:

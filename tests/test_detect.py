@@ -17,13 +17,12 @@ from chanauth.detect import (
     miss_rate_low_bc,
     miss_rate_time_invariant,
     statistic_batch,
-    statistic_general,
     threshold_for,
 )
 from chanauth.harness import false_alarm_rate, miss_rates, regime_forms
 from chanauth.numerics import NotPositiveDefiniteError, RngStream, chi2_cdf, chi2_inv
 
-from _oracles import circulant_basis, dense_covariance_G, dense_covariance_R
+from _oracles import circulant_basis, dense_covariance_G, dense_covariance_R, statistic_general
 
 # Library classes, not test containers.
 TestConfig.__test__ = False

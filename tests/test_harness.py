@@ -516,9 +516,8 @@ class TestRoomSweep:
         for axis, values, traces in [
             (SweepAxis.B_T, [0.01, 0.1, 1.0], 1),
             (SweepAxis.P_T, [1.0, 10.0, 100.0], 1),
-            # The base M = 10 joins the sweep's tone sets.  5, 10, 20 and 30
-            # are columns of one 60-tone grid; 4, 8 and 10 would need 40
-            # tones, more than their 22, so each is traced alone.
+            # 5, 10, 20 and 30 are columns of one 60-tone grid; 4, 8 and 10
+            # would need 40 tones, more than their 22, so each is traced alone.
             (SweepAxis.M, [5, 10, 20, 30], 1),
             (SweepAxis.M, [4, 8, 4, 10], 3),
         ]:
@@ -529,7 +528,7 @@ class TestRoomSweep:
     def test_time_invariant_run_traces_only_the_rows_it_reads(self, monkeypatch, tmp_path):
         # At b_T = 0 the room gain goes unread, so a run traces exactly the
         # rows of its sampled pairs, not the whole 2400-point grid: the
-        # calibration runs on a zero fixed response and traces nothing.
+        # calibration draws no fixed response and traces nothing.
         traced = count_traced_rows(monkeypatch)
         config, _ = load_config(GOLDEN / "room_grid.cfg")
         assert config.b_T == 0.0
@@ -556,8 +555,8 @@ class TestRoomSweep:
         assert set(traced.values()) == {1} and len(traced) == self.GRID.n_points
 
     def test_time_invariant_M_sweep_traces_only_its_tones(self, monkeypatch):
-        # At b_T = 0 the calibration reads no trace, so the base M = 20 does
-        # not join the sweep's tone sets: M = 5 and 10 trace on 10 tones.
+        # The sweep plans only its own tone sets, so the base M = 20 does not
+        # join them: M = 5 and 10 trace on 10 tones.
         traced = count_traced_rows(monkeypatch)
         grid = GridSpec(origin=(2.0, 2.0), spacing=0.4, counts=(4, 4), height=1.0)
         base = make_params(M=20, Bc=0.0, sigma_T=0.0, sigma_N2=0.0)

@@ -264,7 +264,7 @@ class TestSampling:
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            sample_complex_gaussian(RngStream(1), -1.0)
+            sample_complex_gaussian(RngStream(1), -1.0, size=1)
 
     @pytest.mark.parametrize("variance", [math.nan, math.inf, [1.0, math.nan], [math.inf, 1.0]])
     def test_non_finite_variance_rejected(self, variance):

@@ -26,15 +26,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Functions no run enters, each with the reason it stays in src/.
 REFERENCES = {
-    "detect.statistic_general": "the dense statistic that statistic_batch is checked against",
     "detect._fixed_gap_energy": "shared by the closed-form miss rates below",
     "detect.miss_rate_low_bc": "closed form at B_c = 0 that the exact evaluator is checked against",
     "detect.miss_rate_time_invariant": "closed form without variation that the exact evaluator is checked against",
     "detect.miss_rate_full_spatial": "closed form for a spoofer sharing the variation, checked against the evaluator",
     "detect.miss_rate_large_variation": "the large-variation limit miss_rate_low_bc is checked to approach",
     "detect.miss_rate_general_numerical": "the dense Monte Carlo miss rate the exact evaluator is checked against",
-    "numerics.cholesky": "the dense factor of statistic_general and the dense miss rates",
-    "numerics.half_whiten": "the dense whitening solve of statistic_general and the dense miss rates",
+    "numerics.cholesky": "the dense factor of the dense miss rates and of _oracles.statistic_general",
+    "numerics.half_whiten": "the dense whitening solve of the dense miss rates and of _oracles.statistic_general",
     "harness.miss_rate_for_pair": "perfbench/tracer.py counts harness.pair_evals through it",
 }
 
