@@ -142,16 +142,16 @@ def step_taps(state: TapState, a: float, rng: RngStream) -> TapState:
 def taps_to_frequency(state: TapState, params: ChannelParams) -> np.ndarray:
     """Variable part over the M tones: eps_m = sum_l A_l e^{-j2pi f_m l/W}.
 
-    Taken as one real product of the amplitudes' (re, im) pairs with the
-    2L x 2M real form of the tone phasors: after a complex product (zgemm)
-    OpenBLAS leaves every later complex exp and log in the process several
-    times slower.
+    Tones W/M apart step tap l's phase by l/M turns, so eps is a length-M
+    DFT of the taps phased to the first tone, A_l e^{-j2pi c_l}, with
+    c_l = (f_1 l/W) mod 1 turns (reduced before the 2pi, so the phase stays
+    exact to ulp(1)).  An unfolded line, of more than M taps, is refused.
     """
-    amps = np.ascontiguousarray(state.amps, dtype=complex)
-    phasors = np.exp(-2j * np.pi * np.outer(np.arange(len(state.profile)) / params.W, params.tones))
-    # Rows 2l and 2l + 1: tap l's phasors and j times them, as (re, im) pairs.
-    basis = np.stack([phasors, 1j * phasors], axis=1).view(float).reshape(2 * len(state.profile), 2 * params.M)
-    return np.matmul(amps.view(float), basis).view(complex)
+    n_taps = state.amps.shape[-1]
+    if n_taps > params.M:
+        raise ValueError(f"{n_taps} taps on {params.M} tones: fold the line first")
+    turns = np.mod(params.tones[0] / params.W * np.arange(n_taps), 1.0)
+    return np.fft.fft(state.amps * np.exp(-2j * np.pi * turns), n=params.M, axis=-1)
 
 
 def sample_response(state: TapState, params: ChannelParams, rng: RngStream) -> np.ndarray:

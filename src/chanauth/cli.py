@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import harness, raytrace
 from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
 from .harness import (
@@ -111,11 +112,11 @@ class ExperimentConfig:
 # otherwise overflow float64 in the middle of a run.
 _MAGNITUDE_RANGE = (1e-100, 1e100)
 
-# The calibration's cost per trial x tone, an upper envelope of what README
-# ("Limits") measured: 260 ns plus 7 ns per folded tap.  validate rejects a
-# run.trials whose calibration would take longer than an hour.  Integers, so
-# the prediction is exact however large the config's integers are.
-_CALIBRATION_NS = (260, 7)
+# The calibration's cost in ns per trial x tone, an upper envelope of what
+# README ("Limits") measured for M = 1 to 16384 at 1 and at M folded taps.
+# validate rejects a run.trials whose calibration would take longer than an
+# hour.  An integer, so the prediction is exact however large M and run.trials are.
+_CALIBRATION_NS = 800
 _CALIBRATION_LIMIT_NS = 3600 * 10**9
 
 
@@ -238,6 +239,9 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         )
     except ValueError as exc:
         diags.append(f"[channel]: {exc}")
+    else:
+        if params.M > harness._BLOCK_ELEMENTS:
+            diags.append(f"channel.M: {params.M} tones is above {harness._BLOCK_ELEMENTS}, the most one calibration block holds")
     tst = values["test"]
     name = tst["regime"]
     try:
@@ -288,20 +292,25 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         except ValueError as exc:
             diags.append(f"sweep.values: {_fmt(value)}: {exc}")
             continue
+        if val_params.M > harness._BLOCK_ELEMENTS:
+            diags.append(f"sweep.values: M = {value} is above {harness._BLOCK_ELEMENTS} tones, the most one calibration block holds")
+            continue
         sigma_N2 = noise_variance(val_budget, val_params.M)
         if not low <= sigma_N2 <= high:
             diags.append(
                 f"[budget]: noise variance M * kT * N_F * b / P_T = {sigma_N2:g} at M = {val_params.M}, "
                 f"P_T = {_fmt(val_budget.P_T)} is outside the supported magnitudes [{low:g}, {high:g}]"
             )
-    # Each trial draws and scores M tones through a tone product over the
-    # folded line's taps: one at B_c = inf or without variation, else M.
-    taps = 1 if params.Bc == math.inf or b_T == 0 else params.M
-    trial_ns = params.M * (_CALIBRATION_NS[0] + _CALIBRATION_NS[1] * taps)
+    trial_ns = params.M * _CALIBRATION_NS
     if trials * trial_ns > _CALIBRATION_LIMIT_NS:
         diags.append(
-            f"run.trials: {trials} trials at M = {params.M} ({taps} taps) would calibrate for over an hour; "
+            f"run.trials: {trials} trials at M = {params.M} would calibrate for over an hour; "
             f"at most {_CALIBRATION_LIMIT_NS // trial_ns} fit (README, Limits)"
+        )
+    if _image_count(scene.max_order) > raytrace._BLOCK_ELEMENTS:
+        diags.append(
+            f"scene.max_order: {scene.max_order} bounces give over {raytrace._BLOCK_ELEMENTS} image sources, "
+            "the most one trace block holds (README, Limits)"
         )
     if grid.n_points < 2:
         diags.append(f"grid.counts: {grid.counts[0]} x {grid.counts[1]} has fewer than 2 points, so no pair")
@@ -337,6 +346,18 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         ),
         [],
     )
+
+
+def _image_count(max_order: int) -> int:
+    """Image sources per endpoint up to ``max_order`` bounces, without listing them.
+
+    Each image is a bounce vector (b_x, b_y, b_z) of signed integers with
+    |b_x| + |b_y| + |b_z| <= max_order (raytrace._axis_images puts one
+    image at each signed bounce count per axis), and that octahedron holds
+    (2n + 1)(2n^2 + 2n + 3)/3 lattice points at n = max_order.
+    """
+    n = max_order
+    return (2 * n + 1) * (2 * n * n + 2 * n + 3) // 3
 
 
 def _on_grid(grid: GridSpec, point) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import numpy.fft  # every run transforms through it (here and in harness); numpy would otherwise load it on first use
+import numpy.fft  # every run transforms through it (here, in channel and in harness); numpy would otherwise load it on first use
 
 from .channel import ChannelParams
 from .numerics import RngStream, chi2_cdf, chi2_inv, cholesky, half_whiten, noncentral_chi2_cdf

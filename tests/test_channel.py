@@ -215,18 +215,29 @@ class TestTapsToFrequency:
         assert np.abs(eps - expected).max() < 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("Bc", [math.inf, 0.0])  # L = 1 and L = M taps
-    def test_real_product_matches_complex_product(self, Bc):
-        # The real form reorders the complex product's sums: each tone stays
-        # within 4 L ulp(1) / 2 of the sum of the amplitudes' magnitudes.
-        p = make_params(M=16, Bc=Bc)
-        profile = build_delay_profile(p).profile
-        gen = RngStream(26).generator
-        amps = gen.standard_normal((500, len(profile))) + 1j * gen.standard_normal((500, len(profile)))
-        delays = np.arange(len(profile)) / p.W
-        want = amps @ np.exp(-2j * np.pi * np.outer(delays, p.tones))
-        got = taps_to_frequency(TapState(amps=amps, profile=profile), p)
-        bound = 4 * len(profile) * 2.0**-53 * np.abs(amps).sum(axis=1, keepdims=True)
-        assert np.all(np.abs(got - want) <= bound)
+    def test_fft_matches_long_double_dft(self, Bc):
+        # The tones are an FFT of the taps phased to the first tone, which
+        # reorders a DFT's sums: each tone stays within 2 log2(M) ulp(1)
+        # times the sum of the amplitudes' magnitudes of a long double DFT
+        # of the same phased taps.  M = 1021 is prime: Bluestein's FFT.
+        pi = 4 * np.arctan(np.longdouble(1))
+        for M in (1, 2, 7, 16, 97, 256, 1021):
+            p = make_params(M=M, Bc=Bc)
+            profile = build_delay_profile(p).profile
+            gen = RngStream(26).generator
+            amps = gen.standard_normal((10, len(profile))) + 1j * gen.standard_normal((10, len(profile)))
+            taps = np.arange(len(profile))
+            phased = amps * np.exp(-2j * np.pi * np.mod(p.tones[0] / p.W * taps, 1.0))
+            turns = np.outer(taps, np.arange(M)) % M / np.longdouble(M)
+            want = phased.astype(np.clongdouble) @ np.exp(np.clongdouble(-2j) * pi * turns)
+            got = taps_to_frequency(TapState(amps=amps, profile=profile), p)
+            bound = 2 * max(1.0, math.log2(M)) * 2.0**-52 * np.abs(amps).sum(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= bound), M
+
+    def test_unfolded_line_is_refused(self):
+        p = make_params(M=4)
+        with pytest.raises(ValueError, match="5 taps on 4 tones"):
+            taps_to_frequency(TapState(amps=np.ones(5, dtype=complex), profile=np.ones(5)), p)
 
 
 class TestSampleResponse:

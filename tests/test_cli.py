@@ -4,7 +4,6 @@ import configparser
 import csv
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -16,10 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanauth import cli, raytrace
-from chanauth.channel import build_delay_profile
 from chanauth.cli import _SCHEMA, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, PRESETS, REGIME_NAMES, load_config, main, run, validate
 from chanauth.detect import Regime
-from chanauth.harness import SweepAxis, apply_sweep_value, resolve_variances
+from chanauth.harness import SweepAxis, apply_sweep_value
 
 BASE = """
 [scene]
@@ -330,11 +328,14 @@ class TestValidateMatchesRun:
             ({"sweep.param": "b_T", "sweep.values": "0.5 inf"}, "sweep.values"),
             # A calibration of 1e12 trials at M = 5 would run for weeks.
             ({"run.trials": "1000000000000"}, "run.trials"),
-            # Sizes validate does not bound yet: a 1e10-point grid, a line of
-            # 1e7 tones, and ~5e6 image sources.
+            # A size validate does not bound yet: a 1e10-point grid.
             pytest.param({"grid.counts": "100000 100000", "grid.spacing": "0.00004"}, "grid.counts", marks=UNBOUNDED),
-            pytest.param({"channel.M": "10000000"}, "channel.M", marks=UNBOUNDED),
-            pytest.param({"scene.max_order": "200"}, "scene.max_order", marks=UNBOUNDED),
+            # A line of 1e7 tones, and ~5e6 image sources.
+            ({"channel.M": "10000000"}, "channel.M"),
+            ({"scene.max_order": "200"}, "scene.max_order"),
+            # More tones than a float holds: noise_variance would overflow.
+            ({"channel.M": "1" + "0" * 400}, "channel.M"),
+            ({"sweep.param": "M", "sweep.values": "5 1" + "0" * 400}, "sweep.values"),
         ],
     )
     def test_unrunnable_values_fail_validation(self, tmp_path, capsys, overrides, key):
@@ -342,6 +343,13 @@ class TestValidateMatchesRun:
         assert any(key in d for d in validate(path))
         assert run(path, tmp_path / "out") == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    def test_image_count_is_the_traced_count(self):
+        # validate counts the images in closed form, without listing them.
+        for n in range(23):
+            images, _ = raytrace.image_sources(raytrace.RoomScene(max_order=n), (1.0, 2.0, 1.5))
+            assert cli._image_count(n) == len(images), n
+        assert cli._image_count(20) <= raytrace._BLOCK_ELEMENTS < cli._image_count(21)
 
     @pytest.mark.parametrize(
         "text, position",
@@ -477,21 +485,6 @@ class TestValidateMatchesRun:
         with time_limit(1):
             rc = run(path, tmp_path / "out")
         assert rc == EXIT_OK, capsys.readouterr().err
-
-    @pytest.mark.parametrize("Bc", ["0", "2e6", "inf"])
-    @pytest.mark.parametrize("regime", REGIME_NAMES)
-    def test_trials_limit_counts_the_folded_taps(self, tmp_path, regime, Bc):
-        # validate prices each calibration trial by the folded line's tap
-        # count; it must be the count the run's generator builds.
-        overrides = {"test.regime": regime, "channel.B_c": Bc, **OFF_AXIS.get(regime, {})}
-        if regime == "unknown":
-            overrides["test.threshold_override"] = "40"
-        (diag,) = validate(write_cfg(tmp_path, **overrides, **{"run.trials": str(10**15)}))
-        taps = int(re.search(r"\((\d+) taps\)", diag).group(1))
-        config, _ = load_config(write_cfg(tmp_path, **overrides))
-        trace = raytrace.RoomTrace(config.scene, config.grid, config.bob)
-        params = resolve_variances(trace, config.channel, config.budget, config.b_T)
-        assert len(build_delay_profile(params).profile) == taps
 
 
 def read_outputs(out: Path) -> tuple[list[dict], dict]:
