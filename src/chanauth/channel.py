@@ -145,11 +145,15 @@ def taps_to_frequency(state: TapState, params: ChannelParams) -> np.ndarray:
     Tones W/M apart step tap l's phase by l/M turns, so eps is a length-M
     DFT of the taps phased to the first tone, A_l e^{-j2pi c_l}, with
     c_l = (f_1 l/W) mod 1 turns (reduced before the 2pi, so the phase stays
-    exact to ulp(1)).  An unfolded line, of more than M taps, is refused.
+    exact to ulp(1)).  A one-tap line (B_c = inf or sigma_T = 0) gives every
+    tone the tap itself, copied rather than rounded through an FFT.  An
+    unfolded line, of more than M taps, is refused.
     """
     n_taps = state.amps.shape[-1]
     if n_taps > params.M:
         raise ValueError(f"{n_taps} taps on {params.M} tones: fold the line first")
+    if n_taps == 1:
+        return np.repeat(state.amps, params.M, axis=-1)
     turns = np.mod(params.tones[0] / params.W * np.arange(n_taps), 1.0)
     return np.fft.fft(state.amps * np.exp(-2j * np.pi * turns), n=params.M, axis=-1)
 

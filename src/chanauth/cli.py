@@ -119,6 +119,18 @@ _MAGNITUDE_RANGE = (1e-100, 1e100)
 _CALIBRATION_NS = 800
 _CALIBRATION_LIMIT_NS = 3600 * 10**9
 
+# What a run's room trace and pair sample hold, and the trace's cost: upper
+# envelopes of what README ("Limits") measured.  validate rejects a grid or a
+# pair sample that would hold over _MEMORY_LIMIT bytes or trace for over an hour.
+_POINT_BYTES = 48  # a grid point's position: 24 B held, twice that while grid_positions builds it
+_SLOT_BYTES = 8  # a grid point's slot in one tone grid
+_TONE_BYTES = 16  # one traced response
+_PAIR_BYTES = 200  # a sampled pair's ranks and indices
+_PAIR_TONE_BYTES = 80  # a pair's two responses, its offset and the CDF's work, per tone
+_PATH_TONE_NS, _PATH_NS, _POINT_TONE_NS = 4, 100, 80  # trace cost per path x tone, per path, per point x tone
+_MEMORY_LIMIT = 2 * 2**30
+_TRACE_LIMIT_NS = 3600 * 10**9
+
 
 def _parse_float(raw: str) -> float:
     """A float ("inf" included); NaN and inf are left to the dataclass validators."""
@@ -286,15 +298,19 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
             diags.append(f"sweep.param: {axis.value} is fixed by test.regime = {name}; sweep another, or use general")
         params, budget, b_T = apply_sweep_value(params, budget, b_T, preset_axis, preset_value)
     low, high = _MAGNITUDE_RANGE
+    # Each tone set the run traces, and whether its room gain is read (b_T > 0).
+    tone_sets = {(params.f0, params.W, params.M): True} if b_T > 0 else {}  # the calibration's
     for value in sweep_values:
         try:
-            val_params, val_budget, _ = apply_sweep_value(params, budget, b_T, axis, value)
+            val_params, val_budget, val_b_T = apply_sweep_value(params, budget, b_T, axis, value)
         except ValueError as exc:
             diags.append(f"sweep.values: {_fmt(value)}: {exc}")
             continue
         if val_params.M > harness._BLOCK_ELEMENTS:
             diags.append(f"sweep.values: M = {value} is above {harness._BLOCK_ELEMENTS} tones, the most one calibration block holds")
             continue
+        key = (val_params.f0, val_params.W, val_params.M)
+        tone_sets[key] = tone_sets.get(key, False) or val_b_T > 0
         sigma_N2 = noise_variance(val_budget, val_params.M)
         if not low <= sigma_N2 <= high:
             diags.append(
@@ -314,6 +330,8 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         )
     if grid.n_points < 2:
         diags.append(f"grid.counts: {grid.counts[0]} x {grid.counts[1]} has fewer than 2 points, so no pair")
+    elif _image_count(scene.max_order) <= raytrace._BLOCK_ELEMENTS:
+        diags += _cost_diagnostics(scene, grid, pair_budget, tone_sets)
     dims = scene.dimensions
     bob = values["bob"]["position"]
     bob_inside = all(0 < p < d for p, d in zip(bob, dims))
@@ -358,6 +376,44 @@ def _image_count(max_order: int) -> int:
     """
     n = max_order
     return (2 * n + 1) * (2 * n * n + 2 * n + 3) // 3
+
+
+def _cost_diagnostics(scene: RoomScene, grid: GridSpec, pair_budget: int, tone_sets: dict) -> list[str]:
+    """A diagnostic for a grid or a pair sample over the caps, predicted without allocating.
+
+    ``tone_sets`` maps each (f0, W, M) the run traces to whether its room
+    gain is read, which traces every grid point; the other sets are traced
+    at the sampled pairs' rows.  Tone sets that share a tone grid trace at
+    most their tones together, so their sum bounds it.  Under the grid's cap
+    n (n - 1) / 2 pairs fit an int64.
+    """
+    n, images = grid.n_points, _image_count(scene.max_order)
+
+    def trace_ns(rows: int, M: int) -> int:
+        return rows * (images * (M * _PATH_TONE_NS + _PATH_NS) + M * _POINT_TONE_NS)
+
+    def over(held: int, ns: int) -> str | None:
+        if held > _MEMORY_LIMIT or ns > _TRACE_LIMIT_NS:
+            return f"would hold {held / 2**30:.3g} GiB and trace for {ns / 6e10:.3g} min; the caps are 2 GiB and 60 min (README, Limits)"
+        return None
+
+    whole = [M for (_, _, M), gain in tone_sets.items() if gain]
+    held = n * (_POINT_BYTES + _SLOT_BYTES * len(tone_sets) + _TONE_BYTES * (sum(whole) + max(whole, default=0)))
+    problem = over(held, sum(trace_ns(n, M) for M in whole))
+    if problem:
+        return [f"grid.counts: {grid.counts[0]} x {grid.counts[1]} points {problem}"]
+    total = n * (n - 1) // 2
+    pairs = min(pair_budget, total)
+    # Generator.choice samples over total // 50 of more than 10 000 ranks by shuffling them all.
+    draw = 8 * total if pairs == total or (total > 10_000 and pairs > total // 50) else 28 * pairs
+    rows = min(n, 2 * pairs)
+    parts = [M for (_, _, M), gain in tone_sets.items() if not gain]
+    max_M = max((M for _, _, M in tone_sets), default=0)
+    held = draw + pairs * (_PAIR_BYTES + _PAIR_TONE_BYTES * max_M) + rows * _TONE_BYTES * sum(parts)
+    problem = over(held, sum(trace_ns(rows, M) for M in parts))
+    if problem:
+        return [f"run.pair_budget: {pairs} of {total} pairs {problem}"]
+    return []
 
 
 def _on_grid(grid: GridSpec, point) -> bool:
@@ -430,21 +486,6 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
             fh.write(f"  {result.swept_param}={_fmt(value)}: beta_bar={_fmt(beta)} (se={_fmt(se)})\n")
 
 
-def _calibrate(config: ExperimentConfig, trace: RoomTrace, rng: RngStream):
-    """Empirical false-alarm rate of the configured detector, and the exact one.
-
-    ``trace`` is read only for the room gain, at b_T > 0 and the base
-    tones, which that read plans if no sweep value shares them: the fixed
-    response cancels under H0, so the simulation needs none.  The exact
-    size (harness.false_alarm_rate) is what alpha_hat estimates; it
-    differs from the configured alpha only for the unknown detector or a
-    threshold_override.
-    """
-    params = resolve_variances(trace, config.channel, config.budget, config.b_T)
-    rates = simulate_error_rates(params, config.test, config.trials, rng)
-    return rates, false_alarm_rate(params, config.test)
-
-
 def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, threads: int | None = None) -> int:
     """Execute a config and write sweep.csv, calibration.csv, summary.txt.
 
@@ -484,8 +525,11 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
             pair_budget=config.pair_budget,
             rng=rng,
         )
-        calibration = _calibrate(config, trace, rng.substream(999))
-        _write_outputs(out_dir, config, config_path, result, calibration)
+        # The fixed response cancels under H0, so the calibration reads the trace only
+        # for the room gain; alpha_hat estimates the exact size, false_alarm_rate.
+        params = resolve_variances(trace, config.channel, config.budget, config.b_T)
+        rates = simulate_error_rates(params, config.test, config.trials, rng.substream(999))
+        _write_outputs(out_dir, config, config_path, result, (rates, false_alarm_rate(params, config.test)))
     except Exception as exc:  # pragma: no cover - exercised via CLI tests
         for p in outputs:
             p.unlink(missing_ok=True)

@@ -79,13 +79,6 @@ def noise_variance(budget: LinkBudget, M: int) -> float:
     return M * budget.kT * budget.N_F * budget.b / budget.P_T
 
 
-def sigma_T_from_bT(b_T: float, room_gain: float) -> float:
-    """Absolute variation scale from the relative index: sigma_T = b_T * gain."""
-    if not (0 <= b_T < math.inf and 0 <= room_gain < math.inf):
-        raise ValueError("b_T and room_gain must be nonnegative and finite")
-    return b_T * room_gain
-
-
 def regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """The configured detector on the channel ``params`` as (r_hat, g_hat, t).
 
@@ -231,7 +224,7 @@ def apply_sweep_value(
     """Channel, link budget and b_T with one sweep value applied.
 
     Rebuilding through dataclasses.replace reruns each class's validation,
-    and a b_T value is checked as sigma_T_from_bT checks it.
+    and a b_T value is checked as resolve_variances checks it.
     """
     if axis is SweepAxis.B_T:
         b_T = float(value)
@@ -253,14 +246,17 @@ def apply_sweep_value(
 def resolve_variances(trace: raytrace.RoomTrace, params: ChannelParams, budget: LinkBudget, b_T: float) -> ChannelParams:
     """``params`` with sigma_T and sigma_N2 set for the room.
 
-    sigma_T = b_T * rms_gain of the whole grid ``trace`` holds for the
-    tones of ``params``, and sigma_N2 = noise_variance(budget, M).  Only
-    b_T > 0 reads the room gain, so only then is the whole grid traced.
-    The fixed responses depend on neither, so a caller asks
-    ``trace.responses`` for just the rows it reads.
+    sigma_T = b_T * trace.rms_gain(params), the relative variation index
+    times the room's RMS fixed response at the tones of ``params``, and
+    sigma_N2 = noise_variance(budget, M).  Only b_T > 0 reads the room gain,
+    so only then is the whole grid traced; b_T is checked first, or a
+    negative one would give sigma_T = 0.  The fixed responses depend on
+    neither, so a caller asks ``trace.responses`` for just the rows it reads.
     """
-    gain = raytrace.rms_gain(trace.responses(params)) if b_T > 0 else 0.0
-    return replace(params, sigma_T=sigma_T_from_bT(b_T, gain), sigma_N2=noise_variance(budget, params.M))
+    if not 0 <= b_T < math.inf:
+        raise ValueError("b_T must be nonnegative and finite")
+    sigma_T = b_T * trace.rms_gain(params) if b_T > 0 else 0.0
+    return replace(params, sigma_T=sigma_T, sigma_N2=noise_variance(budget, params.M))
 
 
 def room_sweep(

@@ -546,8 +546,8 @@ def _gil_pelaez(x: float, lam: np.ndarray, m: np.ndarray) -> np.ndarray:
     for level in sorted(set(octave.tolist())):  # not np.unique, which imports numpy.ma on first use
         rows = octave == level
         j = int(split[rows].max())
-        nodes, weights = _gil_pelaez_contour(x, lam, m[rows], j, light_mean[rows, j].max())
         offsets = m[rows]
+        nodes, weights = _gil_pelaez_contour(x, lam, offsets, j, light_mean[rows, j].max())
         total = np.zeros(len(offsets))
         step = max(1, _WORK_BUDGET // len(offsets))
         work = np.empty((4 + _CIS_WORK, len(offsets) * min(step, len(nodes))))  # reused by every chunk

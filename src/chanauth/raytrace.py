@@ -203,10 +203,11 @@ class RoomTrace:
     prepare() plans that grid when L is at most the sum of the M values, so
     a traced row costs no more tone steps than the separate traces and
     fewer paths' unit phasors.  Rows are traced only when responses() asks
-    for them, and a tone grid holds just the rows traced, in the order they
-    were traced, so a run at b_T = 0 traces and stores just the points it
-    reads.  response_matrix computes each row alone, so a row traced with a
-    few others has the same bits as one traced with the whole grid.
+    for them, or rms_gain() for the whole grid, and a tone grid holds just
+    the rows traced, in the order they were traced, so a run at b_T = 0
+    traces and stores just the points it reads.  response_matrix computes
+    each row alone, so a row traced with a few others has the same bits as
+    one traced with the whole grid.
     """
 
     def __init__(self, scene: RoomScene, grid: GridSpec, rx):
@@ -221,7 +222,7 @@ class RoomTrace:
 
         Per (f0, W), the new sets share one grid of their common tones if it
         has no more tones than they have together, and each has its own grid
-        otherwise.  This traces nothing; responses() traces the rows.
+        otherwise.  This traces nothing; responses() and rms_gain() trace the rows.
         """
         groups: dict[tuple[float, float], dict[int, ChannelParams]] = {}
         for params in params_seq:
@@ -238,34 +239,39 @@ class RoomTrace:
                 for M, params in sets.items():
                     self._grids[(f0, W, M)] = (params, _TracedRows(len(self.positions), M), 1)
 
-    def responses(self, params: ChannelParams, rows=None) -> np.ndarray:
+    def responses(self, params: ChannelParams, rows) -> np.ndarray:
         """Fixed responses at the tones of ``params``, shape (len(rows), M).
 
-        ``rows`` indexes the grid points (any order, repeats allowed); None
-        asks for the whole grid, returned as a read-only (n_points, M) view
-        that every caller shares.  Only the rows of the tone grid not traced
-        yet are traced, in one response_matrix call.  A whole-grid read
-        needs the rows in grid order, which they are when the whole grid was
-        traced at once; otherwise it lays them out so, once.
+        ``rows`` indexes the grid points, in any order and with repeats.
+        Only the rows not traced yet are traced, in one response_matrix call.
+        """
+        held, stride = self._traced(params, rows)
+        return held.rows[:, stride - 1 :: stride][held.slot[rows]]
+
+    def rms_gain(self, params: ChannelParams) -> float:
+        """RMS magnitude of the whole grid's fixed responses at the tones of ``params``.
+
+        It is the room-level scale that converts the relative variation
+        index b_T into an absolute sigma_T.  The rows are summed in the order
+        they were traced, which is grid order when the grid is traced at once.
+        """
+        held, stride = self._traced(params)
+        return float(np.sqrt(np.mean(np.abs(held.rows[:, stride - 1 :: stride]) ** 2)))
+
+    def _traced(self, params: ChannelParams, rows=slice(None)) -> tuple[_TracedRows, int]:
+        """Trace the grid points in ``rows`` (all by default) not yet held for the tones of ``params``.
+
+        Returns the tone grid's held rows and the column stride of ``params`` in them.
         """
         self.prepare([params])
         grid, held, stride = self._grids[(params.f0, params.W, params.M)]
         # A boolean mask, not np.unique, which would import numpy.ma into every run.
-        missing = held.slot < 0
-        if rows is not None:
-            wanted = np.zeros(len(missing), dtype=bool)
-            wanted[rows] = True
-            missing &= wanted
+        missing = np.zeros(len(held.slot), dtype=bool)
+        missing[rows] = True
+        missing &= held.slot < 0
         if missing.any():
             held.add(missing, response_matrix(self.scene, self.positions[missing], self.rx, grid))
-        if rows is not None:
-            return held.rows[:, stride - 1 :: stride][held.slot[rows]]
-        if not np.array_equal(held.slot, np.arange(len(held.slot))):
-            held.rows = held.rows[held.slot]
-            held.slot = np.arange(len(held.slot))
-        view = held.rows[:, stride - 1 :: stride]
-        view.flags.writeable = False
-        return view
+        return held, stride
 
 
 class _TracedRows:
@@ -283,11 +289,3 @@ class _TracedRows:
         self.slot[points] = np.arange(len(self.rows), len(self.rows) + len(rows))
         self.rows = np.concatenate([self.rows, rows]) if len(self.rows) else rows
 
-
-def rms_gain(responses: np.ndarray) -> float:
-    """RMS magnitude of a block of fixed responses.
-
-    Over a whole grid (RoomTrace.responses) it is the room-level scale that
-    converts the relative variation index b_T into an absolute sigma_T.
-    """
-    return float(np.sqrt(np.mean(np.abs(responses) ** 2)))

@@ -24,7 +24,6 @@ from chanauth.harness import (
     SweepAxis,
     noise_variance,
     room_sweep,
-    sigma_T_from_bT,
     simulate_error_rates,
 )
 from chanauth.numerics import (
@@ -36,7 +35,7 @@ from chanauth.numerics import (
     noncentral_chi2_cdf,
     sample_complex_gaussian,
 )
-from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, response_matrix, rms_gain
+from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, response_matrix
 
 import _oracles
 from _oracles import dense_covariance_G, dense_covariance_R, empirical_difference_covariances, relative_frobenius
@@ -62,14 +61,14 @@ def test_criterion_1_size_calibration():
         for Bc in (0.0, 2e6, math.inf):
             for b_T in (0.0, 0.5):
                 base = ChannelParams(f0=5e9, W=1e7, M=M, a=0.9, Bc=Bc, sigma_T=0.0, sigma_N2=1.0)
-                gain = rms_gain(RoomTrace(SCENE, GRID, BOB).responses(base))
+                gain = RoomTrace(SCENE, GRID, BOB).rms_gain(base)
                 params = ChannelParams(
                     f0=5e9,
                     W=1e7,
                     M=M,
                     a=0.9,
                     Bc=Bc,
-                    sigma_T=sigma_T_from_bT(b_T, gain),
+                    sigma_T=b_T * gain,
                     sigma_N2=noise_variance(budget, M),
                 )
                 cfg = TestConfig(alpha=ALPHA, regime=Regime.GENERAL)
@@ -119,14 +118,14 @@ def test_criterion_3_closed_form_vs_simulation():
     alice = (2.0, 2.0, 1.0)
     for i, case in enumerate(cases):
         base = ChannelParams(f0=5e9, W=1e7, M=case["M"], a=case["a"], Bc=1e4, sigma_T=0.0, sigma_N2=1.0)
-        gain = rms_gain(RoomTrace(SCENE, GRID, BOB).responses(base))
+        gain = RoomTrace(SCENE, GRID, BOB).rms_gain(base)
         params = ChannelParams(
             f0=5e9,
             W=1e7,
             M=case["M"],
             a=case["a"],
             Bc=1e4,
-            sigma_T=sigma_T_from_bT(case["b_T"], gain),
+            sigma_T=case["b_T"] * gain,
             sigma_N2=noise_variance(LinkBudget(P_T=case["P_T"]), case["M"]),
         )
         ha, he = response_matrix(SCENE, [alice, case["eve"]], BOB, params)

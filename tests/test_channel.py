@@ -194,6 +194,15 @@ class TestTapsToFrequency:
         eps = taps_to_frequency(state, p)
         assert np.allclose(eps, state.amps[0])
 
+    def test_one_tap_line_is_every_tone(self):
+        # Every tone of a one-tap line is the tap itself, bit for bit, even at
+        # a prime M = 1021 where Bluestein's FFT would round it.
+        p = make_params(M=1021, Bc=math.inf)
+        state = init_taps(build_delay_profile(p), RngStream(11), batch=3)
+        eps = taps_to_frequency(state, p)
+        assert eps.shape == (3, p.M)
+        assert np.array_equal(eps, np.broadcast_to(state.amps, eps.shape))
+
     def test_zero_amps(self):
         p = make_params()
         eps = taps_to_frequency(build_delay_profile(p), p)

@@ -75,10 +75,6 @@ TERM_CAP = {
 }
 
 
-# validate accepts these though their runs cannot finish (ROADMAP item 16).
-UNBOUNDED = pytest.mark.xfail(strict=True, reason="validate does not bound this size yet")
-
-
 def write_cfg(tmp_path, text=BASE, name="exp.cfg", **overrides):
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -328,14 +324,17 @@ class TestValidateMatchesRun:
             ({"sweep.param": "b_T", "sweep.values": "0.5 inf"}, "sweep.values"),
             # A calibration of 1e12 trials at M = 5 would run for weeks.
             ({"run.trials": "1000000000000"}, "run.trials"),
-            # A size validate does not bound yet: a 1e10-point grid.
-            pytest.param({"grid.counts": "100000 100000", "grid.spacing": "0.00004"}, "grid.counts", marks=UNBOUNDED),
+            # A 1e10-point grid would hold hundreds of GB.
+            ({"grid.counts": "100000 100000", "grid.spacing": "0.00004"}, "grid.counts"),
             # A line of 1e7 tones, and ~5e6 image sources.
             ({"channel.M": "10000000"}, "channel.M"),
             ({"scene.max_order": "200"}, "scene.max_order"),
             # More tones than a float holds: noise_variance would overflow.
             ({"channel.M": "1" + "0" * 400}, "channel.M"),
             ({"sweep.param": "M", "sweep.values": "5 1" + "0" * 400}, "sweep.values"),
+            # 1e11 of a million-point grid's 5e11 pairs: numpy draws them by
+            # shuffling every rank, 8 B each.
+            ({"grid.counts": "1000 1000", "grid.spacing": "0.004", "run.pair_budget": "100000000000"}, "run.pair_budget"),
         ],
     )
     def test_unrunnable_values_fail_validation(self, tmp_path, capsys, overrides, key):
@@ -343,6 +342,19 @@ class TestValidateMatchesRun:
         assert any(key in d for d in validate(path))
         assert run(path, tmp_path / "out") == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, overrides",
+        [
+            (GOLDEN / "room_grid.cfg", {"grid.counts": "600 400", "grid.spacing": "0.01"}),
+            (GOLDEN.parents[1] / "configs" / "fig4.cfg", {"run.pair_budget": "100000000"}),
+            (GOLDEN.parents[1] / "configs" / "fig5.cfg", {"run.pair_budget": "100000000"}),
+        ],
+        ids=["room_grid_240000_points", "fig4_all_pairs", "fig5_all_pairs"],
+    )
+    def test_ci_sizes_are_under_the_caps(self, tmp_path, config, overrides):
+        # The sizes CI runs: 240 000 points at b_T = 0, and all 32 640 pairs.
+        assert validate(write_cfg(tmp_path, config.read_text(), **overrides)) == []
 
     def test_image_count_is_the_traced_count(self):
         # validate counts the images in closed form, without listing them.

@@ -36,11 +36,10 @@ from chanauth.harness import (
     regime_forms,
     resolve_variances,
     room_sweep,
-    sigma_T_from_bT,
     simulate_error_rates,
 )
 from chanauth.numerics import NotPositiveDefiniteError, RngStream, chi2_inv
-from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, grid_positions, response_matrix, rms_gain
+from chanauth.raytrace import GridSpec, RoomScene, RoomTrace, grid_positions, response_matrix
 
 import _oracles
 from _oracles import (
@@ -68,7 +67,7 @@ def resolve_name(params: ChannelParams, name: str) -> tuple[Regime, ChannelParam
     if name not in PRESETS:
         return Regime(name), params
     params, _, b_T = apply_sweep_value(params, LinkBudget(P_T=1.0), params.sigma_T, *PRESETS[name])
-    return Regime.GENERAL, replace(params, sigma_T=sigma_T_from_bT(b_T, 1.0))
+    return Regime.GENERAL, replace(params, sigma_T=b_T)
 
 
 # Case ids over test.regime names keep the ids these cases had while each
@@ -122,13 +121,18 @@ class TestLinkBudget:
             LinkBudget(P_T=0.0)
 
     def test_sigma_t_from_bt(self):
-        assert sigma_T_from_bT(0.0, 3.0) == 0.0
-        assert sigma_T_from_bT(1.0, 1.0) == 1.0
+        # sigma_T = b_T * the room gain, and a b_T that is negative or not
+        # finite is refused rather than read as no variation.
         grid = GridSpec(origin=(2.0, 2.0), spacing=0.2, counts=(4, 4), height=1.0)
-        gain = rms_gain(RoomTrace(SCENE, grid, BOB).responses(make_params()))
-        assert sigma_T_from_bT(0.5, gain) == pytest.approx(0.5 * gain, rel=1e-12)
-        with pytest.raises(ValueError):
-            sigma_T_from_bT(-0.1, 1.0)
+        trace = RoomTrace(SCENE, grid, BOB)
+        p, budget = make_params(), LinkBudget(P_T=10.0)
+        assert resolve_variances(trace, p, budget, 0.0).sigma_T == 0.0
+        resolved = resolve_variances(trace, p, budget, 0.5)
+        assert resolved.sigma_T == 0.5 * trace.rms_gain(p)
+        assert resolved.sigma_N2 == noise_variance(budget, p.M)
+        for b_T in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                resolve_variances(trace, p, budget, b_T)
 
 
 class TestPairMissRate:
@@ -191,7 +195,7 @@ class TestMissRates:
     @pytest.fixture(scope="class")
     def room(self):
         base = make_params(sigma_T=0.0, sigma_N2=0.0)
-        gain = rms_gain(RoomTrace(SCENE, self.GRID, BOB).responses(base))
+        gain = RoomTrace(SCENE, self.GRID, BOB).rms_gain(base)
         p = make_params(sigma_T=0.5 * gain, sigma_N2=noise_variance(LinkBudget(P_T=100.0), base.M))
         responses = response_matrix(SCENE, grid_positions(self.GRID), BOB, p)
         pick = np.random.default_rng(8).choice(len(responses) - 1, size=40, replace=False)
@@ -577,7 +581,6 @@ class TestRoomSweep:
         trace = raytrace.RoomTrace(SCENE, self.GRID, BOB)
         first = self.sweep(trace=trace)
         assert self.sweep(trace=trace) == first == self.sweep()
-        assert not trace.responses(make_params()).flags.writeable
 
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
@@ -600,7 +603,7 @@ class TestRoomSweep:
         for value, beta_bar, std_err in zip(values, res.beta_bar, res.std_err):
             params, budget, b_T = apply_sweep_value(config.channel, config.budget, config.b_T, config.sweep_param, value)
             params = resolve_variances(trace, params, budget, b_T)
-            responses = trace.responses(params)
+            responses = trace.responses(params, np.arange(n))
             total = sum(
                 miss_rates(responses[ii[i : i + 4096]], responses[jj[i : i + 4096]], params, config.test).sum()
                 for i in range(0, len(ii), 4096)
@@ -633,6 +636,6 @@ class TestRoomSweep:
         ii, jj = _unrank_pairs(np.arange(36), 9)
         for mode, beta_bar, beta_general in zip(modes, res.beta_bar, general.beta_bar):
             params = resolve_variances(trace, replace(base, spatial_mode=SpatialMode(mode)), LinkBudget(P_T=100.0), 0.5)
-            responses = trace.responses(params)
+            responses = trace.responses(params, np.arange(9))
             assert beta_bar == pytest.approx(miss_rates(responses[ii], responses[jj], params, unknown).mean(), rel=1e-12)
             assert beta_bar != pytest.approx(beta_general, rel=1e-3)

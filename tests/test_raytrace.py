@@ -21,7 +21,6 @@ from chanauth.raytrace import (
     grid_positions,
     image_sources,
     response_matrix,
-    rms_gain,
 )
 
 
@@ -235,15 +234,15 @@ class TestRoomAverageGain:
     def test_unit_distance_free_space(self):
         scene = RoomScene(max_order=0, amplitude_scale=1.0)
         grid = GridSpec(origin=(4.0, 4.0), spacing=0.1, counts=(1, 1), height=1.0)
-        gain = rms_gain(RoomTrace(scene, grid, (4.0, 4.0, 2.0)).responses(make_params()))
+        gain = RoomTrace(scene, grid, (4.0, 4.0, 2.0)).rms_gain(make_params())
         assert gain == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneity(self):
         grid = GridSpec(origin=(2.0, 2.0), spacing=0.3, counts=(3, 3), height=1.0)
         p = make_params()
         bob = (8.0, 6.0, 2.0)
-        g1 = rms_gain(RoomTrace(RoomScene(amplitude_scale=1e-5), grid, bob).responses(p))
-        g2 = rms_gain(RoomTrace(RoomScene(amplitude_scale=2e-5), grid, bob).responses(p))
+        g1 = RoomTrace(RoomScene(amplitude_scale=1e-5), grid, bob).rms_gain(p)
+        g2 = RoomTrace(RoomScene(amplitude_scale=2e-5), grid, bob).rms_gain(p)
         assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
 
     def test_against_two_loop_recomputation(self):
@@ -251,7 +250,7 @@ class TestRoomAverageGain:
         grid = GridSpec(origin=(2.0, 2.0), spacing=0.2, counts=(5, 5), height=1.0)
         p = make_params(M=4)
         bob = (8.0, 6.0, 2.0)
-        gain = rms_gain(RoomTrace(scene, grid, bob).responses(p))
+        gain = RoomTrace(scene, grid, bob).rms_gain(p)
         total = 0.0
         count = 0
         for pt in grid_positions(grid):
@@ -274,9 +273,7 @@ class TestRoomTrace:
         sets = [make_params(M=M) for M in (5, 10, 20, 30)]
         trace.prepare(sets)
         for p in sets:
-            got = trace.responses(p)
-            assert not got.flags.writeable
-            assert np.shares_memory(got, trace.responses(sets[0]))
+            got = trace.responses(p, np.arange(grid.n_points))
             own = response_matrix(scene, trace.positions, rx, p)
             expected = image_source_sum_longdouble(scene, trace.positions, rx, p)
             rms = np.sqrt(np.mean(np.abs(expected) ** 2))
@@ -311,7 +308,8 @@ class TestRowsOnDemand:
         # Rows asked for in any order, with repeats, and in any sequence of
         # tone sets have the bits of a whole-grid trace and are never NaN.
         fresh = self.trace(shared)
-        full = {M: fresh.responses(params) for M, params in self.SETS.items()}
+        every = np.arange(self.GRID.n_points)
+        full = {M: fresh.responses(params, every) for M, params in self.SETS.items()}
         trace = self.trace(shared)
         for M, rows in requests:
             rows = np.array(rows, dtype=np.intp)
@@ -320,8 +318,8 @@ class TestRowsOnDemand:
             assert not np.isnan(got).any()
             assert np.array_equal(got, full[M][rows])
         for M in self.SETS:
-            whole = trace.responses(self.SETS[M])
-            assert not whole.flags.writeable and not np.isnan(whole).any()
+            whole = trace.responses(self.SETS[M], every)
+            assert not np.isnan(whole).any()
             assert np.array_equal(whole, full[M])
 
     def test_traces_only_the_rows_not_held(self, monkeypatch):
@@ -334,7 +332,7 @@ class TestRowsOnDemand:
         trace.responses(self.SETS[5], [3, 1, 3])
         trace.responses(self.SETS[30], [1, 3])  # held: the same 60-tone grid
         trace.responses(self.SETS[10], [0, 3, 11])
-        trace.responses(self.SETS[20])
+        trace.responses(self.SETS[20], np.arange(self.GRID.n_points))
         assert traced == [2, 2, 8]
 
     def test_holds_only_the_rows_traced(self):
@@ -354,15 +352,16 @@ class TestRowsOnDemand:
         assert peak < 1_000_000, peak
 
     @pytest.mark.parametrize("first_rows", [None, [11, 2, 7]], ids=["whole", "rows_first"])
-    def test_whole_grid_reads_share_memory(self, first_rows):
-        # Whole-grid reads return one held array, whether the whole grid was
-        # traced at once or some rows were traced before it, out of grid order.
+    def test_rms_gain_is_the_whole_grid_rms(self, first_rows):
+        # The gain is the RMS of every grid point's response, whether the
+        # whole grid was traced at once or some rows were traced before it,
+        # out of grid order (then the sum runs in traced order).
         trace = self.trace(shared=False)
         if first_rows is not None:
             trace.responses(self.SETS[10], first_rows)
-        whole = trace.responses(self.SETS[10])
-        assert np.shares_memory(whole, trace.responses(self.SETS[10]))
-        assert np.array_equal(whole, response_matrix(self.SCENE, trace.positions, self.RX, self.SETS[10]))
+        every = response_matrix(self.SCENE, trace.positions, self.RX, self.SETS[10])
+        expected = np.sqrt(np.mean(np.abs(every) ** 2))
+        assert trace.rms_gain(self.SETS[10]) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 class TestPhysicalPremises:
