@@ -3,7 +3,7 @@ spoofing detection, and room-averaged miss-rate sweeps."""
 
 from .channel import ChannelParams, SpatialMode, TapState
 from .detect import Regime, TestConfig
-from .harness import ErrorRates, LinkBudget, SweepAxis, SweepResult
+from .harness import ErrorRates, SweepAxis, SweepResult
 from .numerics import NotPositiveDefiniteError, RngStream
 from .raytrace import GridSpec, RoomScene
 
@@ -11,7 +11,6 @@ __all__ = [
     "ChannelParams",
     "ErrorRates",
     "GridSpec",
-    "LinkBudget",
     "NotPositiveDefiniteError",
     "Regime",
     "RngStream",

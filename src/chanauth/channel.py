@@ -118,13 +118,13 @@ def build_delay_profile(params: ChannelParams) -> TapState:
     return TapState(amps=np.zeros_like(profile, dtype=complex), profile=profile)
 
 
-def init_taps(state: TapState, rng: RngStream, batch: int | None = None) -> TapState:
+def init_taps(state: TapState, rng: RngStream, batch: int) -> TapState:
     """Draw tap amplitudes from the AR(1) stationary law CN(0, profile[l]).
 
-    Starting from stationarity means no burn-in is needed.  ``batch``
-    produces shape (batch, L) for vectorized independent realizations.
+    Starting from stationarity means no burn-in is needed.  The amplitudes
+    have shape (batch, L): ``batch`` independent realizations.
     """
-    size = state.profile.shape if batch is None else (batch, len(state.profile))
+    size = (batch, len(state.profile))
     return TapState(amps=sample_complex_gaussian(rng, state.profile, size=size), profile=state.profile)
 
 

@@ -21,7 +21,6 @@ from . import harness, raytrace
 from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
 from .harness import (
-    LinkBudget,
     SweepAxis,
     apply_sweep_value,
     false_alarm_rate,
@@ -50,10 +49,7 @@ REGIME_NAMES = sorted([*(r.value for r in Regime), *PRESETS])
 _SCHEMA = {
     "scene": {
         "dimensions": ("required", "floats3"),
-        "wall_reflectivity": ("optional", "complex"),
         "max_order": ("optional", "int"),
-        "c": ("optional", "float"),
-        "amplitude_scale": ("optional", "float"),
     },
     "grid": {
         "origin": ("required", "floats2"),
@@ -62,12 +58,7 @@ _SCHEMA = {
         "height": ("required", "float"),
     },
     "bob": {"position": ("required", "floats3")},
-    "budget": {
-        "P_T": ("required", "float"),
-        "kT": ("optional", "float"),
-        "N_F": ("optional", "float"),
-        "b": ("optional", "float"),
-    },
+    "budget": {"P_T": ("required", "float")},
     "channel": {
         "f0": ("required", "float"),
         "W": ("required", "float"),
@@ -95,7 +86,7 @@ class ExperimentConfig:
     scene: RoomScene
     grid: GridSpec
     bob: tuple[float, float, float]
-    budget: LinkBudget
+    P_T: float
     channel: ChannelParams  # sigma_T/sigma_N2 are placeholders until the room is known
     b_T: float
     regime: str  # test.regime as written: a detector or a PRESETS name, echoed in the outputs
@@ -146,8 +137,6 @@ def _parse_value(kind: str, raw: str):
         return _parse_float(raw)
     if kind == "int":
         return int(raw)
-    if kind == "complex":
-        return complex(raw.replace(" ", ""))
     if kind in ("floats2", "floats3", "ints2"):
         parts = raw.split()
         n = 3 if kind.endswith("3") else 2
@@ -231,7 +220,7 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
 
     # Config keys are the field names, so every omitted key takes its type's default.
     built = {}
-    for section, cls in (("scene", RoomScene), ("grid", GridSpec), ("budget", LinkBudget)):
+    for section, cls in (("scene", RoomScene), ("grid", GridSpec)):
         try:
             built[section] = cls(**values[section])
         except ValueError as exc:
@@ -254,14 +243,21 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     else:
         if params.M > harness._BLOCK_ELEMENTS:
             diags.append(f"channel.M: {params.M} tones is above {harness._BLOCK_ELEMENTS}, the most one calibration block holds")
+        else:
+            try:
+                noise_variance(values["budget"]["P_T"], params.M)  # the calibration's; it checks P_T
+            except ValueError as exc:
+                diags.append(f"[budget]: {exc}")
     tst = values["test"]
     name = tst["regime"]
+    # TestConfig checks alpha only without an override, but every output row echoes it.
+    if not 0.0 < tst["alpha"] < 1.0:
+        diags.append("test.alpha: must lie in (0, 1)")
     try:
         cfg = TestConfig(**{**tst, "regime": Regime.GENERAL if name in PRESETS else Regime(name)})
     except ValueError as exc:
-        # alpha is checked only without an override, so one key is at fault.
-        key = "alpha" if tst.get("threshold_override") is None else "threshold_override"
-        diags.append(f"test.{key}: {exc}")
+        if tst.get("threshold_override") is not None:  # else alpha, named above
+            diags.append(f"test.threshold_override: {exc}")
     else:
         if cfg.regime is Regime.UNKNOWN and cfg.threshold_override is None:
             diags.append("test.threshold_override: required when test.regime = unknown (its statistic has no nominal size)")
@@ -290,32 +286,31 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
         return None, diags
 
     # Cross-field checks that need the assembled objects.
-    scene, grid, budget = built["scene"], built["grid"], built["budget"]
-    b_T = ch["b_T"]
+    scene, grid = built["scene"], built["grid"]
+    P_T, b_T = values["budget"]["P_T"], ch["b_T"]
     if name in PRESETS:
         preset_axis, preset_value = PRESETS[name]
         if axis is preset_axis:
             diags.append(f"sweep.param: {axis.value} is fixed by test.regime = {name}; sweep another, or use general")
-        params, budget, b_T = apply_sweep_value(params, budget, b_T, preset_axis, preset_value)
+        params, P_T, b_T = apply_sweep_value(params, P_T, b_T, preset_axis, preset_value)
     low, high = _MAGNITUDE_RANGE
     # Each tone set the run traces, and whether its room gain is read (b_T > 0).
     tone_sets = {(params.f0, params.W, params.M): True} if b_T > 0 else {}  # the calibration's
     for value in sweep_values:
         try:
-            val_params, val_budget, val_b_T = apply_sweep_value(params, budget, b_T, axis, value)
+            val_params, val_P_T, val_b_T = apply_sweep_value(params, P_T, b_T, axis, value)
+            if val_params.M > harness._BLOCK_ELEMENTS:
+                raise ValueError(f"M is above {harness._BLOCK_ELEMENTS} tones, the most one calibration block holds")
+            sigma_N2 = noise_variance(val_P_T, val_params.M)
         except ValueError as exc:
             diags.append(f"sweep.values: {_fmt(value)}: {exc}")
             continue
-        if val_params.M > harness._BLOCK_ELEMENTS:
-            diags.append(f"sweep.values: M = {value} is above {harness._BLOCK_ELEMENTS} tones, the most one calibration block holds")
-            continue
         key = (val_params.f0, val_params.W, val_params.M)
         tone_sets[key] = tone_sets.get(key, False) or val_b_T > 0
-        sigma_N2 = noise_variance(val_budget, val_params.M)
         if not low <= sigma_N2 <= high:
             diags.append(
                 f"[budget]: noise variance M * kT * N_F * b / P_T = {sigma_N2:g} at M = {val_params.M}, "
-                f"P_T = {_fmt(val_budget.P_T)} is outside the supported magnitudes [{low:g}, {high:g}]"
+                f"P_T = {_fmt(val_P_T)} is outside the supported magnitudes [{low:g}, {high:g}]"
             )
     trial_ns = params.M * _CALIBRATION_NS
     if trials * trial_ns > _CALIBRATION_LIMIT_NS:
@@ -351,7 +346,7 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
             scene=scene,
             grid=grid,
             bob=values["bob"]["position"],
-            budget=budget,
+            P_T=P_T,
             channel=params,
             b_T=b_T,
             regime=name,
@@ -516,7 +511,7 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
         trace = RoomTrace(config.scene, config.grid, config.bob)
         result = room_sweep(
             trace,
-            config.budget,
+            config.P_T,
             config.channel,
             config.test,
             config.sweep_param,
@@ -527,7 +522,7 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
         )
         # The fixed response cancels under H0, so the calibration reads the trace only
         # for the room gain; alpha_hat estimates the exact size, false_alarm_rate.
-        params = resolve_variances(trace, config.channel, config.budget, config.b_T)
+        params = resolve_variances(trace, config.channel, config.P_T, config.b_T)
         rates = simulate_error_rates(params, config.test, config.trials, rng.substream(999))
         _write_outputs(out_dir, config, config_path, result, (rates, false_alarm_rate(params, config.test)))
     except Exception as exc:  # pragma: no cover - exercised via CLI tests

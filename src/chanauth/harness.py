@@ -2,7 +2,7 @@
 the empirical size of the test.
 
 For each candidate spoofer/legitimate position pair the ray tracer supplies
-the fixed responses and the link budget sets the noise floor.  A detector
+the fixed responses and the transmit power sets the noise floor.  A detector
 on a channel is a triple (r_hat, g_hat, t) of covariance spectra and a
 threshold (regime_forms), under which the score is a generalized
 chi-square, so miss rates are exact: one inverse FFT and one batched
@@ -27,27 +27,15 @@ from .channel import ChannelParams, SpatialMode
 from .detect import Regime, TestConfig
 from .numerics import _WORK_BUDGET, NotPositiveDefiniteError, RngStream, generalized_chi2_cdf
 
+# The receiver's noise: M * kT * N_F * b / P_T per tone (noise_variance).
 BOLTZMANN_NOISE_DENSITY = 10.0 ** (-17.4)  # thermal noise density kT in mW/Hz
+NOISE_FIGURE = 10.0  # N_F
+NOISE_BANDWIDTH = 0.25e6  # b, in Hz
 
 # Elements (trials x M) in one block of simulate_error_rates; bounds its
 # memory.  The block size also fixes the order of the draws (each block
 # draws its taps, then its noise), so changing it moves calibration.csv.
 _BLOCK_ELEMENTS = 2**14
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Transmit power and receiver noise description (milliwatts, Hz)."""
-
-    P_T: float
-    kT: float = BOLTZMANN_NOISE_DENSITY
-    N_F: float = 10.0
-    b: float = 0.25e6
-
-    def __post_init__(self):
-        for name in ("P_T", "kT", "N_F", "b"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -70,13 +58,15 @@ class ErrorRates:
     trials: int
 
 
-def noise_variance(budget: LinkBudget, M: int) -> float:
-    """Per-tone noise-to-signal variance M * kT * N_F * b / P_T.
+def noise_variance(P_T: float, M: int) -> float:
+    """Per-tone noise-to-signal variance M * kT * N_F * b / P_T at transmit power P_T (mW).
 
     The per-tone transmit power is P_T / M, so the dimensionless noise
     variance grows linearly with the tone count.
     """
-    return M * budget.kT * budget.N_F * budget.b / budget.P_T
+    if not 0 < P_T < math.inf:
+        raise ValueError("P_T must be positive and finite")
+    return M * BOLTZMANN_NOISE_DENSITY * NOISE_FIGURE * NOISE_BANDWIDTH / P_T
 
 
 def regime_forms(params: ChannelParams, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray, float]:
@@ -219,12 +209,13 @@ def _select_pairs(n_points: int, pair_budget: int, rng: RngStream) -> tuple[np.n
 
 
 def apply_sweep_value(
-    params: ChannelParams, budget: LinkBudget, b_T: float, axis: SweepAxis, value
-) -> tuple[ChannelParams, LinkBudget, float]:
-    """Channel, link budget and b_T with one sweep value applied.
+    params: ChannelParams, P_T: float, b_T: float, axis: SweepAxis, value
+) -> tuple[ChannelParams, float, float]:
+    """Channel, transmit power and b_T with one sweep value applied.
 
-    Rebuilding through dataclasses.replace reruns each class's validation,
-    and a b_T value is checked as resolve_variances checks it.
+    Rebuilding through dataclasses.replace reruns the channel's validation,
+    and a b_T value is checked as resolve_variances checks it; noise_variance
+    checks P_T.
     """
     if axis is SweepAxis.B_T:
         b_T = float(value)
@@ -237,18 +228,18 @@ def apply_sweep_value(
     elif axis is SweepAxis.B_C:
         params = replace(params, Bc=float(value))
     elif axis is SweepAxis.P_T:
-        budget = replace(budget, P_T=float(value))
+        P_T = float(value)
     elif axis is SweepAxis.SPATIAL_MODE:
         params = replace(params, spatial_mode=SpatialMode(value))
-    return params, budget, b_T
+    return params, P_T, b_T
 
 
-def resolve_variances(trace: raytrace.RoomTrace, params: ChannelParams, budget: LinkBudget, b_T: float) -> ChannelParams:
+def resolve_variances(trace: raytrace.RoomTrace, params: ChannelParams, P_T: float, b_T: float) -> ChannelParams:
     """``params`` with sigma_T and sigma_N2 set for the room.
 
     sigma_T = b_T * trace.rms_gain(params), the relative variation index
     times the room's RMS fixed response at the tones of ``params``, and
-    sigma_N2 = noise_variance(budget, M).  Only b_T > 0 reads the room gain,
+    sigma_N2 = noise_variance(P_T, M).  Only b_T > 0 reads the room gain,
     so only then is the whole grid traced; b_T is checked first, or a
     negative one would give sigma_T = 0.  The fixed responses depend on
     neither, so a caller asks ``trace.responses`` for just the rows it reads.
@@ -256,12 +247,12 @@ def resolve_variances(trace: raytrace.RoomTrace, params: ChannelParams, budget: 
     if not 0 <= b_T < math.inf:
         raise ValueError("b_T must be nonnegative and finite")
     sigma_T = b_T * trace.rms_gain(params) if b_T > 0 else 0.0
-    return replace(params, sigma_T=sigma_T, sigma_N2=noise_variance(budget, params.M))
+    return replace(params, sigma_T=sigma_T, sigma_N2=noise_variance(P_T, params.M))
 
 
 def room_sweep(
     trace: raytrace.RoomTrace,
-    budget: LinkBudget,
+    P_T: float,
     base_params: ChannelParams,
     cfg: TestConfig,
     sweep_param: SweepAxis,
@@ -272,9 +263,9 @@ def room_sweep(
 ) -> SweepResult:
     """Room-averaged exact miss rate along one parameter axis.
 
-    apply_sweep_value applies each sweep value to the channel, the link
-    budget and b_T; ``base_params.sigma_T`` and ``sigma_N2`` are then
-    derived per value from b_T, the room gain, and the link budget (see
+    apply_sweep_value applies each sweep value to the channel, the transmit
+    power P_T and b_T; ``base_params.sigma_T`` and ``sigma_N2`` are then
+    derived per value from b_T, the room gain, and P_T (see
     resolve_variances).  The fixed responses and the room gain come from
     ``trace``, which is told every tone set of the sweep before the first
     value is evaluated: each grid point is traced at most once in all for
@@ -293,13 +284,13 @@ def room_sweep(
     if not sweep_values:
         raise ValueError("sweep_values must be nonempty")
 
-    applied = [apply_sweep_value(base_params, budget, b_T, sweep_param, value) for value in sweep_values]
+    applied = [apply_sweep_value(base_params, P_T, b_T, sweep_param, value) for value in sweep_values]
     trace.prepare([params for params, _, _ in applied])
     ii, jj = _select_pairs(len(trace.positions), pair_budget, rng.substream(1))
 
     beta_bar, std_err = [], []
-    for params, val_budget, val_b_T in applied:
-        params = resolve_variances(trace, params, val_budget, val_b_T)
+    for params, val_P_T, val_b_T in applied:
+        params = resolve_variances(trace, params, val_P_T, val_b_T)
         pairs = trace.responses(params, np.concatenate([ii, jj]))
         betas = miss_rates(pairs[: len(ii)], pairs[len(ii) :], params, cfg)
         beta_bar.append(float(betas.mean()))

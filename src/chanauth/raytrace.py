@@ -1,10 +1,11 @@
 """Deterministic location-specific responses via the image-source method.
 
-A rectangular room with flat complex wall reflectivity stands in for a full
+A rectangular room with flat wall reflectivity stands in for a full
 building ray tracer: mirror images of one endpoint generate the multipath
-components, each contributing gain/d * Gamma^bounces with the free-space
-phase at every tone.  The output is frequency selective and decorrelates
-over sub-wavelength displacements, which is all the detection math needs.
+components, each contributing AMPLITUDE_SCALE * WALL_REFLECTIVITY^bounces / d
+with the free-space phase at every tone.  The output is frequency selective
+and decorrelates over sub-wavelength displacements, which is all the
+detection math needs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ import numpy as np
 
 from .channel import ChannelParams
 from .numerics import _CIS_WORK, _cos_sin
+
+# The walls reflect with one frequency-flat, angle-independent coefficient per
+# bounce (0.7 e^{j pi}).  AMPLITUDE_SCALE is a dimensionless field ratio folding
+# in everything outside the geometry (antennas, penetration losses); it places
+# per-tone SNRs in a realistic indoor range for milliwatt transmit powers.
+WALL_REFLECTIVITY = -0.7
+SPEED_OF_LIGHT = 2.998e8  # m/s
+AMPLITUDE_SCALE = 1e-5
 
 # (transmitter x image) elements traced together by response_matrix; bounds
 # its work arrays (~1.3 MB).  Most of a small block's cost is per-block
@@ -32,20 +41,10 @@ def _block_rows(n_images: int) -> int:
 
 @dataclass(frozen=True)
 class RoomScene:
-    """Rectangular room geometry and propagation constants.
-
-    ``wall_reflectivity`` is a single frequency-flat, angle-independent
-    complex coefficient applied per bounce.  ``amplitude_scale`` is a
-    dimensionless field-ratio constant folding in everything outside the
-    geometry (antennas, penetration losses); the default places per-tone
-    SNRs in a realistic indoor range for milliwatt transmit powers.
-    """
+    """Rectangular room geometry and the most wall bounces a path takes."""
 
     dimensions: tuple[float, float, float] = (10.0, 8.0, 3.0)
-    wall_reflectivity: complex = -0.7  # 0.7 * e^{j pi}
     max_order: int = 4
-    c: float = 2.998e8
-    amplitude_scale: float = 1e-5
 
     def __post_init__(self):
         # Comparisons are written so that NaN fails them.
@@ -53,12 +52,6 @@ class RoomScene:
             raise ValueError("room dimensions must be positive and finite")
         if self.max_order < 0:
             raise ValueError("max_order must be nonnegative")
-        if not abs(self.wall_reflectivity) <= 1.0:
-            raise ValueError("|wall_reflectivity| must not exceed 1")
-        if not 0 < self.c < math.inf:
-            raise ValueError("c must be positive and finite")
-        if not 0 < self.amplitude_scale < math.inf:
-            raise ValueError("amplitude_scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -160,12 +153,12 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
     _check_inside(scene, rx, "receiver")
     _check_inside(scene, txs, "transmitter")
     images, bounces = image_sources(scene, rx)
-    gains = scene.amplitude_scale * scene.wall_reflectivity ** bounces  # (K,)
+    gains = AMPLITUDE_SCALE * WALL_REFLECTIVITY**bounces  # (K,)
     out = np.empty((len(txs), params.M), dtype=complex)
     block_rows = _block_rows(len(images))
     size = min(block_rows, len(txs)) * len(images)
     work = np.empty((2 + _CIS_WORK, size))
-    amplitudes = np.empty(size, dtype=np.result_type(gains, 1.0))  # complex if the walls are
+    amplitudes = np.empty(size)
     phasors = np.empty((2, size), dtype=complex)
     for start in range(0, len(txs), block_rows):
         block = txs[start : start + block_rows]
@@ -180,7 +173,7 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
         if np.any(dists == 0):
             raise ValueError("transmitter and receiver positions coincide")
         np.divide(gains, dists, out=amplitude)
-        k = np.multiply(dists, -2.0 * np.pi / scene.c, out=dists)  # phase per Hz of each path
+        k = np.multiply(dists, -2.0 * np.pi / SPEED_OF_LIGHT, out=dists)  # phase per Hz of each path
         _cos_sin(np.multiply(k, params.tones[0], out=phase), phasor.real, phasor.imag, cis_work)
         phasor *= amplitude
         _cos_sin(np.multiply(k, params.delta_f, out=phase), step.real, step.imag, cis_work)

@@ -134,14 +134,14 @@ def empirical_difference_covariances(
 def eve_variation(alice_state: TapState, rng: RngStream, params: ChannelParams) -> TapState:
     """The spoofer's tap state under ``params.spatial_mode``.
 
-    INDEPENDENT draws a fresh stationary realization with the same profile;
+    INDEPENDENT draws fresh stationary realizations with the same profile,
+    one per row of ``alice_state.amps``;
     FULLY_CORRELATED shares the identical amplitudes, so the two variable
     parts coincide sample-for-sample.
     """
     if params.spatial_mode is SpatialMode.FULLY_CORRELATED:
         return alice_state
-    batch = None if alice_state.amps.ndim == 1 else alice_state.amps.shape[0]
-    return chan.init_taps(alice_state, rng, batch=batch)
+    return chan.init_taps(alice_state, rng, batch=len(alice_state.amps))
 
 
 @dataclass(frozen=True)
@@ -427,7 +427,8 @@ def image_source_sum_longdouble(scene, txs, rx, params: ChannelParams) -> np.nda
     Mirror images of ``rx`` are enumerated per axis (2nL + c with 2|n|
     bounces, 2nL - c with |2n - 1|), kept if their total bounce count fits
     scene.max_order, and every path contributes
-    amplitude_scale * Gamma^bounces / d * e^{-j 2 pi f_m d / c}, with a
+    1e-5 * Gamma^bounces / d * e^{-j 2 pi f_m d / c}, with README's room
+    constants (Gamma = -0.7, c = 2.998e8 m/s, amplitude scale 1e-5), a
     long-double pi, long-double tones f_m = f0 - W/2 + m W/M and each tone's
     phase taken directly.  Returned as complex128.
     """
@@ -446,13 +447,13 @@ def image_source_sum_longdouble(scene, txs, rx, params: ChannelParams) -> np.nda
             images.append((x, y, z))
             bounces.append(bx + by + bz)
     images = np.array(images, dtype=ld)  # (K, 3)
-    gain = ld(scene.amplitude_scale) * np.clongdouble(scene.wall_reflectivity) ** np.array(bounces)
+    gain = ld("1e-5") * ld("-0.7") ** np.array(bounces)
     tones = ld(params.f0) - ld(params.W) / 2 + np.arange(1, params.M + 1, dtype=ld) * (ld(params.W) / params.M)
     txs = np.atleast_2d(np.asarray(txs, dtype=ld))
     out = np.empty((len(txs), params.M), dtype=complex)
     for i, tx in enumerate(txs):
         d = np.sqrt(np.sum((tx - images) ** 2, axis=1))  # (K,)
-        phase = (-2 * LONG_PI / ld(scene.c)) * np.outer(d, tones)  # (K, M)
+        phase = (-2 * LONG_PI / ld("2.998e8")) * np.outer(d, tones)  # (K, M)
         phasor = np.cos(phase) + 1j * np.sin(phase)
         out[i] = ((gain / d) @ phasor).astype(complex)
     return out

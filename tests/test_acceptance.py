@@ -20,7 +20,6 @@ from chanauth.detect import (
     miss_rate_time_invariant,
 )
 from chanauth.harness import (
-    LinkBudget,
     SweepAxis,
     noise_variance,
     room_sweep,
@@ -55,7 +54,6 @@ def combined_se(se_a: float, se_b: float) -> float:
 def test_criterion_1_size_calibration():
     """False-alarm rate within [0.007, 0.013] over 1e5 trials for 12
     parameter combinations (M x B_c x b_T grid).  Budget: 2 min."""
-    budget = LinkBudget(P_T=10.0)
     results = []
     for M in (5, 10):
         for Bc in (0.0, 2e6, math.inf):
@@ -69,7 +67,7 @@ def test_criterion_1_size_calibration():
                     a=0.9,
                     Bc=Bc,
                     sigma_T=b_T * gain,
-                    sigma_N2=noise_variance(budget, M),
+                    sigma_N2=noise_variance(10.0, M),
                 )
                 cfg = TestConfig(alpha=ALPHA, regime=Regime.GENERAL)
                 rates = simulate_error_rates(params, cfg, trials=100_000, rng=RngStream(1000 + M, int(b_T * 2)))
@@ -126,7 +124,7 @@ def test_criterion_3_closed_form_vs_simulation():
             a=case["a"],
             Bc=1e4,
             sigma_T=case["b_T"] * gain,
-            sigma_N2=noise_variance(LinkBudget(P_T=case["P_T"]), case["M"]),
+            sigma_N2=noise_variance(case["P_T"], case["M"]),
         )
         ha, he = response_matrix(SCENE, [alice, case["eve"]], BOB, params)
         closed = miss_rate_low_bc(ALPHA, params, ha, he)
@@ -167,7 +165,7 @@ def test_criterion_5_variation_strength_trend():
     Budget: 5 min."""
     res = room_sweep(
         trace=RoomTrace(SCENE, GRID, BOB),
-        budget=LinkBudget(P_T=100.0),
+        P_T=100.0,
         base_params=ChannelParams(f0=5e9, W=1e7, M=10, a=0.9, Bc=0.0, sigma_T=0.0, sigma_N2=0.0),
         cfg=TestConfig(alpha=ALPHA, regime=Regime.GENERAL),
         sweep_param=SweepAxis.B_T,
@@ -195,7 +193,7 @@ def test_criterion_6_bandwidth_trend_and_bracketing():
     def sweep(Bc):
         return room_sweep(
             trace=RoomTrace(SCENE, GRID, BOB),
-            budget=LinkBudget(P_T=10.0),
+            P_T=10.0,
             base_params=ChannelParams(f0=5e9, W=1e7, M=5, a=0.9, Bc=Bc, sigma_T=0.0, sigma_N2=0.0),
             cfg=TestConfig(alpha=ALPHA, regime=Regime.GENERAL),
             sweep_param=SweepAxis.W,
@@ -225,7 +223,7 @@ def test_criterion_7_spatial_correlation_trend():
     Budget: 5 min."""
     res = room_sweep(
         trace=RoomTrace(SCENE, GRID, BOB),
-        budget=LinkBudget(P_T=100.0),
+        P_T=100.0,
         base_params=ChannelParams(f0=5e9, W=1e7, M=10, a=0.9, Bc=2e6, sigma_T=0.0, sigma_N2=0.0),
         cfg=TestConfig(alpha=ALPHA, regime=Regime.GENERAL),
         sweep_param=SweepAxis.SPATIAL_MODE,

@@ -130,8 +130,8 @@ class TestDelayProfile:
 
 class TestTapDynamics:
     def test_init_zero_profile(self):
-        state = init_taps(build_delay_profile(make_params(sigma_T=0.0)), RngStream(0))
-        assert np.all(state.amps == 0)
+        state = init_taps(build_delay_profile(make_params(sigma_T=0.0)), RngStream(0), batch=1)
+        assert np.all(state.amps[0] == 0)
 
     def test_init_stationary_variance(self):
         p = make_params()
@@ -190,9 +190,9 @@ class TestTapDynamics:
 class TestTapsToFrequency:
     def test_single_tap_flat(self):
         p = make_params(Bc=math.inf)
-        state = init_taps(build_delay_profile(p), RngStream(11))
-        eps = taps_to_frequency(state, p)
-        assert np.allclose(eps, state.amps[0])
+        state = init_taps(build_delay_profile(p), RngStream(11), batch=1)
+        eps = taps_to_frequency(state, p)[0]
+        assert np.allclose(eps, state.amps[0, 0])
 
     def test_one_tap_line_is_every_tone(self):
         # Every tone of a one-tap line is the tap itself, bit for bit, even at
@@ -277,7 +277,7 @@ class TestEveVariation:
 
     def test_fully_correlated_shares_state(self):
         p = make_params(spatial_mode=SpatialMode.FULLY_CORRELATED)
-        state = init_taps(build_delay_profile(p), RngStream(19))
+        state = init_taps(build_delay_profile(p), RngStream(19), batch=1)
         eve = eve_variation(state, RngStream(20), p)
         assert eve is state
         assert np.array_equal(taps_to_frequency(eve, p), taps_to_frequency(state, p))
@@ -293,9 +293,9 @@ class TestEveVariation:
 
     def test_independent_zero_variation(self):
         p = make_params(sigma_T=0.0)
-        state = init_taps(build_delay_profile(p), RngStream(23))
+        state = init_taps(build_delay_profile(p), RngStream(23), batch=1)
         eve = eve_variation(state, RngStream(24), p)
-        assert np.all(eve.amps == 0)
+        assert np.all(eve.amps[0] == 0)
 
 
 def test_tone_covariance_closed_form():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chanauth import cli, raytrace
+from chanauth import cli, harness, raytrace
 from chanauth.cli import _SCHEMA, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, PRESETS, REGIME_NAMES, load_config, main, run, validate
 from chanauth.detect import Regime
 from chanauth.harness import SweepAxis, apply_sweep_value
@@ -104,7 +104,8 @@ class TestLoadConfig:
         config, diags = load_config(write_cfg(tmp_path, **{"run.trials": None, "run.seed": None}))
         assert diags == []
         assert config.trials == 10_000 and config.seed == 0
-        assert config.scene.wall_reflectivity == -0.7 and config.budget.N_F == 10.0
+        assert (raytrace.WALL_REFLECTIVITY, raytrace.SPEED_OF_LIGHT, raytrace.AMPLITUDE_SCALE) == (-0.7, 2.998e8, 1e-5)
+        assert (harness.BOLTZMANN_NOISE_DENSITY, harness.NOISE_FIGURE, harness.NOISE_BANDWIDTH) == (10.0 ** -17.4, 10.0, 0.25e6)
 
     def test_missing_file(self, tmp_path):
         config, diags = load_config(tmp_path / "nope.cfg")
@@ -125,8 +126,8 @@ class TestLoadConfig:
             ({"sweep.values": "  "}, "sweep.values"),
             ({"run.trials": "0"}, "run.trials"),
             ({"budget.P_T": "-1"}, "[budget]"),
-            ({"scene.c": "0"}, "[scene]"),
-            ({"scene.wall_reflectivity": "nan"}, "[scene]"),
+            ({"scene.c": "0"}, "scene.c: unknown key"),
+            ({"scene.wall_reflectivity": "nan"}, "scene.wall_reflectivity: unknown key"),
             ({"scene.dimensions": "5 5 5"}, "scene.dimensions"),
             ({"channel.f0": "inf"}, "[channel]"),
             ({"channel.b_T": "1e300"}, "channel.b_T"),
@@ -136,6 +137,13 @@ class TestLoadConfig:
             ({"channel.T": "1e-3"}, "channel.T: unknown key"),
             ({"grid.spacing": "nan"}, "[grid]"),
             ({"grid.height": "inf"}, "[grid]"),
+            # The room and noise constants are fixed: a config cannot set them.
+            ({"scene.amplitude_scale": "1e-5"}, "scene.amplitude_scale: unknown key"),
+            ({"budget.kT": "1e-100"}, "budget.kT: unknown key"),
+            ({"budget.N_F": "10"}, "budget.N_F: unknown key"),
+            ({"budget.b": "0.25e6"}, "budget.b: unknown key"),
+            # alpha is written to every output row, so it is checked under an override too.
+            *(({"test.alpha": alpha, "test.threshold_override": "40"}, "test.alpha") for alpha in ("nan", "inf", "-1", "0", "5")),
         ],
     )
     def test_diagnostics_name_the_key(self, tmp_path, overrides, fragment):
@@ -169,7 +177,7 @@ class TestLoadConfig:
         assert config.test.regime is Regime.GENERAL and config.test == general.test
         fixed = {SweepAxis.B_C: config.channel.Bc, SweepAxis.B_T: config.b_T, SweepAxis.SPATIAL_MODE: config.channel.spatial_mode.value}
         assert fixed[axis] == value
-        channel, _, b_T = apply_sweep_value(general.channel, general.budget, general.b_T, axis, value)
+        channel, _, b_T = apply_sweep_value(general.channel, general.P_T, general.b_T, axis, value)
         assert config.channel == channel and config.b_T == b_T
 
     def test_regime_names(self):
@@ -318,8 +326,8 @@ class TestValidateMatchesRun:
             ({"sweep.param": "P_T", "sweep.values": "0 100"}, "sweep.values"),
             ({"test.alpha": "1e-300"}, "test.alpha"),
             ({"test.regime": "unknown"}, "test.threshold_override"),
-            # M kT N_F b / P_T underflows to 0, though every factor is in range.
-            ({"budget.kT": "1e-100", "budget.N_F": "1e-100", "budget.b": "1e-100", "budget.P_T": "1e100"}, "[budget]"),
+            # M kT N_F b / P_T is below 1e-100, though P_T is in range.
+            ({"budget.P_T": "1e100"}, "[budget]"),
             ({"sweep.param": "b_T", "sweep.values": "-0.1 0.5"}, "sweep.values"),
             ({"sweep.param": "b_T", "sweep.values": "0.5 inf"}, "sweep.values"),
             # A calibration of 1e12 trials at M = 5 would run for weeks.
@@ -524,23 +532,29 @@ _RAW_VALUES = st.one_of(
 
 
 class TestMutatedConfig:
-    """Any one-key mutation of a small valid config, low_bc or general:
-    validate and run reject it with exit 2 naming the key, or run exits 0
-    with finite, in-range CSVs."""
+    """Any one-key mutation of a small valid config, low_bc, general or
+    unknown at a threshold override: validate and run reject it with exit 2
+    naming the key, or run exits 0 with finite, in-range CSVs."""
+
+    BASES = {"low_bc": {}, "general": {}, "unknown": {"test.threshold_override": "40"}}
 
     @settings(max_examples=200, deadline=None)
-    @given(base=st.sampled_from(["low_bc", "general"]), target=st.sampled_from(_KEYS), raw=_RAW_VALUES)
+    @given(base=st.sampled_from(sorted(BASES)), target=st.sampled_from(_KEYS), raw=_RAW_VALUES)
     # The receiver on one of two grid points, and one step above the first.
     @example(base="low_bc", target=("bob", "position"), raw="2.0 2.0 1.0")
     @example(base="general", target=("bob", "position"), raw="2.8 2.4 1.0")
     @example(base="general", target=("bob", "position"), raw="2.0 2.0 1.0000000000000002")
+    # An override leaves alpha out of the threshold, but every row echoes it.
+    @example(base="unknown", target=("test", "alpha"), raw="nan")
     def test_one_key_mutation(self, base, target, raw):
         # A general base sends every threshold through the contour evaluator,
-        # a low_bc one through the equal-weight noncentral CDF.
+        # a low_bc one through the equal-weight noncentral CDF; an unknown one
+        # whitens by the noise alone at its override.
         section, key = target
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            path = write_cfg(tmp, **{"run.trials": "300", "test.regime": base, f"{section}.{key}": raw})
+            overrides = {"run.trials": "300", "test.regime": base, **self.BASES[base], f"{section}.{key}": raw}
+            path = write_cfg(tmp, **overrides)
             config, diags = load_config(path)
             rc = run(path, tmp / "out")
             if diags:
@@ -553,6 +567,7 @@ class TestMutatedConfig:
         for row in rows:
             assert 0.0 <= float(row["beta_bar"]) <= 1.0, row
             assert math.isfinite(float(row["std_err"])), row
+            assert 0.0 < float(row["alpha"]) < 1.0, row
         assert math.isfinite(float(calib["alpha_hat"])) and math.isfinite(float(calib["std_err"])), calib
 
 

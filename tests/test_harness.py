@@ -23,7 +23,6 @@ from chanauth.detect import (
     miss_rate_time_invariant,
 )
 from chanauth.harness import (
-    LinkBudget,
     SweepAxis,
     _BLOCK_ELEMENTS,
     _select_pairs,
@@ -66,7 +65,7 @@ def resolve_name(params: ChannelParams, name: str) -> tuple[Regime, ChannelParam
     (where b_T is sigma_T)."""
     if name not in PRESETS:
         return Regime(name), params
-    params, _, b_T = apply_sweep_value(params, LinkBudget(P_T=1.0), params.sigma_T, *PRESETS[name])
+    params, _, b_T = apply_sweep_value(params, 1.0, params.sigma_T, *PRESETS[name])
     return Regime.GENERAL, replace(params, sigma_T=b_T)
 
 
@@ -104,35 +103,34 @@ def count_traced_rows(monkeypatch) -> Counter:
 class TestLinkBudget:
     def test_reference_value(self):
         # kT = 10^-17.4 mW/Hz, N_F = 10, b = 0.25 MHz, P_T = 10 mW, M = 10.
-        s2 = noise_variance(LinkBudget(P_T=10.0), 10)
+        s2 = noise_variance(10.0, 10)
         assert s2 == pytest.approx(9.95e-12, rel=1e-3)
 
     def test_linear_in_m(self):
-        b = LinkBudget(P_T=50.0)
-        assert noise_variance(b, 20) == pytest.approx(2.0 * noise_variance(b, 10), rel=1e-12)
+        assert noise_variance(50.0, 20) == pytest.approx(2.0 * noise_variance(50.0, 10), rel=1e-12)
 
     def test_inverse_in_power(self):
-        assert noise_variance(LinkBudget(P_T=20.0), 10) == pytest.approx(
-            0.5 * noise_variance(LinkBudget(P_T=10.0), 10), rel=1e-12
-        )
+        assert noise_variance(20.0, 10) == pytest.approx(0.5 * noise_variance(10.0, 10), rel=1e-12)
 
     def test_positive_fields(self):
-        with pytest.raises(ValueError):
-            LinkBudget(P_T=0.0)
+        # noise_variance is the one check of the transmit power.
+        for P_T in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                noise_variance(P_T, 10)
 
     def test_sigma_t_from_bt(self):
         # sigma_T = b_T * the room gain, and a b_T that is negative or not
         # finite is refused rather than read as no variation.
         grid = GridSpec(origin=(2.0, 2.0), spacing=0.2, counts=(4, 4), height=1.0)
         trace = RoomTrace(SCENE, grid, BOB)
-        p, budget = make_params(), LinkBudget(P_T=10.0)
-        assert resolve_variances(trace, p, budget, 0.0).sigma_T == 0.0
-        resolved = resolve_variances(trace, p, budget, 0.5)
+        p = make_params()
+        assert resolve_variances(trace, p, 10.0, 0.0).sigma_T == 0.0
+        resolved = resolve_variances(trace, p, 10.0, 0.5)
         assert resolved.sigma_T == 0.5 * trace.rms_gain(p)
-        assert resolved.sigma_N2 == noise_variance(budget, p.M)
+        assert resolved.sigma_N2 == noise_variance(10.0, p.M)
         for b_T in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError):
-                resolve_variances(trace, p, budget, b_T)
+                resolve_variances(trace, p, 10.0, b_T)
 
 
 class TestPairMissRate:
@@ -145,8 +143,7 @@ class TestPairMissRate:
         assert beta == pytest.approx(0.99, abs=1e-9)
 
     def test_huge_power_far_pair(self):
-        budget = LinkBudget(P_T=1e6)
-        p = make_params(sigma_T=0.0, sigma_N2=noise_variance(budget, 10))
+        p = make_params(sigma_T=0.0, sigma_N2=noise_variance(1e6, 10))
         cfg = TestConfig(alpha=0.01)
         ha, he = response_matrix(SCENE, [(2.0, 2.0, 1.0), (7.0, 5.5, 1.0)], BOB, p)
         beta = miss_rate_for_pair(ha, he, p, cfg)
@@ -196,7 +193,7 @@ class TestMissRates:
     def room(self):
         base = make_params(sigma_T=0.0, sigma_N2=0.0)
         gain = RoomTrace(SCENE, self.GRID, BOB).rms_gain(base)
-        p = make_params(sigma_T=0.5 * gain, sigma_N2=noise_variance(LinkBudget(P_T=100.0), base.M))
+        p = make_params(sigma_T=0.5 * gain, sigma_N2=noise_variance(100.0, base.M))
         responses = response_matrix(SCENE, grid_positions(self.GRID), BOB, p)
         pick = np.random.default_rng(8).choice(len(responses) - 1, size=40, replace=False)
         return p, responses[pick], responses[pick + 1]  # grid neighbours
@@ -372,8 +369,7 @@ class TestSimulateErrorRates:
         assert rates.beta_hat == pytest.approx(0.99, abs=3 * rates.beta_se + 1e-3)
 
     def test_matches_closed_form(self):
-        budget = LinkBudget(P_T=100.0)
-        p = make_params(Bc=0.0, M=5, sigma_T=2e-6, sigma_N2=noise_variance(budget, 5))
+        p = make_params(Bc=0.0, M=5, sigma_T=2e-6, sigma_N2=noise_variance(100.0, 5))
         ha, he = response_matrix(SCENE, [(2.0, 2.0, 1.0), (2.6, 2.2, 1.0)], BOB, p)
         cfg = TestConfig(alpha=0.01, regime=Regime.GENERAL)
         rates = _oracles.simulate_error_rates(ha, he, p, cfg, trials=100_000, rng=RngStream(72), include_h0=False)
@@ -393,8 +389,7 @@ class TestSimulateErrorRates:
         # room_grid's calibration (M = 20, one tap): every array it holds is
         # one trial block's, so the peak stays under one and a half
         # (4000 x M) complex arrays and does not grow with the trial count.
-        budget = LinkBudget(P_T=100.0)
-        p = make_params(W=2e7, M=20, Bc=math.inf, sigma_T=0.0, sigma_N2=noise_variance(budget, 20))
+        p = make_params(W=2e7, M=20, Bc=math.inf, sigma_T=0.0, sigma_N2=noise_variance(100.0, 20))
         cfg = TestConfig(alpha=0.01)
 
         def peak(trials: int) -> int:
@@ -491,7 +486,7 @@ class TestRoomSweep:
     def sweep(self, seed=5, grid=None, **overrides):
         kwargs = dict(
             trace=raytrace.RoomTrace(SCENE, grid or self.GRID, BOB),
-            budget=LinkBudget(P_T=100.0),
+            P_T=100.0,
             base_params=make_params(Bc=0.0, sigma_T=0.0, sigma_N2=0.0),
             cfg=TestConfig(alpha=0.01),
             sweep_param=SweepAxis.B_T,
@@ -595,14 +590,14 @@ class TestRoomSweep:
         assert not diags
         trace = raytrace.RoomTrace(config.scene, config.grid, config.bob)
         res = room_sweep(
-            trace, config.budget, config.channel, config.test, config.sweep_param, values,
+            trace, config.P_T, config.channel, config.test, config.sweep_param, values,
             b_T=config.b_T, pair_budget=config.pair_budget, rng=RngStream(config.seed),
         )
         n = len(trace.positions)
         ii, jj = _unrank_pairs(np.arange(n * (n - 1) // 2), n)
         for value, beta_bar, std_err in zip(values, res.beta_bar, res.std_err):
-            params, budget, b_T = apply_sweep_value(config.channel, config.budget, config.b_T, config.sweep_param, value)
-            params = resolve_variances(trace, params, budget, b_T)
+            params, P_T, b_T = apply_sweep_value(config.channel, config.P_T, config.b_T, config.sweep_param, value)
+            params = resolve_variances(trace, params, P_T, b_T)
             responses = trace.responses(params, np.arange(n))
             total = sum(
                 miss_rates(responses[ii[i : i + 4096]], responses[jj[i : i + 4096]], params, config.test).sum()
@@ -635,7 +630,7 @@ class TestRoomSweep:
         trace = raytrace.RoomTrace(SCENE, self.GRID, BOB)
         ii, jj = _unrank_pairs(np.arange(36), 9)
         for mode, beta_bar, beta_general in zip(modes, res.beta_bar, general.beta_bar):
-            params = resolve_variances(trace, replace(base, spatial_mode=SpatialMode(mode)), LinkBudget(P_T=100.0), 0.5)
+            params = resolve_variances(trace, replace(base, spatial_mode=SpatialMode(mode)), 100.0, 0.5)
             responses = trace.responses(params, np.arange(9))
             assert beta_bar == pytest.approx(miss_rates(responses[ii], responses[jj], params, unknown).mean(), rel=1e-12)
             assert beta_bar != pytest.approx(beta_general, rel=1e-3)

@@ -119,14 +119,15 @@ class TestImageSources:
 
 class TestFixedResponse:
     def test_free_space(self):
-        scene = RoomScene(max_order=0, amplitude_scale=1.0)
+        # The room constants, as README gives them: Gamma = -0.7, c = 2.998e8 m/s, amplitude scale 1e-5.
+        scene = RoomScene(max_order=0)
         tx, rx = (2.0, 2.0, 1.0), (5.0, 6.0, 1.0)
         p = make_params(M=4)
         h = response_matrix(scene, [tx], rx, p)[0]
         d = np.linalg.norm(np.subtract(tx, rx))
         tones = p.f0 - p.W / 2 + np.arange(1, p.M + 1) * p.delta_f
-        expected = np.exp(-2j * np.pi * tones * d / scene.c) / d
-        assert np.abs(h - expected).max() < 1e-12
+        expected = 1e-5 * np.exp(-2j * np.pi * tones * d / 2.998e8) / d
+        assert np.abs(h - expected).max() < 1e-5 * 1e-12
 
     def test_reciprocity(self):
         scene = RoomScene()
@@ -135,7 +136,7 @@ class TestFixedResponse:
         assert np.abs(response_matrix(scene, [a], b, p)[0] - response_matrix(scene, [b], a, p)[0]).max() < 1e-12
 
     def test_first_order_against_mirror_sum(self):
-        scene = RoomScene(max_order=1, amplitude_scale=1.0)
+        scene = RoomScene(max_order=1)
         tx, rx = (3.0, 2.0, 1.0), (6.0, 5.0, 2.0)
         p = make_params(M=6)
         h = response_matrix(scene, [tx], rx, p)[0]
@@ -143,7 +144,7 @@ class TestFixedResponse:
         expected = np.zeros(p.M, dtype=complex)
         for coords, bounces in brute_force_images(scene, rx):
             d = np.linalg.norm(np.subtract(tx, coords))
-            expected += scene.wall_reflectivity**bounces / d * np.exp(-2j * np.pi * tones * d / scene.c)
+            expected += 1e-5 * (-0.7) ** bounces / d * np.exp(-2j * np.pi * tones * d / 2.998e8)
         assert np.abs(h - expected).max() < 1e-12 * np.abs(expected).max()
 
     def test_rejects_coincident_endpoints(self):
@@ -219,31 +220,13 @@ class TestFixedResponse:
         rms = np.sqrt(np.mean(np.abs(expected) ** 2))
         assert np.abs(got - expected).max() <= 1e-12 * rms
 
-    def test_complex_reflectivity_matches_long_double_image_sum(self):
-        # A complex wall coefficient makes the path gains complex.
-        scene = RoomScene(max_order=6, wall_reflectivity=0.5 - 0.6j)
-        p = make_params(M=20, W=2e7)
-        rx = (8.0, 6.0, 2.0)
-        txs = grid_positions(GridSpec(origin=(1.5, 1.5), spacing=0.1, counts=(60, 40), height=1.0))[::150]
-        expected = image_source_sum_longdouble(scene, txs, rx, p)
-        got = response_matrix(scene, txs, rx, p)
-        assert np.abs(got - expected).max() <= 1e-12 * np.sqrt(np.mean(np.abs(expected) ** 2))
-
 
 class TestRoomAverageGain:
     def test_unit_distance_free_space(self):
-        scene = RoomScene(max_order=0, amplitude_scale=1.0)
+        scene = RoomScene(max_order=0)
         grid = GridSpec(origin=(4.0, 4.0), spacing=0.1, counts=(1, 1), height=1.0)
         gain = RoomTrace(scene, grid, (4.0, 4.0, 2.0)).rms_gain(make_params())
-        assert gain == pytest.approx(1.0, abs=1e-12)
-
-    def test_homogeneity(self):
-        grid = GridSpec(origin=(2.0, 2.0), spacing=0.3, counts=(3, 3), height=1.0)
-        p = make_params()
-        bob = (8.0, 6.0, 2.0)
-        g1 = RoomTrace(RoomScene(amplitude_scale=1e-5), grid, bob).rms_gain(p)
-        g2 = RoomTrace(RoomScene(amplitude_scale=2e-5), grid, bob).rms_gain(p)
-        assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
+        assert gain == pytest.approx(1e-5, abs=1e-5 * 1e-12)  # the amplitude scale
 
     def test_against_two_loop_recomputation(self):
         scene = RoomScene()
@@ -371,7 +354,7 @@ class TestPhysicalPremises:
         scene = RoomScene(max_order=3)
         p = make_params(M=10)
         bob = (8.0, 6.0, 2.0)
-        lam = scene.c / p.f0
+        lam = raytrace.SPEED_OF_LIGHT / p.f0
         gen = RngStream(60).generator
         corrs = {delta: [] for delta in (1e-3, lam / 2, 2 * lam)}
         for _ in range(100):
