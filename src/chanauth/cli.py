@@ -183,9 +183,9 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case (P_T, N_F, ...)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return None, [f"cannot read config: {exc}"]
     except configparser.Error as exc:
         return None, [f"config syntax error: {exc}"]
@@ -229,15 +229,7 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     if not 0 <= ch["b_T"] < math.inf:
         diags.append("channel.b_T: must be nonnegative and finite")
     try:
-        params = ChannelParams(
-            f0=ch["f0"],
-            W=ch["W"],
-            M=ch["M"],
-            a=ch["a"],
-            Bc=ch["B_c"],
-            sigma_T=0.0,
-            sigma_N2=0.0,
-        )
+        params = ChannelParams(f0=ch["f0"], W=ch["W"], M=ch["M"], a=ch["a"], Bc=ch["B_c"], sigma_T=0.0, sigma_N2=0.0)
     except ValueError as exc:
         diags.append(f"[channel]: {exc}")
     else:
@@ -294,19 +286,17 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
             diags.append(f"sweep.param: {axis.value} is fixed by test.regime = {name}; sweep another, or use general")
         params, P_T, b_T = apply_sweep_value(params, P_T, b_T, preset_axis, preset_value)
     low, high = _MAGNITUDE_RANGE
-    # Each tone set the run traces, and whether its room gain is read (b_T > 0).
-    tone_sets = {(params.f0, params.W, params.M): True} if b_T > 0 else {}  # the calibration's
+    runnable = []  # the sweep values whose tone sets are priced
     for value in sweep_values:
         try:
-            val_params, val_P_T, val_b_T = apply_sweep_value(params, P_T, b_T, axis, value)
+            val_params, val_P_T, _ = apply_sweep_value(params, P_T, b_T, axis, value)
             if val_params.M > harness._BLOCK_ELEMENTS:
                 raise ValueError(f"M is above {harness._BLOCK_ELEMENTS} tones, the most one calibration block holds")
             sigma_N2 = noise_variance(val_P_T, val_params.M)
         except ValueError as exc:
             diags.append(f"sweep.values: {_fmt(value)}: {exc}")
             continue
-        key = (val_params.f0, val_params.W, val_params.M)
-        tone_sets[key] = tone_sets.get(key, False) or val_b_T > 0
+        runnable.append(value)
         if not low <= sigma_N2 <= high:
             diags.append(
                 f"[budget]: noise variance M * kT * N_F * b / P_T = {sigma_N2:g} at M = {val_params.M}, "
@@ -318,15 +308,15 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
             f"run.trials: {trials} trials at M = {params.M} would calibrate for over an hour; "
             f"at most {_CALIBRATION_LIMIT_NS // trial_ns} fit (README, Limits)"
         )
-    if _image_count(scene.max_order) > raytrace._BLOCK_ELEMENTS:
+    if raytrace._image_count(scene.max_order) > raytrace._BLOCK_ELEMENTS:
         diags.append(
             f"scene.max_order: {scene.max_order} bounces give over {raytrace._BLOCK_ELEMENTS} image sources, "
             "the most one trace block holds (README, Limits)"
         )
     if grid.n_points < 2:
         diags.append(f"grid.counts: {grid.counts[0]} x {grid.counts[1]} has fewer than 2 points, so no pair")
-    elif _image_count(scene.max_order) <= raytrace._BLOCK_ELEMENTS:
-        diags += _cost_diagnostics(scene, grid, pair_budget, tone_sets)
+    elif raytrace._image_count(scene.max_order) <= raytrace._BLOCK_ELEMENTS:
+        diags += _cost_diagnostics(scene, grid, pair_budget, _tone_sets(params, P_T, b_T, axis, runnable))
     dims = scene.dimensions
     bob = values["bob"]["position"]
     bob_inside = all(0 < p < d for p, d in zip(bob, dims))
@@ -341,48 +331,36 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig | None, list[str]]:
     if diags:
         return None, diags
 
-    return (
-        ExperimentConfig(
-            scene=scene,
-            grid=grid,
-            bob=values["bob"]["position"],
-            P_T=P_T,
-            channel=params,
-            b_T=b_T,
-            regime=name,
-            test=cfg,
-            sweep_param=axis,
-            sweep_values=sweep_values,
-            trials=trials,
-            pair_budget=pair_budget,
-            seed=seed,
-        ),
-        [],
+    config = ExperimentConfig(
+        scene=scene, grid=grid, bob=values["bob"]["position"], P_T=P_T, channel=params, b_T=b_T, regime=name,
+        test=cfg, sweep_param=axis, sweep_values=sweep_values, trials=trials, pair_budget=pair_budget, seed=seed,
     )
+    return config, []
 
 
-def _image_count(max_order: int) -> int:
-    """Image sources per endpoint up to ``max_order`` bounces, without listing them.
+def _tone_sets(params: ChannelParams, P_T: float, b_T: float, axis: SweepAxis, values) -> list[tuple[ChannelParams, bool]]:
+    """Each tone set a run traces and whether it reads the room gain.
 
-    Each image is a bounce vector (b_x, b_y, b_z) of signed integers with
-    |b_x| + |b_y| + |b_z| <= max_order (raytrace._axis_images puts one
-    image at each signed bounce count per axis), and that octahedron holds
-    (2n + 1)(2n^2 + 2n + 3)/3 lattice points at n = max_order.
+    That is every sweep value's set, then the calibration's, which reads the
+    trace only for the room gain, when b_T > 0.
     """
-    n = max_order
-    return (2 * n + 1) * (2 * n * n + 2 * n + 3) // 3
+    applied = [apply_sweep_value(params, P_T, b_T, axis, value) for value in values]
+    return [(p, val_b_T > 0) for p, _, val_b_T in applied] + ([(params, True)] if b_T > 0 else [])
 
 
-def _cost_diagnostics(scene: RoomScene, grid: GridSpec, pair_budget: int, tone_sets: dict) -> list[str]:
+def _cost_diagnostics(scene: RoomScene, grid: GridSpec, pair_budget: int, tone_sets: list[tuple[ChannelParams, bool]]) -> list[str]:
     """A diagnostic for a grid or a pair sample over the caps, predicted without allocating.
 
-    ``tone_sets`` maps each (f0, W, M) the run traces to whether its room
-    gain is read, which traces every grid point; the other sets are traced
-    at the sampled pairs' rows.  Tone sets that share a tone grid trace at
-    most their tones together, so their sum bounds it.  Under the grid's cap
-    n (n - 1) / 2 pairs fit an int64.
+    The run traces ``tone_sets`` (_tone_sets) on their raytrace.tone_grids,
+    each distinct grid with one slot per grid point: every grid point when
+    a set on it reads the room gain, and only the sampled pairs' rows
+    otherwise.  Under the grid's cap n (n - 1) / 2 pairs fit an int64.
     """
-    n, images = grid.n_points, _image_count(scene.max_order)
+    n, images = grid.n_points, raytrace._image_count(scene.max_order)
+    plan = raytrace.tone_grids(params for params, _ in tone_sets)
+    grids = {tones for tones, _ in plan.values()}
+    whole = {plan[(params.f0, params.W, params.M)][0] for params, gain in tone_sets if gain}  # traced whole
+    parts = grids - whole
 
     def trace_ns(rows: int, M: int) -> int:
         return rows * (images * (M * _PATH_TONE_NS + _PATH_NS) + M * _POINT_TONE_NS)
@@ -392,20 +370,18 @@ def _cost_diagnostics(scene: RoomScene, grid: GridSpec, pair_budget: int, tone_s
             return f"would hold {held / 2**30:.3g} GiB and trace for {ns / 6e10:.3g} min; the caps are 2 GiB and 60 min (README, Limits)"
         return None
 
-    whole = [M for (_, _, M), gain in tone_sets.items() if gain]
-    held = n * (_POINT_BYTES + _SLOT_BYTES * len(tone_sets) + _TONE_BYTES * (sum(whole) + max(whole, default=0)))
-    problem = over(held, sum(trace_ns(n, M) for M in whole))
+    gain_M = max((params.M for params, gain in tone_sets if gain), default=0)  # rms_gain's temporaries
+    held = n * (_POINT_BYTES + _SLOT_BYTES * len(grids) + _TONE_BYTES * (sum(g.M for g in whole) + gain_M))
+    problem = over(held, sum(trace_ns(n, g.M) for g in whole))
     if problem:
         return [f"grid.counts: {grid.counts[0]} x {grid.counts[1]} points {problem}"]
     total = n * (n - 1) // 2
     pairs = min(pair_budget, total)
-    # Generator.choice samples over total // 50 of more than 10 000 ranks by shuffling them all.
-    draw = 8 * total if pairs == total or (total > 10_000 and pairs > total // 50) else 28 * pairs
     rows = min(n, 2 * pairs)
-    parts = [M for (_, _, M), gain in tone_sets.items() if not gain]
-    max_M = max((M for _, _, M in tone_sets), default=0)
-    held = draw + pairs * (_PAIR_BYTES + _PAIR_TONE_BYTES * max_M) + rows * _TONE_BYTES * sum(parts)
-    problem = over(held, sum(trace_ns(rows, M) for M in parts))
+    max_M = max((params.M for params, _ in tone_sets), default=0)
+    held = harness._pair_draw_bytes(total, pairs) + pairs * (_PAIR_BYTES + _PAIR_TONE_BYTES * max_M)
+    held += rows * _TONE_BYTES * sum(g.M for g in parts)
+    problem = over(held, sum(trace_ns(rows, g.M) for g in parts))
     if problem:
         return [f"run.pair_budget: {pairs} of {total} pairs {problem}"]
     return []
@@ -442,22 +418,13 @@ def _fmt(x) -> str:
 
 
 def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, result, calibration):
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+    with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sweep_param", "value", "beta_bar", "std_err", "pair_count", "alpha", "regime"])
         for value, beta, se in zip(result.values, result.beta_bar, result.std_err):
-            writer.writerow(
-                [
-                    result.swept_param,
-                    _fmt(value),
-                    _fmt(beta),
-                    _fmt(se),
-                    result.pair_count,
-                    _fmt(config.test.alpha),
-                    config.regime,
-                ]
-            )
-    with open(out_dir / "calibration.csv", "w", newline="") as fh:
+            row = [result.swept_param, _fmt(value), _fmt(beta), _fmt(se), result.pair_count, _fmt(config.test.alpha)]
+            writer.writerow([*row, config.regime])
+    with open(out_dir / "calibration.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["regime", "alpha_target", "alpha_hat", "std_err", "trials"])
         rates, exact_alpha = calibration
@@ -465,7 +432,8 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, config_path: Path, r
         target = config.test.alpha if config.test.threshold_override is None else exact_alpha
         writer.writerow([config.regime, _fmt(target), _fmt(rates.alpha_hat), _fmt(rates.alpha_se), rates.trials])
     digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
-    with open(out_dir / "summary.txt", "w") as fh:
+    # The config's name as the file system gave it, undecodable bytes included.
+    with open(out_dir / "summary.txt", "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write("chanauth sweep summary\n")
         fh.write(f"config: {config_path.name}\n")
         fh.write(f"config_sha256: {digest}\n")
@@ -509,6 +477,8 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None, t
     try:
         rng = RngStream(config.seed)
         trace = RoomTrace(config.scene, config.grid, config.bob)
+        sets = _tone_sets(config.channel, config.P_T, config.b_T, config.sweep_param, config.sweep_values)
+        trace.prepare(params for params, _ in sets)  # every tone grid of the run in one plan, as validate priced it
         result = room_sweep(
             trace,
             config.P_T,

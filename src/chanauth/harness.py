@@ -208,6 +208,15 @@ def _select_pairs(n_points: int, pair_budget: int, rng: RngStream) -> tuple[np.n
     return _unrank_pairs(pick, n_points)
 
 
+def _pair_draw_bytes(total: int, pairs: int) -> int:
+    """Bytes _select_pairs takes to draw ``pairs`` of ``total`` pair ranks.
+
+    It lists all, 8 B a rank, as Generator.choice shuffles all once it samples
+    over total // 50 of more than 10 000; otherwise about 28 B a drawn rank.
+    """
+    return 8 * total if pairs >= total or (total > 10_000 and pairs > total // 50) else 28 * pairs
+
+
 def apply_sweep_value(
     params: ChannelParams, P_T: float, b_T: float, axis: SweepAxis, value
 ) -> tuple[ChannelParams, float, float]:
@@ -267,12 +276,10 @@ def room_sweep(
     power P_T and b_T; ``base_params.sigma_T`` and ``sigma_N2`` are then
     derived per value from b_T, the room gain, and P_T (see
     resolve_variances).  The fixed responses and the room gain come from
-    ``trace``, which is told every tone set of the sweep before the first
-    value is evaluated: each grid point is traced at most once in all for
-    b_T, P_T, B_c and spatial_mode sweeps, once for an M sweep whose tone
-    counts share a small common multiple (RoomTrace.prepare), and once per
-    distinct value otherwise.  A value asks the trace for just the rows of
-    its sampled pairs, so at b_T = 0 only those are traced.  The pair
+    ``trace``, which plans every tone set of the sweep together before the
+    first value is evaluated (raytrace.tone_grids), so each grid point is
+    traced at most once per tone grid.  A value asks the trace for just the
+    rows of its sampled pairs, so at b_T = 0 only those are traced.  The pair
     subsample is drawn once from ``rng``, so every sweep value sees the same
     pairs; each value's miss rates come from one batched miss_rates call.
     ``std_err`` is the standard error of the room average over the sampled

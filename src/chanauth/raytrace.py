@@ -124,6 +124,18 @@ def image_sources(scene: RoomScene, point) -> tuple[np.ndarray, np.ndarray]:
     return positions, total[keep]
 
 
+def _image_count(max_order: int) -> int:
+    """Image sources per endpoint up to ``max_order`` bounces, without listing them.
+
+    Each image is a bounce vector (b_x, b_y, b_z) of signed integers with
+    |b_x| + |b_y| + |b_z| <= max_order (_axis_images puts one image at
+    each signed bounce count per axis), and that octahedron holds
+    (2n + 1)(2n^2 + 2n + 3)/3 lattice points at n = max_order.
+    """
+    n = max_order
+    return (2 * n + 1) * (2 * n * n + 2 * n + 3) // 3
+
+
 def _check_inside(scene: RoomScene, points, name: str):
     """Raise naming the first of ``points`` (one or many) not strictly inside the room."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -185,22 +197,38 @@ def response_matrix(scene: RoomScene, txs, rx, params: ChannelParams) -> np.ndar
     return out
 
 
+def tone_grids(params_seq) -> dict[tuple[float, float, int], tuple[ChannelParams, int]]:
+    """The tone grid each tone set (f0, W, M) in ``params_seq`` is traced on, and its column stride.
+
+    Tone sets that share (f0, W) lie on one grid of L = lcm of their M
+    tones (tone m of set M is grid tone m L / M), which they share when L
+    is at most the sum of their M, so a traced row costs no more tone steps
+    than the separate traces; otherwise each set is its own grid.
+    """
+    groups: dict[tuple[float, float], dict[int, ChannelParams]] = {}
+    for params in params_seq:
+        groups.setdefault((params.f0, params.W), {})[int(params.M)] = params
+    plan = {}
+    for (f0, W), sets in groups.items():
+        n_tones = math.lcm(*sets)
+        shared = replace(next(iter(sets.values())), M=n_tones) if n_tones <= sum(sets) else None
+        for M, params in sets.items():
+            plan[(f0, W, M)] = (params, 1) if shared is None else (shared, n_tones // M)
+    return plan
+
+
 class RoomTrace:
     """Fixed responses of grid points to one receiver, traced as a run reads them.
 
     A response depends on the channel only through its tones, and
     ChannelParams.tones only on (f0, W, M), so each grid point is traced at
-    most once per distinct tone set and its stored row is returned after
-    that.  Tone sets that share (f0, W) all lie on the tones of one grid of
-    L = lcm of their M values: tone m of set M is grid tone m L / M.
-    prepare() plans that grid when L is at most the sum of the M values, so
-    a traced row costs no more tone steps than the separate traces and
-    fewer paths' unit phasors.  Rows are traced only when responses() asks
-    for them, or rms_gain() for the whole grid, and a tone grid holds just
-    the rows traced, in the order they were traced, so a run at b_T = 0
-    traces and stores just the points it reads.  response_matrix computes
-    each row alone, so a row traced with a few others has the same bits as
-    one traced with the whole grid.
+    most once per tone grid that prepare() plans (tone_grids), and its
+    stored row is returned after that.  Rows are traced only when
+    responses() asks for them, or rms_gain() for the whole grid, and a tone
+    grid holds just the rows traced, in the order they were traced, so a run
+    at b_T = 0 traces and stores just the points it reads.  response_matrix
+    computes each row alone, so a row traced with a few others has the same
+    bits as one traced with the whole grid.
     """
 
     def __init__(self, scene: RoomScene, grid: GridSpec, rx):
@@ -211,26 +239,13 @@ class RoomTrace:
         self._grids: dict[tuple[float, float, int], tuple[ChannelParams, _TracedRows, int]] = {}
 
     def prepare(self, params_seq) -> None:
-        """Plan the tone grids of every ChannelParams in ``params_seq`` not yet held.
+        """Plan the tone_grids of the ChannelParams in ``params_seq`` not yet held, together.
 
-        Per (f0, W), the new sets share one grid of their common tones if it
-        has no more tones than they have together, and each has its own grid
-        otherwise.  This traces nothing; responses() and rms_gain() trace the rows.
+        This traces nothing; responses() and rms_gain() trace the rows.
         """
-        groups: dict[tuple[float, float], dict[int, ChannelParams]] = {}
-        for params in params_seq:
-            if (params.f0, params.W, params.M) not in self._grids:
-                groups.setdefault((params.f0, params.W), {})[int(params.M)] = params
-        for (f0, W), sets in groups.items():
-            n_tones = math.lcm(*sets)
-            if n_tones <= sum(sets):
-                grid = replace(next(iter(sets.values())), M=n_tones)
-                held = _TracedRows(len(self.positions), n_tones)
-                for M in sets:
-                    self._grids[(f0, W, M)] = (grid, held, n_tones // M)
-            else:
-                for M, params in sets.items():
-                    self._grids[(f0, W, M)] = (params, _TracedRows(len(self.positions), M), 1)
+        plan = tone_grids(params for params in params_seq if (params.f0, params.W, params.M) not in self._grids)
+        held = {grid: _TracedRows(len(self.positions), grid.M) for grid in {grid for grid, _ in plan.values()}}
+        self._grids.update({key: (grid, held[grid], stride) for key, (grid, stride) in plan.items()})
 
     def responses(self, params: ChannelParams, rows) -> np.ndarray:
         """Fixed responses at the tones of ``params``, shape (len(rows), M).

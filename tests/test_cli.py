@@ -368,8 +368,8 @@ class TestValidateMatchesRun:
         # validate counts the images in closed form, without listing them.
         for n in range(23):
             images, _ = raytrace.image_sources(raytrace.RoomScene(max_order=n), (1.0, 2.0, 1.5))
-            assert cli._image_count(n) == len(images), n
-        assert cli._image_count(20) <= raytrace._BLOCK_ELEMENTS < cli._image_count(21)
+            assert raytrace._image_count(n) == len(images), n
+        assert raytrace._image_count(20) <= raytrace._BLOCK_ELEMENTS < raytrace._image_count(21)
 
     @pytest.mark.parametrize(
         "text, position",
@@ -582,6 +582,34 @@ def test_shipped_config_runs(config_run, name):
     alpha_hat, se = float(calib["alpha_hat"]), float(calib["std_err"])
     assert math.isfinite(alpha_hat) and math.isfinite(se)
     assert abs(alpha_hat - float(calib["alpha_target"])) <= 4.0 * se
+
+
+def test_config_and_outputs_are_utf8_in_an_ascii_locale(tmp_path):
+    # Under LC_ALL=C, without UTF-8 mode, the locale's encoding is ASCII.  The
+    # config is read as UTF-8 all the same (a non-UTF-8 one exits 2 naming
+    # it), and a config named in bytes the locale cannot decode runs: its
+    # outputs are the bytes of a run in this process, the name included.
+    path = write_cfg(tmp_path, name="\u03c3.cfg")
+    path.write_bytes(path.read_bytes() + "# sigma_T is \u03c3_T\n".encode())
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(path.read_bytes() + b"# \xe9\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def chanauth(*args):
+        return subprocess.run([sys.executable, "-m", "chanauth.cli", *map(str, args)], capture_output=True, env=env, timeout=300)
+
+    assert chanauth("validate", path).returncode == EXIT_OK
+    done = chanauth("validate", latin1)
+    assert done.returncode == EXIT_CONFIG and b"cannot read config:" in done.stderr, done.stderr
+    done = chanauth("run", path, "--out", tmp_path / "c")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert run(path, tmp_path / "here") == EXIT_OK
+    for name in ("sweep.csv", "calibration.csv", "summary.txt"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
+    assert "config: \u03c3.cfg\n".encode() in (tmp_path / "c" / "summary.txt").read_bytes()
 
 
 def test_run_imports_no_scipy(tmp_path):

@@ -1,6 +1,9 @@
 """Link budget, per-pair miss rates, end-to-end simulation, room sweeps."""
 
+import configparser
+import csv
 import math
+import tempfile
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -8,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanauth import cli, raytrace
@@ -554,6 +557,58 @@ class TestRoomSweep:
         assert cli.run(path, tmp_path) == cli.EXIT_OK
         assert set(traced.values()) == {1}
         assert set(Counter(key[:3] for key in traced).values()) == {config.grid.n_points}
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        values=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        M=st.integers(1, 12),
+        b_T=st.sampled_from([0.0, 0.5]),
+        pair_budget=st.integers(1, 80),
+    )
+    # 5 and 10 share a 10-tone grid and 4, 8 and 10 do not; the calibration's
+    # M = 20 joins the 5 and 10 on a 20-tone grid at b_T > 0, and M = 8 is a
+    # sweep value's set.
+    @example(values=[5, 10], M=20, b_T=0.5, pair_budget=6)
+    @example(values=[5, 10], M=20, b_T=0.0, pair_budget=6)
+    @example(values=[4, 8, 10], M=8, b_T=0.5, pair_budget=80)
+    @example(values=[4, 8, 10], M=3, b_T=0.0, pair_budget=6)
+    def test_run_does_no_more_work_than_validate_priced(self, values, M, b_T, pair_budget):
+        # validate prices raytrace.tone_grids of cli._tone_sets: a run traces
+        # on those grids alone, each row once, the whole grid where a set reads
+        # the room gain and at most the sampled pairs' rows elsewhere, and
+        # evaluates the pairs and calibrates the trials it priced.
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read(CONFIGS / "fig5.cfg", encoding="utf-8")
+        parser["grid"]["counts"] = "4 3"
+        parser["channel"].update(M=str(M), b_T=str(b_T))
+        parser["sweep"]["values"] = " ".join(map(str, values))
+        parser["run"].update(trials="200", pair_budget=str(pair_budget))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "plan.cfg"
+            with open(path, "w", encoding="utf-8") as fh:
+                parser.write(fh)
+            config, diags = load_config(path)
+            assert not diags
+            sets = cli._tone_sets(config.channel, config.P_T, config.b_T, config.sweep_param, config.sweep_values)
+            plan = raytrace.tone_grids(params for params, _ in sets)
+            whole = {plan[(params.f0, params.W, params.M)][0] for params, gain in sets if gain}
+            traced = count_traced_rows(mp)
+            assert cli.run(path, Path(tmp) / "out") == cli.EXIT_OK
+            with open(Path(tmp) / "out" / "sweep.csv", encoding="utf-8") as fh:
+                pair_counts = {int(row["pair_count"]) for row in csv.DictReader(fh)}
+            with open(Path(tmp) / "out" / "calibration.csv", encoding="utf-8") as fh:
+                (calibration,) = csv.DictReader(fh)
+        n = config.grid.n_points
+        pairs = min(config.pair_budget, n * (n - 1) // 2)
+        rows = Counter(key[:3] for key in traced)  # rows traced per (f0, W, tones) grid
+        assert set(traced.values()) <= {1}
+        assert set(rows) <= {(grid.f0, grid.W, grid.M) for grid, _ in plan.values()}
+        for grid, _ in plan.values():
+            key = (grid.f0, grid.W, grid.M)
+            assert rows[key] == n if grid in whole else rows[key] <= min(n, 2 * pairs), (key, rows)
+        assert pair_counts == {pairs}
+        assert int(calibration["trials"]) == config.trials
 
     def test_b_T_sweep_from_zero_traces_each_row_once(self, monkeypatch):
         # b_T = 0 traces the sampled pairs' rows; 0.1 then reads the room
